@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 
@@ -107,6 +106,15 @@ def _ball_payload(sol) -> dict:
     }
 
 
+def _mkeb_payload(sol) -> dict:
+    return {
+        "center": sol.ball.center,
+        "radius": sol.ball.radius,
+        "covered": sol.covered,
+        "k": sol.k,
+    }
+
+
 def _verdict_payload(v) -> dict:
     return {
         "outcome": v.outcome,
@@ -165,12 +173,7 @@ def _run_mkeb(args) -> dict:
             raise _UsageError("mkeb: pass exactly one of --k or --z")
         k = args.k if args.k is not None else n - args.z
         sol = exact_mkeb(P, k)
-    return {
-        "center": sol.ball.center,
-        "radius": sol.ball.radius,
-        "covered": sol.covered,
-        "k": sol.k,
-    }
+    return _mkeb_payload(sol)
 
 
 def _run_diameter(args) -> dict:
@@ -211,13 +214,7 @@ def _run_test_cluster(args) -> dict:
             return _verdict_payload(
                 k_g_tester(P, body, args.k, c=args.c, delta=args.delta, seed=trial_seed)
             )
-        sol = outlier_meb_sample(P, args.eps, args.delta, seed=trial_seed)
-        return {
-            "center": sol.ball.center,
-            "radius": sol.ball.radius,
-            "covered": sol.covered,
-            "k": sol.k,
-        }
+        return _mkeb_payload(outlier_meb_sample(P, args.eps, args.delta, seed=trial_seed))
 
     if args.trials == 1:
         return one_trial(args.seed)
@@ -413,32 +410,19 @@ def _parameters(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("MEB_KIT_THREADS")
-    if raw is None:
-        return 0
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise _UsageError(f"MEB_KIT_THREADS must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise _UsageError("MEB_KIT_THREADS must be >= 0")
-    return cap
-
-
-def dispatch(argv) -> tuple[RunReport, int]:
-    """Run one subcommand and return (report, exit code) without writing."""
+def _run(argv) -> tuple[RunReport, int, str | None]:
+    """Run one subcommand; return (report, exit code, parsed --output)."""
     started = time.perf_counter()
     command = "unknown"
     parameters: dict = {}
     seed = 0
+    output = None
     try:
-        cap = _thread_cap()
         args = build_parser().parse_args(argv)
         command = args.command
         seed = args.seed
+        output = args.output
         parameters = _parameters(args)
-        parameters["threads"] = cap
         result = _HANDLERS[command](args)
         code = EXIT_OK
     except _UsageError as exc:
@@ -459,19 +443,19 @@ def dispatch(argv) -> tuple[RunReport, int]:
         timing_ms=timing_ms,
         tool_version=__version__,
     )
+    return report, code, output
+
+
+def dispatch(argv) -> tuple[RunReport, int]:
+    """Run one subcommand and return (report, exit code) without writing."""
+    report, code, _ = _run(argv)
     return report, code
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    report, code = dispatch(argv)
+    report, code, output = _run(argv)
     text = render_report(report)
-    output = None
-    for i, flag in enumerate(argv):
-        if flag == "--output" and i + 1 < len(argv):
-            output = argv[i + 1]
-        elif flag.startswith("--output="):
-            output = flag.split("=", 1)[1]
     if output and code != EXIT_USAGE:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -193,9 +193,6 @@ class TwoApproxSketch:
             raise ValueError("empty stream has no diameter estimate")
         return self.max_dist
 
-    def merge(self, other):
-        raise TypeError("anchored sketches cannot be merged; use the directional sketch")
-
 
 def direction_count(eps: float) -> int:
     """Smallest m with cos(pi / (2m)) >= 1 / (1 + eps)."""

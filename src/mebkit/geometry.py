@@ -7,6 +7,7 @@ arithmetic, so callers get consistent behavior across coordinate scales.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from .errors import DegenerateInputError
 
 TOL_BASE = 1e-9      # comparison slack per unit of coordinate scale
-PIVOT_EPS = 1e-12    # scaled-pivot threshold deciding affine dependence
+PIVOT_EPS = 1e-12    # smallest unit-edge Gram eigenvalue of an affinely independent subset
 
 
 def geom_tol(*operands) -> float:
@@ -122,41 +123,65 @@ def barycenter(points) -> np.ndarray:
     return as_points(points).mean(axis=0)
 
 
-def _solve_pivoted(A, b):
-    """Gaussian elimination with partial pivoting and a scaled pivot threshold.
+def circumballs(S):
+    """Circumballs of a batch of equal-size point subsets.
 
-    Returns ``(x, None)`` on success or ``(None, k)`` when the pivot for
-    column ``k`` falls below ``PIVOT_EPS`` times the matrix scale, which is
-    the affine-dependence signal for circumball systems.
+    ``S`` has shape (b, m, d): b subsets of m <= d+1 points each.  Returns
+    ``(centers, radii, ok)`` with shapes (b, d), (b,) and (b,).  A subset is
+    affinely independent (``ok``) when the smallest eigenvalue of the Gram
+    matrix of its unit-normalised edges p_i - p_0 exceeds ``PIVOT_EPS``, a
+    test of the subset's shape that ignores its position and scale.  Rows
+    that are not ok carry meaningless centers and radii.
+
+    One point is its own ball and two points use the exact midpoint; larger
+    subsets solve the equal-distance system in the unit-edge frame and take
+    the largest distance from the center to a subset point as the radius.
     """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    m = A.shape[0]
-    scale = max(1.0, float(np.max(np.abs(A)))) if A.size else 1.0
-    for k in range(m):
-        piv = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[piv, k]) <= PIVOT_EPS * scale:
-            return None, k
-        if piv != k:
-            A[[k, piv]] = A[[piv, k]]
-            b[[k, piv]] = b[[piv, k]]
-        factors = A[k + 1:, k] / A[k, k]
-        A[k + 1:, k:] -= np.outer(factors, A[k, k:])
-        b[k + 1:] -= factors * b[k]
-    x = np.empty(m)
-    for k in range(m - 1, -1, -1):
-        x[k] = (b[k] - A[k, k + 1:] @ x[k + 1:]) / A[k, k]
-    return x, None
+    S = np.asarray(S, dtype=float)
+    b, m, d = S.shape
+    if m == 1:
+        return S[:, 0, :].copy(), np.zeros(b), np.ones(b, dtype=bool)
+    if m == 2:
+        centers = (S[:, 0, :] + S[:, 1, :]) / 2.0  # exact midpoint for the diametral pair
+        radii = np.linalg.norm(S[:, 0, :] - centers, axis=1)
+        # the unit-edge Gram matrix is [[1]], or [[0]] for a repeated point
+        return centers, radii, radii > 0.0
+    U = S[:, 1:, :] - S[:, :1, :]
+    lens = np.linalg.norm(U, axis=2)
+    Un = U / np.where(lens > 0.0, lens, 1.0)[..., None]  # zero edges stay zero and fail
+    Gn = Un @ Un.transpose(0, 2, 1)
+    ok = np.linalg.eigvalsh(Gn)[:, 0] > PIVOT_EPS
+    # c = p_0 + sum_j y_j u_j/|u_j| is equidistant from p_0 and p_i exactly
+    # when (Gn y)_i = |u_i|/2
+    Gn[~ok] = np.eye(m - 1)  # keeps the batched solve nonsingular
+    y = np.linalg.solve(Gn, 0.5 * lens[..., None])[..., 0]
+    centers = S[:, 0, :] + np.einsum("bi,bid->bd", y, Un)
+    radii = np.linalg.norm(S - centers[:, None, :], axis=2).max(axis=1)
+    return centers, radii, ok
+
+
+def subset_circumballs(P, chunk=20_000):
+    """Yield (centers, radii) of the circumballs of every affinely independent
+    subset of P of size 1..d+1, in size-then-lexicographic order, at most
+    ``chunk`` subsets per batch.
+
+    Dependent subsets are skipped; their limiting balls come from smaller
+    subsets, so the family stays complete for enclosing-ball searches.
+    """
+    n, d = P.shape
+    for size in range(1, min(n, d + 1) + 1):
+        combos = itertools.combinations(range(n), size)
+        while block := list(itertools.islice(combos, chunk)):
+            centers, radii, ok = circumballs(P[np.array(block)])
+            yield centers[ok], radii[ok]
 
 
 def circumball(points) -> Ball:
     """Unique ball through <= d+1 affinely independent points.
 
     The center lies in the affine hull of the inputs and every input lies on
-    the boundary.  Equating squared distances to the first point yields a
-    Gram system solved by pivoted elimination; a collapsed pivot means the
-    points are affinely dependent and raises ``DegenerateInputError`` naming
-    the offending subset.
+    the boundary.  Computed by ``circumballs``; a subset that fails its
+    independence test raises ``DegenerateInputError`` naming the whole subset.
     """
     P = as_points(points)
     m, d = P.shape
@@ -164,21 +189,10 @@ def circumball(points) -> Ball:
         raise DegenerateInputError(
             range(m), f"{m} points in {d} dimensions cannot be affinely independent"
         )
-    if m == 1:
-        return Ball(P[0].copy(), 0.0)
-    if m == 2:
-        center = (P[0] + P[1]) / 2.0  # exact midpoint for the diametral pair
-        return Ball(center, float(np.linalg.norm(P[0] - center)))
-    U = P[1:] - P[0]
-    G = U @ U.T
-    rhs = 0.5 * np.einsum("ij,ij->i", U, U)
-    x, bad_col = _solve_pivoted(G, rhs)
-    if x is None:
-        offenders = [0] + [j + 1 for j in range(bad_col)] + [bad_col + 1]
-        raise DegenerateInputError(offenders)
-    center = P[0] + x @ U
-    radius = float(np.max(np.linalg.norm(P - center, axis=1)))
-    return Ball(center, radius)
+    centers, radii, ok = circumballs(P[None])
+    if not ok[0]:
+        raise DegenerateInputError(range(m))
+    return Ball(centers[0], radii[0])
 
 
 def fits_in_translate(body, W) -> bool:

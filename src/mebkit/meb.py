@@ -15,7 +15,6 @@ Kuhn-Tucker optimality system.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import ConvergenceError, DegenerateInputError, IterationLimitError
-from .geometry import Ball, as_points, circumball, geom_tol
+from .geometry import Ball, as_points, circumball, geom_tol, subset_circumballs
 
 _WELZL_SEED = 0x5EB    # fixed shuffle seed: deterministic output, order-independent input
 _PRUNE = 1e-10         # multipliers below this are treated as inactive
@@ -76,25 +75,23 @@ class KtResiduals:
 
 
 def _small_meb(Q) -> Ball:
-    """Exact enclosing ball of a handful of points by subset enumeration.
+    """Exact enclosing ball of a handful of points: its smallest enclosing circumball.
 
     Fallback for degenerate boundary sets inside the recursion; Q never has
     more than d+2 points there, so the enumeration is trivial.
     """
     Q = np.asarray(Q, dtype=float)
-    m, d = Q.shape
     tol = geom_tol(Q)
     best = None
-    for size in range(1, min(m, d + 1) + 1):
-        for combo in itertools.combinations(range(m), size):
-            try:
-                ball = circumball(Q[list(combo)])
-            except DegenerateInputError:
-                continue
-            if ball.contains(Q, tol) and (best is None or ball.radius < best.radius):
-                best = ball
-    if best is None:  # cannot happen: pairs always enumerate
-        raise DegenerateInputError(range(m), "no enclosing candidate found")
+    for centers, radii in subset_circumballs(Q):
+        dist = np.linalg.norm(Q[None, :, :] - centers[:, None, :], axis=2)
+        enclosing = np.flatnonzero(np.all(dist <= radii[:, None] + tol, axis=1))
+        if len(enclosing):
+            j = enclosing[np.argmin(radii[enclosing])]
+            if best is None or radii[j] < best.radius:
+                best = Ball(centers[j], radii[j])
+    if best is None:  # cannot happen: the optimum is an independent subset's circumball
+        raise DegenerateInputError(range(len(Q)), "no enclosing candidate found")
     return best
 
 
@@ -305,7 +302,7 @@ def badoiu_clarkson(P, k: int, seed: int | None = None):
     return solution, core
 
 
-def _polish(Pc, sq, active, scale):
+def _polish(Pc, sq, active):
     """Solve the equal-distance stationarity system on an active set.
 
     Enforces sum(l) = 1 and equal squared distance from the recovered center
@@ -380,7 +377,7 @@ def elzinga_hearn_dual(P, tol: float = 1e-6, max_iter: int = 100_000):
         gap = max(fw_gap, aw_gap)
 
         if gap <= target:
-            result = _polish(Pc, sq, [i for i in active if lam[i] > _PRUNE], scale)
+            result = _polish(Pc, sq, [i for i in active if lam[i] > _PRUNE])
             if result is not None:
                 S, w = result
                 trial = np.zeros(n)

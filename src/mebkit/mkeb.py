@@ -9,14 +9,13 @@ eps-fraction of outliers with confidence 1 - delta.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GuardError
-from .geometry import Ball, as_points, geom_tol
+from .geometry import Ball, as_points, geom_tol, subset_circumballs
 from .meb import exact_meb
 
 CANDIDATE_BUDGET = 10_000_000  # guard: n**(d+1) enumeration ceiling
@@ -33,58 +32,6 @@ class MkebSolution:
     def __post_init__(self):
         object.__setattr__(self, "covered", np.asarray(self.covered, dtype=int))
         object.__setattr__(self, "k", int(self.k))
-
-
-def _candidate_batches(P, chunk=20_000):
-    """Yield (centers, radii) batches of circumballs over subsets of size 1..d+1.
-
-    Near-degenerate subsets are skipped; their limiting balls are produced by
-    smaller subsets, so the enumeration stays complete.
-    """
-    n, d = P.shape
-    yield P.copy(), np.zeros(n)
-    for size in range(2, min(n, d + 1) + 1):
-        combos = itertools.combinations(range(n), size)
-        while True:
-            block = list(itertools.islice(combos, chunk))
-            if not block:
-                break
-            idx = np.array(block)
-            sub = P[idx]
-            U = sub[:, 1:, :] - sub[:, :1, :]
-            lens = np.linalg.norm(U, axis=2)
-            ok = np.all(lens > 1e-300, axis=1)
-            Un = U / np.maximum(lens, 1e-300)[..., None]
-            Gn = Un @ Un.transpose(0, 2, 1)
-            ok &= np.linalg.det(Gn) > 1e-20
-            if not ok.any():
-                continue
-            Uk = U[ok]
-            G = Uk @ Uk.transpose(0, 2, 1)
-            rhs = 0.5 * np.einsum("nij,nij->ni", Uk, Uk)
-            try:
-                x = np.linalg.solve(G, rhs[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                # a borderline subset slipped the filter; fall back per item
-                x = np.full(rhs.shape, np.nan)
-                for row in range(len(G)):
-                    try:
-                        x[row] = np.linalg.solve(G[row], rhs[row])
-                    except np.linalg.LinAlgError:
-                        pass
-                keep = np.all(np.isfinite(x), axis=1)
-                Uk, x = Uk[keep], x[keep]
-                if not len(x):
-                    continue
-                sub = sub[ok][keep]
-                centers = sub[:, 0, :] + np.einsum("ni,nid->nd", x, Uk)
-                radii = np.linalg.norm(sub - centers[:, None, :], axis=2).max(axis=1)
-                yield centers, radii
-                continue
-            subk = sub[ok]
-            centers = subk[:, 0, :] + np.einsum("ni,nid->nd", x, Uk)
-            radii = np.linalg.norm(subk - centers[:, None, :], axis=2).max(axis=1)
-            yield centers, radii
 
 
 def exact_mkeb(P, k: int) -> MkebSolution:
@@ -105,7 +52,7 @@ def exact_mkeb(P, k: int) -> MkebSolution:
         )
     tol = geom_tol(P)
     best = None  # (radius, center-as-tuple)
-    for centers, radii in _candidate_batches(P):
+    for centers, radii in subset_circumballs(P):
         dist = np.linalg.norm(P[None, :, :] - centers[:, None, :], axis=2)
         counts = (dist <= radii[:, None] + tol).sum(axis=1)
         eligible = np.flatnonzero(counts >= k)

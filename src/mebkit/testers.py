@@ -99,21 +99,27 @@ def one_s_tester(P, body, eps: float, delta: float, seed: int = 0) -> TestVerdic
     return TestVerdict(ACCEPT, None, None, rounds, seed)
 
 
-def _coverable_by_k(W, body, k: int) -> bool:
-    """Exhaustive search for a partition of W into <= k fittable groups."""
-    m = len(W)
+def _partition(order, k: int, fits) -> bool:
+    """Exhaustive search for a split of the items into <= k groups.
+
+    Items are placed in ``order``; each one tries every existing group that
+    ``fits(members, item)`` accepts, then a new group while fewer than k are
+    open.
+    """
     groups: list[list[int]] = []
 
     def place(i: int) -> bool:
-        if i == m:
+        if i == len(order):
             return True
-        for group in groups:
-            group.append(i)
-            if fits_in_translate(body, W[group]) and place(i + 1):
-                return True
-            group.pop()
+        item = order[i]
+        for members in groups:
+            if fits(members, item):
+                members.append(item)
+                if place(i + 1):
+                    return True
+                members.pop()
         if len(groups) < k:
-            groups.append([i])
+            groups.append([item])
             if place(i + 1):
                 return True
             groups.pop()
@@ -145,7 +151,11 @@ def k_g_tester(P, body, k: int, c: float = 0.01, delta: float = 0.1, seed: int =
         rng = derive_rng(seed, "k-g-round", rnd)
         idx = np.sort(rng.choice(n, size=k + 1, replace=False))
         sample = P[idx]
-        if not _coverable_by_k(sample, body, k):
+
+        def fits(members: list[int], i: int) -> bool:
+            return fits_in_translate(body, sample[members + [i]])
+
+        if not _partition(range(k + 1), k, fits):
             return TestVerdict(REJECT, sample, idx, rnd + 1, seed)
     return TestVerdict(ACCEPT, None, None, rounds, seed)
 
@@ -161,82 +171,33 @@ def _farthest_first_order(P) -> list[int]:
     return order
 
 
-def _clusterable_exact(P, k: int, eps: float) -> bool:
-    """Branch and bound: can P be split into k groups of enclosing radius <= eps?"""
-    n = len(P)
-    tol = geom_tol(P, eps)
-    order = _farthest_first_order(P)  # spread-out prefix makes pruning bite early
-    pair_limit = 2.0 * eps + tol
-    clusters: list[list[int]] = []
+def _scattered(ok, target: int | None = None) -> list[int]:
+    """Largest subset of mutually compatible items (branch and bound).
 
-    def fits(members: list[int], new_idx: int) -> bool:
-        gaps = np.linalg.norm(P[members] - P[new_idx], axis=1)
-        if gaps.max() > pair_limit:
-            return False  # two members further than a diameter apart
-        return exact_meb(P[members + [new_idx]]).ball.radius <= eps + tol
-
-    def assign(i: int) -> bool:
-        if i == n:
-            return True
-        idx = order[i]
-        for members in clusters:
-            if fits(members, idx):
-                members.append(idx)
-                if assign(i + 1):
-                    return True
-                members.pop()
-        if len(clusters) < k:
-            clusters.append([idx])
-            if assign(i + 1):
-                return True
-            clusters.pop()
-        return False
-
-    return assign(0)
-
-
-def _max_scattered(ok) -> list[int]:
-    """Maximum subset of mutually compatible items (branch and bound)."""
-    n = ok.shape[0]
+    With a target, the search stops at the first subset of that size and
+    prunes branches that cannot reach it, so a shorter result means that no
+    such subset exists.
+    """
+    floor = 0 if target is None else target - 1
     best: list[int] = []
 
-    def grow(candidates: list[int], chosen: list[int]):
+    def grow(candidates: list[int], chosen: list[int]) -> bool:
         nonlocal best
         if len(chosen) > len(best):
             best = list(chosen)
-        if len(chosen) + len(candidates) <= len(best):
-            return
-        for pos, v in enumerate(candidates):
-            if len(chosen) + len(candidates) - pos <= len(best):
-                return
-            chosen.append(v)
-            grow([u for u in candidates[pos + 1:] if ok[v, u]], chosen)
-            chosen.pop()
-
-    grow(list(range(n)), [])
-    return best
-
-
-def _has_scattered(ok, target: int) -> bool:
-    """Is there a mutually compatible subset of at least the target size?"""
-    n = ok.shape[0]
-    found = False
-
-    def grow(candidates: list[int], size: int) -> bool:
-        nonlocal found
-        if size >= target:
-            found = True
+        if target is not None and len(best) >= target:
             return True
-        if size + len(candidates) < target:
-            return False
         for pos, v in enumerate(candidates):
-            if size + len(candidates) - pos < target:
+            if len(chosen) + len(candidates) - pos <= max(len(best), floor):
                 return False
-            if grow([u for u in candidates[pos + 1:] if ok[v, u]], size + 1):
+            chosen.append(v)
+            if grow([u for u in candidates[pos + 1:] if ok[v, u]], chosen):
                 return True
+            chosen.pop()
         return False
 
-    return grow(list(range(n)), 0)
+    grow(list(range(ok.shape[0])), [])
+    return best
 
 
 def _compat_matrix(P, delta: float) -> np.ndarray:
@@ -257,7 +218,7 @@ def scattered_points(P, delta: float) -> ScatteredSet:
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if n <= _SCATTER_EXACT_LIMIT:
-        chosen = _max_scattered(_compat_matrix(P, delta))
+        chosen = _scattered(_compat_matrix(P, delta))
         return ScatteredSet(len(chosen), sorted(chosen), True)
     tol = geom_tol(P, delta)
     chosen = [0]
@@ -304,11 +265,19 @@ def promise_label(P, k1: int, eps: float, k2: int, delta: float) -> PromiseLabel
     elif k1 >= n:
         yes = True  # singletons always fit
     else:
-        yes = _clusterable_exact(P, k1, eps)
+        tol = geom_tol(P, eps)
+
+        def fits(members: list[int], i: int) -> bool:
+            if np.linalg.norm(P[members] - P[i], axis=1).max() > 2.0 * eps + tol:
+                return False  # two members further than a diameter apart
+            return exact_meb(P[members + [i]]).ball.radius <= eps + tol
+
+        # a spread-out prefix makes the pruning bite early
+        yes = _partition(_farthest_first_order(P), k1, fits)
     if k2 > n:
         no = False
     elif k2 == 1:
         no = True  # a single point is vacuously scattered
     else:
-        no = _has_scattered(_compat_matrix(P, delta), k2)
+        no = len(_scattered(_compat_matrix(P, delta), k2)) >= k2
     return PromiseLabel(yes, no, _label(yes, no))

@@ -40,7 +40,6 @@ def test_meb_exact_square(square_csv, capsys):
     assert report["command"] == "meb"
     assert report["tool_version"] == mebkit.__version__
     assert report["parameters"]["algo"] == "exact"
-    assert "threads" in report["parameters"]
     result = report["result"]
     assert result["radius"] == pytest.approx(math.sqrt(2))
     assert result["center"] == pytest.approx([0.0, 0.0], abs=1e-9)
@@ -330,36 +329,22 @@ def test_output_file(square_csv, tmp_path, capsys):
     assert report["result"]["radius"] == pytest.approx(math.sqrt(2))
 
 
+def test_output_flag_abbreviation(square_csv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["meb", "--input", square_csv, "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == ""
+    report = json.loads(out.read_text())
+    assert report["result"]["radius"] == pytest.approx(math.sqrt(2))
+    assert "output" not in report["parameters"]
+
+
 def test_usage_error_skips_output_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["meb", "--algo", "nope", "--output", str(out)])
     assert code == 1
     assert not out.exists()
     assert "usage" in capsys.readouterr().out
-
-
-def test_thread_cap_env(square_csv, capsys, monkeypatch):
-    monkeypatch.setenv("MEB_KIT_THREADS", "2")
-    report, code = run_cli(["meb", "--input", square_csv], capsys)
-    assert code == 0
-    assert report["parameters"]["threads"] == 2
-
-    monkeypatch.setenv("MEB_KIT_THREADS", "many")
-    report, code = run_cli(["meb", "--input", square_csv], capsys)
-    assert code == 1
-    assert "MEB_KIT_THREADS" in report["result"]["error"]["message"]
-
-    monkeypatch.setenv("MEB_KIT_THREADS", "-1")
-    _, code = run_cli(["meb", "--input", square_csv], capsys)
-    assert code == 1
-
-
-def test_result_stable_across_thread_caps(square_csv, capsys, monkeypatch):
-    monkeypatch.setenv("MEB_KIT_THREADS", "1")
-    one, _ = run_cli(["meb", "--input", square_csv], capsys)
-    monkeypatch.setenv("MEB_KIT_THREADS", "4")
-    four, _ = run_cli(["meb", "--input", square_csv], capsys)
-    assert one["result"] == four["result"]
 
 
 def test_version_flag(capsys):

@@ -136,21 +136,6 @@ def test_two_approx_monotone_updates():
         last = sk.estimate
 
 
-def test_two_approx_merge():
-    rng = derive_rng(2, "sketch-merge")
-    P = rng.standard_normal((40, 2))
-    whole = TwoApproxSketch()
-    for p in P:
-        whole.update(p)
-    left, right = TwoApproxSketch(), TwoApproxSketch()
-    for p in P[:20]:
-        left.update(p)
-    for p in P[20:]:
-        right.update(p)
-    with pytest.raises(TypeError):
-        left.merge(right)  # anchors differ; merging is not defined
-
-
 def test_direction_count_examples():
     assert direction_count(1.0) == 2
     assert direction_count(0.1) == 4  # cos(pi/8) = 0.9239 >= 1/1.1 = 0.9091

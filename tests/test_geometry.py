@@ -11,6 +11,7 @@ from mebkit.geometry import (
     as_points,
     barycenter,
     circumball,
+    circumballs,
     distance,
     fits_in_translate,
     geom_tol,
@@ -96,6 +97,44 @@ def test_circumball_collinear_points_degenerate():
 def test_circumball_too_many_points_degenerate():
     with pytest.raises(DegenerateInputError):
         circumball([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+
+@pytest.mark.parametrize("d", [1, 3, 10, 20])
+def test_circumballs_batch_matches_single_calls(d):
+    rng = np.random.default_rng(d)
+    for m in range(1, d + 2):
+        S = rng.standard_normal((6, m, d))
+        centers, radii, ok = circumballs(S)
+        assert ok.all()
+        for row in range(len(S)):
+            b = circumball(S[row])
+            assert np.allclose(centers[row], b.center, rtol=1e-12, atol=1e-12)
+            assert radii[row] == pytest.approx(b.radius, rel=1e-12)
+            dists = np.linalg.norm(S[row] - centers[row], axis=1)
+            assert np.ptp(dists) <= 1e-8 * radii[row]
+
+
+def test_circumball_tiny_triangle():
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]]) * 1e-7
+    b = circumball(tri)
+    assert b.radius == pytest.approx(1e-7 / math.sqrt(3), rel=1e-12)
+    assert np.linalg.norm(tri - b.center, axis=1) == pytest.approx([b.radius] * 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e7])
+def test_circumballs_flags_dependent_subsets(scale):
+    S = scale * np.array([
+        [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [3.0, 3.0, 0.0]],   # collinear
+        [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 1.0, 0.0]],   # duplicate
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],   # independent
+    ])
+    _, _, ok = circumballs(S)
+    assert list(ok) == [False, False, True]
+    _, _, ok = circumballs(S[1:2, :2])
+    assert list(ok) == [False]
+    with pytest.raises(DegenerateInputError) as info:
+        circumball(S[0])
+    assert info.value.indices == [0, 1, 2]
 
 
 def test_circumball_center_in_affine_hull():

@@ -59,12 +59,22 @@ def test_radius_monotone_in_k():
     assert all(a <= b + 1e-12 for a, b in zip(radii, radii[1:]))
 
 
-def test_matches_oracle_all_k():
+def oracle_clouds():
     for trial in range(8):
         rng = derive_rng(trial, "mkeb-oracle")
         n = int(rng.integers(3, 12))
         d = int(rng.integers(1, 4))
-        P = rng.standard_normal((n, d))
+        yield rng.standard_normal((n, d))
+    # collinear and repeated points, at three scales
+    base = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                     [0.5, 1.0, 0.0], [0.3, 0.2, 1.0], [1.5, 0.5, 0.0]])
+    for scale in (1e-7, 1.0, 1e7):
+        yield scale * base
+
+
+def test_matches_oracle_all_k():
+    for P in oracle_clouds():
+        n = len(P)
         for k in range(1, n + 1):
             _, r_star = mkeb_oracle(P, k)
             sol = exact_mkeb(P, k)
