@@ -19,10 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import ConvergenceError, DegenerateInputError, IterationLimitError
-from .geometry import Ball, as_points, circumball, geom_tol, subset_circumballs
+from .geometry import Ball, as_points, circumballs, geom_tol, subset_circumballs
 
 _WELZL_SEED = 0x5EB    # fixed shuffle seed: deterministic output, order-independent input
 _PRUNE = 1e-10         # multipliers below this are treated as inactive
@@ -95,11 +94,69 @@ def _small_meb(Q) -> Ball:
     return best
 
 
-def _boundary_ball(P, idxs) -> Ball:
-    try:
-        return circumball(P[list(idxs)])
-    except DegenerateInputError:
-        return _small_meb(P[list(idxs)])
+def _boundary_ball(P, idxs):
+    """(center, radius) of the ball through the pinned points, or of their
+    smallest enclosing ball when they are affinely dependent."""
+    S = P[idxs]
+    centers, radii, ok = circumballs(S[None])
+    if ok[0]:
+        return centers[0], float(radii[0])
+    ball = _small_meb(S)
+    return ball.center, ball.radius
+
+
+def _nnls(A, b) -> np.ndarray:
+    """argmin |Ax - b| over x >= 0 (Lawson & Hanson, 1974, ch. 23).
+
+    When A has full column rank and its least-squares solution is
+    nonnegative, that solution is the unique optimum.  Otherwise the
+    active-set loop runs: the free column with the largest gradient entry
+    joins the passive set (or is skipped when it depends numerically on it),
+    and a passive solve that leaves the feasible region is cut back along the
+    segment from the current iterate until a passive variable reaches zero
+    and leaves.  Cut steps are capped at 3n, as in scipy's ``nnls``.
+    """
+    m, n = A.shape
+    x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    if rank == n and x.min() >= 0.0:
+        return x
+    tol = 10.0 * max(m, n) * np.finfo(float).eps
+
+    def solve(passive):
+        s = np.zeros(n)
+        s[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+        return s
+
+    def gradient(r):
+        # row by row, so that equal columns get bit-equal entries and the
+        # lowest index wins their tie
+        return (A * r[:, None]).sum(axis=0)
+
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    w = gradient(b)
+    cuts = 0
+    while True:
+        free = np.where(passive, -np.inf, w)
+        k = int(np.argmax(free))
+        if free[k] <= tol:
+            return x
+        passive[k] = True
+        s = solve(passive)
+        if s[k] <= 0.0:  # column k adds nothing the passive columns lack
+            passive[k] = False
+            w[k] = -np.inf
+            continue
+        while (cut := passive & (s <= 0.0)).any():
+            cuts += 1
+            if cuts > 3 * n:
+                raise ConvergenceError(f"NNLS needed more than {3 * n} cut steps")
+            alpha = np.min(x[cut] / (x[cut] - s[cut]))
+            x += alpha * (s - x)
+            passive &= x > tol
+            s = solve(passive)
+        x = s
+        w = gradient(b - A @ x)
 
 
 def _support_set(P, ball) -> SupportSet:
@@ -118,7 +175,7 @@ def _support_set(P, ball) -> SupportSet:
     rows = np.vstack([(P[cand] - c).T / r, np.ones(len(cand))])
     target = np.zeros(P.shape[1] + 1)
     target[-1] = 1.0
-    weights, _ = nnls(rows, target)
+    weights = _nnls(rows, target)
     keep = weights > _PRUNE
     if not keep.any():
         far = int(np.argmax(dist))
@@ -130,8 +187,12 @@ def _support_set(P, ball) -> SupportSet:
     return SupportSet(idx[order], lam[order])
 
 
-def _mtf_ball(P, order, boundary, tol, counter) -> Ball:
-    """Move-to-front recursion: boundary points are pinned to the surface."""
+def _mtf_ball(P, order, boundary, tol, counter):
+    """Move-to-front recursion: boundary points are pinned to the surface.
+
+    Returns the (center, radius) of the smallest ball enclosing the points of
+    ``order`` with every point of ``boundary`` on its surface.
+    """
     d = P.shape[1]
     if len(boundary) == d + 1:
         counter[0] += 1
@@ -142,7 +203,7 @@ def _mtf_ball(P, order, boundary, tol, counter) -> Ball:
         ball = _boundary_ball(P, boundary)
     front: list[int] = []
     for idx in order:
-        if ball is None or np.linalg.norm(P[idx] - ball.center) > ball.radius + tol:
+        if ball is None or np.linalg.norm(P[idx] - ball[0]) > ball[1] + tol:
             ball = _mtf_ball(P, front, boundary + [idx], tol, counter)
             front.insert(0, idx)
         else:
@@ -166,9 +227,9 @@ def exact_meb(P) -> MebSolution:
     tol = geom_tol(P)
     order = list(np.random.default_rng(_WELZL_SEED).permutation(n))
     counter = [0]
-    ball = _mtf_ball(P, order, [], tol, counter)
-    radius = float(np.max(np.linalg.norm(P - ball.center, axis=1)))
-    ball = Ball(ball.center, radius)
+    center, _ = _mtf_ball(P, order, [], tol, counter)
+    radius = float(np.max(np.linalg.norm(P - center, axis=1)))
+    ball = Ball(center, radius)
     return MebSolution(
         ball=ball,
         support=_support_set(P, ball),

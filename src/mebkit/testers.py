@@ -27,6 +27,7 @@ REJECT = "reject"
 
 _SCATTER_EXACT_LIMIT = 60   # branch-and-bound ceiling for the public decider
 _PROMISE_GUARD = 200        # exact clustering guard for k1 >= 2
+_ROUND_BUDGET = 1_000_000   # most sampling rounds a tester runs before refusing the input
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,18 @@ def _check_unit(value, name):
 
 
 def _rounds(rate: float, delta: float) -> int:
-    # ceil((1/rate) * ln(1/delta)); delta = 1 gives zero rounds (vacuous accept)
+    """ceil((1/rate) * ln(1/delta)) sampling rounds; delta = 1 gives zero
+    rounds (vacuous accept).  Raises ``GuardError`` when the count exceeds
+    ``_ROUND_BUDGET``, before any round runs."""
     if delta == 1.0:
         return 0
-    return math.ceil((1.0 / rate) * math.log(1.0 / delta))
+    need = (1.0 / rate) * math.log(1.0 / delta) if rate > 0.0 else math.inf
+    if need > _ROUND_BUDGET:
+        raise GuardError(
+            f"{need:.3g} sampling rounds exceed the budget of {_ROUND_BUDGET}; "
+            "raise eps, c or delta"
+        )
+    return math.ceil(need)
 
 
 def one_s_tester(P, body, eps: float, delta: float, seed: int = 0) -> TestVerdict:
@@ -78,7 +87,8 @@ def one_s_tester(P, body, eps: float, delta: float, seed: int = 0) -> TestVerdic
     distinct points and rejects with that sample as witness if no translate
     contains it.  Inputs that fit a translate are always accepted.  When the
     input has fewer than d+1 points the check is run directly on the whole
-    set, deterministically.
+    set, deterministically.  More than ``_ROUND_BUDGET`` rounds raise
+    ``GuardError`` before the first one.
     """
     P = as_points(P)
     n, d = P.shape
@@ -134,7 +144,8 @@ def k_g_tester(P, body, k: int, c: float = 0.01, delta: float = 0.1, seed: int =
     Runs ceil((1/c) * ln(1/delta)) rounds; each round draws k+1 distinct
     points and rejects if no partition into at most k groups fits, group by
     group, in a translate of the body.  The witness-density constant ``c``
-    depends on the body shape and is supplied by the caller.
+    depends on the body shape and is supplied by the caller.  More than
+    ``_ROUND_BUDGET`` rounds raise ``GuardError`` before the first one.
     """
     P = as_points(P)
     n, _ = P.shape

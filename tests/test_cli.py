@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -177,6 +180,40 @@ def test_test_cluster_kg_guard(tmp_path, capsys):
     )
     assert code == 3
     assert report["result"]["error"]["kind"] == "computation"
+
+
+def test_test_cluster_round_budget_is_a_compute_error(tmp_path, capsys):
+    P, _ = gen_instance("gaussian", 40, 10, seed=6)
+    path = tmp_path / "d10.csv"
+    write_points(str(path), P)
+    for extra in ([], ["--trials", "3"]):
+        code = main(["test-cluster", "--mode", "1s", "--eps", "0.1", "--input", str(path)] + extra)
+        out = capsys.readouterr().out
+        report = json.loads(out)  # exactly one JSON document
+        assert code == 3
+        assert report["result"]["error"]["kind"] == "computation"
+        assert "budget" in report["result"]["error"]["message"]
+
+
+def test_cli_start_up_and_meb_runs_never_import_scipy(square_csv):
+    script = (
+        "import json, sys\n"
+        "import mebkit.cli as cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "seen = [scipy_modules()]\n"
+        "for argv in (['meb', '--input', sys.argv[1]], ['meb', '--algo', 'hr', '--input', sys.argv[1]]):\n"
+        "    report, code = cli.dispatch(argv)\n"
+        "    assert code == 0, report.result\n"
+        "    seen.append(scipy_modules())\n"
+        "print(json.dumps(seen))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mebkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, square_csv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [], []]
 
 
 def test_bounds_jung(square_csv, capsys):

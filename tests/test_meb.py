@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from mebkit.errors import ConvergenceError
 from mebkit.geometry import Ball
 from mebkit.meb import (
+    _PRUNE,
+    _nnls,
     badoiu_clarkson,
     elzinga_hearn_dual,
     exact_meb,
@@ -100,6 +103,128 @@ def test_exact_meb_collinear():
     sol = exact_meb(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]))
     assert np.allclose(sol.ball.center, [1.5, 0])
     assert sol.ball.radius == pytest.approx(1.5)
+
+
+def support_system(P, center, radius):
+    """The NNLS system of the support multipliers, over the boundary points."""
+    dist = np.linalg.norm(P - center, axis=1)
+    cand = np.flatnonzero(dist >= radius - 1e-9 * (1 + np.abs(P).max()))
+    A = np.vstack([(P[cand] - center).T / radius, np.ones(len(cand))])
+    b = np.zeros(P.shape[1] + 1)
+    b[-1] = 1.0
+    return A, b
+
+
+def regular_polygon(k, interior=0):
+    ang = 2 * np.pi * np.arange(k) / k
+    inside = derive_rng(k, "polygon").uniform(-0.5, 0.5, (interior, 2))
+    return np.vstack([np.c_[np.cos(ang), np.sin(ang)], inside])
+
+
+def nnls_cases():
+    rng = derive_rng(0, "nnls")
+    for d in (2, 3, 5, 10, 20):
+        for n in (3, 10, 60):
+            P = rng.standard_normal((n, d))
+            sol = exact_meb(P)
+            yield f"random d={d} n={n}", support_system(P, sol.ball.center, sol.ball.radius)
+    for k in (5, 6, 8):
+        yield f"{k}-gon", support_system(regular_polygon(k, interior=6), np.zeros(2), 1.0)
+    yield "square", support_system(SQUARE, np.zeros(2), math.sqrt(2))
+    yield "square, duplicated", support_system(
+        np.vstack([SQUARE, SQUARE[[0, 3]]]), np.zeros(2), math.sqrt(2)
+    )
+    yield "hexagon, duplicated", support_system(
+        np.vstack([regular_polygon(6), regular_polygon(6)[:2]]), np.zeros(2), 1.0
+    )
+    yield "+-e_i in 4-d", support_system(np.vstack([np.eye(4), -np.eye(4)]), np.zeros(4), 1.0)
+    sphere = rng.standard_normal((3, 19))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    yield "19-d sphere, duplicated", support_system(
+        np.vstack([sphere, sphere[:2]]), np.zeros(19), 1.0
+    )
+    # the first passive solve goes negative and must be cut back, not clipped
+    yield "cut-back", (
+        np.array([[3.0, 1.0, -3.0, 0.0], [1.0, 0.0, -2.0, -2.0], [-2.0, 0.0, 2.0, 2.0]]),
+        np.array([2.0, 0.0, 2.0]),
+    )
+    for trial in range(5):
+        A = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 8))  # rank 2
+        yield f"rank-deficient {trial}", (A, rng.standard_normal(6))
+
+
+@pytest.mark.parametrize("name, system", list(nnls_cases()), ids=lambda v: v if isinstance(v, str) else "")
+def test_nnls_matches_scipy(name, system):
+    A, b = system
+    want, _ = nnls(A, b)
+    got = _nnls(A, b)
+    assert np.array_equal(got > _PRUNE, want > _PRUNE)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_nnls_ties_go_to_lowest_index():
+    # equal columns tie exactly; the repeated boundary points come last
+    rng = derive_rng(2, "repeated")
+    for n in (3, 5, 6, 7):
+        for d in range(2, 25):
+            Q = rng.standard_normal((n, d))
+            Q /= np.linalg.norm(Q, axis=1, keepdims=True)
+            A, b = support_system(np.vstack([Q, Q]), np.zeros(d), 1.0)
+            x = _nnls(A, b)
+            assert np.all(np.flatnonzero(x > _PRUNE) < n)
+    # a regular 17-gon has exact ties between distinct columns: any basic
+    # optimum is a valid support, so only optimality is compared
+    A, b = support_system(regular_polygon(17), np.zeros(2), 1.0)
+    x = _nnls(A, b)
+    assert x.min() >= 0.0
+    assert np.count_nonzero(x > _PRUNE) <= 3
+    assert np.linalg.norm(A @ x - b) <= 1e-12
+
+
+def test_nnls_near_duplicate_columns_reach_the_optimum():
+    # boundary points 1e-13 apart: which twin is kept depends on rounding, so
+    # only the optimum is compared with scipy's
+    rng = derive_rng(1, "near-duplicates")
+    for d in (5, 9, 19):
+        Q = rng.standard_normal((6, d))
+        Q /= np.linalg.norm(Q, axis=1, keepdims=True)
+        Q = np.vstack([Q, Q[:4] + 1e-13 * rng.standard_normal((4, d))])
+        A, b = support_system(Q, np.zeros(d), 1.0)
+        x = _nnls(A, b)
+        assert x.min() >= 0.0
+        assert np.count_nonzero(x) <= d + 1
+        assert np.linalg.norm(A @ x - b) <= np.linalg.norm(A @ nnls(A, b)[0] - b) + 1e-12
+
+
+def test_nnls_nearly_dependent_columns_terminate():
+    # a column whose gradient entry is positive but which adds nothing to
+    # the passive columns is skipped instead of cycling to the step cap
+    for trial in range(12):
+        rng = derive_rng(trial, "nearly-dependent")
+        B = rng.standard_normal((4, 3))
+        A = np.hstack([B, B @ rng.standard_normal((3, 4))]) + 1e-15 * rng.standard_normal((4, 7))
+        b = 1e3 * rng.standard_normal(4)
+        x = _nnls(A, b)
+        assert x.min() >= 0.0
+        assert np.linalg.norm(A @ x - b) <= np.linalg.norm(A @ nnls(A, b)[0] - b) + 1e-12 * 1e3
+
+
+def test_exact_meb_certificate_on_repeated_and_cospherical_points():
+    rng = derive_rng(5, "cospherical")
+    sphere = rng.standard_normal((40, 3))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    for P in (
+        np.vstack([SQUARE, SQUARE, [[0.1, 0.2]]]),
+        regular_polygon(17, interior=10),
+        np.vstack([regular_polygon(6, interior=4), regular_polygon(6)]),
+        np.vstack([sphere, 0.5 * sphere[:10], sphere[:5]]),
+        np.vstack([np.eye(4), -np.eye(4), np.eye(4)]),
+    ):
+        for sol in (exact_meb(P), hopp_reeve_meb(P)):
+            check_solution(P, sol)
+            lam = np.zeros(len(P))
+            lam[sol.support.indices] = sol.support.multipliers
+            assert kt_residuals(P, sol.ball, lam).worst <= 1e-9
 
 
 def test_iteration_bound_values():

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from mebkit import testers
 from mebkit.errors import GuardError
 from mebkit.geometry import BallBody, BoxBody, fits_in_translate
 from mebkit.meb import exact_meb
 from mebkit.seeding import derive_rng
 from mebkit.testers import (
+    _ROUND_BUDGET,
+    _rounds,
     k_g_tester,
     one_s_tester,
     promise_label,
@@ -96,7 +99,40 @@ def test_one_s_rejects_bad_parameters():
             one_s_tester(P, BallBody(1.0), eps, delta)
 
 
+def no_rounds(monkeypatch):
+    """Make any sampling round fail the test: guards must refuse before one."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sampling round ran")
+
+    monkeypatch.setattr(testers, "derive_rng", forbidden)
+
+
+def test_round_budget_boundary():
+    assert _rounds(1e-5, 0.1) == math.ceil(1e5 * math.log(10.0)) <= _ROUND_BUDGET
+    with pytest.raises(GuardError, match="budget"):
+        _rounds(1e-7, 0.1)
+    with pytest.raises(GuardError):
+        _rounds(0.0, 0.5)  # an underflowed eps ** (d + 1)
+    assert _rounds(0.0, 1.0) == 0  # delta = 1 needs no round at all
+
+
+def test_one_s_refuses_unbounded_rounds_up_front(monkeypatch):
+    no_rounds(monkeypatch)
+    P = derive_rng(0, "d10").standard_normal((30, 10))
+    with pytest.raises(GuardError, match="sampling rounds"):  # 2.3e11 rounds
+        one_s_tester(P, BallBody(1.0), 0.1, 0.1)
+    with pytest.raises(GuardError):
+        one_s_tester(two_clusters(), BallBody(1.0), 1e-200, 0.1)
+
+
 # ---------------------------------------------------------------- k_g
+
+
+def test_k_g_refuses_unbounded_rounds_up_front(monkeypatch):
+    no_rounds(monkeypatch)
+    with pytest.raises(GuardError, match="sampling rounds"):
+        k_g_tester(two_clusters(), BallBody(1.0), 2, c=1e-9, delta=0.1)
 
 
 def test_k_g_accepts_k_coverable():
