@@ -38,7 +38,7 @@ from .diameter import (
 )
 from .errors import ConvergenceError, DegenerateInputError, GuardError, IterationLimitError, ParseError
 from .generators import KINDS, gen_instance
-from .geometry import BallBody, BoxBody, barycenter
+from .geometry import BallBody, BoxBody, barycenter, geom_tol
 from .meb import badoiu_clarkson, elzinga_hearn_dual, exact_meb, hopp_reeve_meb, kt_residuals
 from .mkeb import exact_mkeb, outlier_meb_sample
 from .pointio import read_points, write_points
@@ -72,25 +72,17 @@ class RunReport:
     tool_version: str
 
 
-def _jsonable(value):
+def _json_default(value):
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def render_report(report: RunReport) -> str:
-    doc = _jsonable(dataclasses.asdict(report))
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    doc = dataclasses.asdict(report)
+    return json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def _ball_payload(sol) -> dict:
@@ -242,7 +234,7 @@ def _run_bounds(args) -> dict:
             "jung_bound": bound,
             "tight": tight,
             "meb_radius": r,
-            "holds": bool(r <= bound + 1e-9 * (1.0 + bound)),
+            "holds": bool(r <= bound + geom_tol(P, bound)),
         }
     beta = barycentric_circumradius(P)
     combined = min(beta, bound)
@@ -251,7 +243,7 @@ def _run_bounds(args) -> dict:
         "jung_bound": bound,
         "combined_bound": combined,
         "meb_radius": r,
-        "holds": bool(r <= combined + 1e-9 * (1.0 + combined)),
+        "holds": bool(r <= combined + geom_tol(P, combined)),
     }
 
 

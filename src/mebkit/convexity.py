@@ -1,9 +1,9 @@
 """Constructive convexity routines: combination reduction, Radon splits,
 box intersection checks, circumradius bounds, and hull distances.
 
-Everything here is deterministic and desk-scale exact; the only iterative
-piece is the min-norm-point projection behind ``dist_to_hull``, which
-terminates on a support-direction improvement certificate.
+Everything here is deterministic and desk-scale exact; ``dist_to_hull``
+finds the hull's nearest point with the nonnegative least-squares solver
+that also recovers the MEB support multipliers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import GuardError
 from .diameter import diameter_bruteforce
 from .geometry import as_point, as_points, geom_tol
-from .meb import exact_meb
+from .meb import _nnls, exact_meb
 
 _BCIR_GUARD = 16  # subset enumeration ceiling for barycentric_circumradius
 
@@ -61,7 +61,7 @@ def _validate_combination(P, combo: ConvexCombination):
     if abs(combo.coefficients.sum() - 1.0) > 1e-9:
         raise ValueError("combination coefficients must sum to one")
     rebuilt = combo.coefficients @ P[combo.indices]
-    if np.linalg.norm(rebuilt - combo.target) > geom_tol(P, combo.target):
+    if np.linalg.norm(rebuilt - combo.target) > geom_tol(P):
         raise ValueError("combination does not reproduce its target")
 
 
@@ -179,7 +179,7 @@ def helly_check_boxes(family) -> HellyReport:
         raise ValueError(f"need at least d+1 = {d + 1} boxes, got {len(boxes)}")
     lows = np.array([b.lower for b in boxes])
     ups = np.array([b.upper for b in boxes])
-    tol = geom_tol(lows, ups)
+    tol = geom_tol(np.vstack([lows, ups]))
 
     def intersects(rows) -> bool:
         return bool(np.all(lows[rows].max(axis=0) <= ups[rows].min(axis=0) + tol))
@@ -247,61 +247,33 @@ def barycentric_circumradius(points) -> float:
 def dist_to_hull(a, points) -> float:
     """Euclidean distance from a point to the convex hull of a point set.
 
-    Min-norm-point descent: grow a corral of support vertices, reproject onto
-    its affine hull while clipping to the simplex, and stop when the
-    improvement certificate, the inner product of the residual with the best
-    support direction, drops below tolerance.  Returns 0 for hull members.
+    Let U = Q - a, s its largest absolute entry and V = U^T / s.  The
+    nonnegative least-squares solution u of min |V u|^2 + (sum(u) - 1)^2
+    (``meb._nnls``) gives the distance s |V u| / sum(u).  Writing u = t w
+    with w on the unit simplex, the objective is t^2 |V w|^2 + (t - 1)^2,
+    whose minimum over t is |V w|^2 / (1 + |V w|^2); that increases with
+    |V w|, so w is the weight vector of the hull's nearest point (Lawson &
+    Hanson, 1974).  A point whose squared distance in the unit frame is
+    within 1e-12 of zero, relative to the farthest hull point, counts as
+    inside and gets 0.
     """
     Q = as_points(points)
     x0 = as_point(a)
     if Q.shape[1] != x0.size:
         raise ValueError(f"dimension mismatch: point is {x0.size}-d, hull points are {Q.shape[1]}-d")
     U = Q - x0
-    sq = np.einsum("ij,ij->i", U, U)
-    cert_tol = 1e-12 * (1.0 + float(sq.max()))
-    corral = [int(np.argmin(sq))]
-    w = np.array([1.0])
-    x = U[corral[0]].copy()
-    for _ in range(32 * (len(Q) + Q.shape[1]) + 64):
-        dots = U @ x
-        best = int(np.argmin(dots))
-        if float(x @ x - dots[best]) <= cert_tol:
-            break
-        if best in corral:
-            break  # no further progress is possible
-        corral.append(best)
-        w = np.append(w, 0.0)
-        while True:
-            V = U[corral]
-            m = len(corral)
-            # affine min-norm over the corral: KKT system with a sum-one row
-            system = np.zeros((m + 1, m + 1))
-            system[:m, :m] = 2.0 * (V @ V.T)
-            system[:m, m] = 1.0
-            system[m, :m] = 1.0
-            rhs = np.zeros(m + 1)
-            rhs[m] = 1.0
-            sol, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-            alpha = sol[:m]
-            if alpha.min() >= -1e-12:
-                w = np.clip(alpha, 0.0, None)
-                w = w / w.sum()
-                break
-            shrinking = alpha < w
-            ratios = w[shrinking] / (w[shrinking] - alpha[shrinking])
-            theta = min(1.0, float(ratios.min()))
-            w = (1.0 - theta) * w + theta * alpha
-            w[w < 1e-14] = 0.0
-            keep = w > 0.0
-            if keep.all():
-                w[int(np.argmin(w))] = 0.0
-                keep = w > 0.0
-            corral = [i for i, k in zip(corral, keep) if k]
-            w = w[keep]
-            w = w / w.sum()
-        x = w @ U[corral]
-    value = float(np.linalg.norm(x))
-    return 0.0 if value * value <= cert_tol else value
+    s = float(np.abs(U).max())
+    if s == 0.0:  # every point of Q is a
+        return 0.0
+    V = U.T / s
+    b = np.zeros(len(V) + 1)
+    b[-1] = 1.0
+    u = _nnls(np.vstack([V, np.ones(len(Q))]), b)
+    dist = float(np.linalg.norm(V @ u)) / float(u.sum())
+    # the old clamp, in units of s: here the farthest point of Q is at least
+    # 1 from a, so the 1 is relative to the data as well
+    inside = dist * dist <= 1e-12 * (1.0 + float(np.einsum("ij,ij->j", V, V).max()))
+    return 0.0 if inside else s * dist
 
 
 def nodim_caratheodory(points, a, r: int):
@@ -320,6 +292,7 @@ def nodim_caratheodory(points, a, r: int):
     n = len(P)
     if not 1 <= r <= n:
         raise ValueError(f"r must be in 1..{n}, got {r}")
+    tol = geom_tol(P)
     chosen: list[int] = []
     achieved = math.inf
     for _ in range(r):
@@ -329,7 +302,7 @@ def nodim_caratheodory(points, a, r: int):
             if i in chosen:
                 continue
             cand = dist_to_hull(target, P[chosen + [i]])
-            if cand < best_d - 1e-15:
+            if cand < best_d - tol:
                 best_i, best_d = i, cand
         chosen.append(best_i)
         achieved = best_d

@@ -44,16 +44,15 @@ def diameter_bruteforce(P) -> DiameterResult:
     tol = geom_tol(P)
     value = -1.0
     pair = (0, 1)
+    near = []  # every gap within tol of the running maximum, which only grows
     for i in range(n - 1):
         gaps = np.linalg.norm(P[i + 1:] - P[i], axis=1)
         j = int(np.argmax(gaps))
         if gaps[j] > value:
             value = float(gaps[j])
             pair = (i, i + 1 + j)
-    at_max = 0
-    for i in range(n - 1):
-        gaps = np.linalg.norm(P[i + 1:] - P[i], axis=1)
-        at_max += int(np.count_nonzero(gaps >= value - tol))
+        near.append(gaps[gaps >= value - tol])
+    at_max = int(np.count_nonzero(np.concatenate(near) >= value - tol))
     return DiameterResult(value, pair, True, at_max)
 
 

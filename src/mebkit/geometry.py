@@ -1,8 +1,17 @@
 """Core geometric types and exact small-instance primitives.
 
-Coordinates are 64-bit floats throughout.  Every containment or boundary
-comparison uses a scale-aware tolerance (``geom_tol``) instead of exact
-arithmetic, so callers get consistent behavior across coordinate scales.
+Coordinates are 64-bit floats throughout.  Every length comparison (is a
+point inside a ball, on its boundary, are two distances tied) allows the
+slack ``geom_tol(P, *lengths)``: ``TOL_BASE`` times the larger of the
+longest side of P's bounding box and the lengths being compared.  The slack
+ignores where the points sit and scales with their units, so translating or
+rescaling an input translates or rescales the answer.
+
+Solvers that build centers from coordinates work in one frame: they
+subtract the midpoint of P's bounding box (``bbox_frame``), solve, and add
+the midpoint back to the center.  Far from the origin the subtraction is
+exact, so rounding is relative to the spread of the points and not to
+their distance from the origin.
 """
 
 from __future__ import annotations
@@ -14,22 +23,30 @@ import numpy as np
 
 from .errors import DegenerateInputError
 
-TOL_BASE = 1e-9      # comparison slack per unit of coordinate scale
+TOL_BASE = 1e-9      # comparison slack per unit of spread
 PIVOT_EPS = 1e-12    # smallest unit-edge Gram eigenvalue of an affinely independent subset
 
 
-def geom_tol(*operands) -> float:
-    """Comparison tolerance for the given operands.
+def geom_tol(P, *lengths) -> float:
+    """Slack for comparing lengths measured on the point set ``P``.
 
-    Returns ``1e-9 * (1 + scale)`` where ``scale`` is the largest absolute
-    coordinate among the operands.  Arrays and scalars both contribute.
+    Returns ``TOL_BASE`` times the larger of the longest side of P's
+    bounding box and the magnitudes of ``lengths`` (radii, distances, half
+    extents).  It is invariant under translation and linear in scale; it is
+    zero only for a single repeated point with no positive length.
     """
-    scale = 0.0
-    for obj in operands:
-        arr = np.asarray(obj, dtype=float)
-        if arr.size:
-            scale = max(scale, float(np.max(np.abs(arr))))
-    return TOL_BASE * (1.0 + scale)
+    P = np.asarray(P, dtype=float)
+    scale = float((P.max(axis=0) - P.min(axis=0)).max())
+    for length in lengths:
+        scale = max(scale, abs(float(length)))
+    return TOL_BASE * scale
+
+
+def bbox_frame(P) -> tuple[np.ndarray, np.ndarray]:
+    """``(P - m, m)`` with ``m`` the midpoint of P's bounding box: the frame
+    in which solvers compute centers before adding ``m`` back."""
+    mid = (P.max(axis=0) + P.min(axis=0)) / 2.0
+    return P - mid, mid
 
 
 def as_point(p) -> np.ndarray:
@@ -77,7 +94,7 @@ class Ball:
         if arr.shape[1] != self.dim:
             raise ValueError(f"dimension mismatch: ball is {self.dim}-d, points are {arr.shape[1]}-d")
         if tol is None:
-            tol = geom_tol(arr, self.center, self.radius)
+            tol = geom_tol(arr, self.radius)
         return bool(np.all(np.linalg.norm(arr - self.center, axis=1) <= self.radius + tol))
 
 
@@ -200,7 +217,7 @@ def fits_in_translate(body, W) -> bool:
 
     For a ball body the check is whether the minimum enclosing radius of
     ``W`` is at most the body radius; for a box body it is a per-axis extent
-    comparison.  Both use the scale-aware tolerance.
+    comparison.  Both allow ``geom_tol`` of the points and the body size.
     """
     pts = as_points(W)
     if isinstance(body, BoxBody):
@@ -209,7 +226,7 @@ def fits_in_translate(body, W) -> bool:
                 f"dimension mismatch: box is {body.dim}-d, points are {pts.shape[1]}-d"
             )
         half_span = (pts.max(axis=0) - pts.min(axis=0)) / 2.0
-        return bool(np.all(half_span <= body.half_extents + geom_tol(pts, body.half_extents)))
+        return bool(np.all(half_span <= body.half_extents + geom_tol(pts, body.half_extents.max())))
     if isinstance(body, BallBody):
         from .meb import exact_meb  # deferred import: solvers build on this module
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateInputError, IterationLimitError
-from .geometry import Ball, as_points, circumballs, geom_tol, subset_circumballs
+from .geometry import Ball, as_points, bbox_frame, circumballs, geom_tol, subset_circumballs
 
 _WELZL_SEED = 0x5EB    # fixed shuffle seed: deterministic output, order-independent input
 _PRUNE = 1e-10         # multipliers below this are treated as inactive
@@ -159,15 +159,14 @@ def _nnls(A, b) -> np.ndarray:
         w = gradient(b - A @ x)
 
 
-def _support_set(P, ball) -> SupportSet:
-    """Recover boundary indices and convex multipliers for an optimal ball.
+def _support_set(P, c, r, tol) -> SupportSet:
+    """Recover boundary indices and convex multipliers for the optimal ball
+    (c, r) of P, whose points are within ``tol`` of the boundary.
 
     Solves sum(l_i (p_i - c)) = 0, sum(l_i) = 1, l >= 0 restricted to points
     on the boundary.  NNLS returns a basic solution, so at most d+1
     multipliers come back strictly positive.
     """
-    c, r = ball.center, ball.radius
-    tol = geom_tol(P, c)
     dist = np.linalg.norm(P - c, axis=1)
     if r <= tol:
         return SupportSet(np.array([0]), np.array([1.0]))
@@ -220,19 +219,18 @@ def exact_meb(P) -> MebSolution:
     Move-to-front recursion over support sets of size at most d+1 with the
     circumball as base solver.  The processing order is shuffled with a fixed
     seed, so the output is deterministic and independent of input order (the
-    optimal ball is unique).
+    optimal ball is unique).  The recursion runs in ``bbox_frame``.
     """
-    P = as_points(P)
+    P, mid = bbox_frame(as_points(P))
     n, _ = P.shape
     tol = geom_tol(P)
     order = list(np.random.default_rng(_WELZL_SEED).permutation(n))
     counter = [0]
     center, _ = _mtf_ball(P, order, [], tol, counter)
     radius = float(np.max(np.linalg.norm(P - center, axis=1)))
-    ball = Ball(center, radius)
     return MebSolution(
-        ball=ball,
-        support=_support_set(P, ball),
+        ball=Ball(center + mid, radius),
+        support=_support_set(P, center, radius, tol),
         s=radius * radius,
         iterations=counter[0],
         algorithm="welzl-mtf",
@@ -265,9 +263,10 @@ def hopp_reeve_meb(P) -> MebSolution:
     points or the center arrives at ``t`` untouched.
 
     Rounding can stall the walk, so iterations are capped; exceeding the cap
-    raises ``IterationLimitError`` carrying the best ball found.
+    raises ``IterationLimitError`` carrying the best ball found.  The walk
+    runs in ``bbox_frame``.
     """
-    P = as_points(P)
+    P, mid = bbox_frame(as_points(P))
     n, d = P.shape
     if n < 2:
         raise ValueError("need at least two points")
@@ -277,16 +276,16 @@ def hopp_reeve_meb(P) -> MebSolution:
     c = P[0].copy()
     dist = np.linalg.norm(P - c, axis=1)
     far = int(np.argmax(dist))
-    if dist[far] <= tol:  # all points coincide
-        ball = Ball(c, float(dist.max()))
-        return MebSolution(ball, _support_set(P, ball), ball.radius**2, 0, "hopp-reeve")
     Q = [far]
     iterations = 0
 
     def finish(center) -> MebSolution:
         radius = float(np.max(np.linalg.norm(P - center, axis=1)))
-        ball = Ball(center, radius)
-        return MebSolution(ball, _support_set(P, ball), radius * radius, iterations, "hopp-reeve")
+        support = _support_set(P, center, radius, tol)
+        return MebSolution(Ball(center + mid, radius), support, radius * radius, iterations, "hopp-reeve")
+
+    if dist[far] <= tol:  # all points coincide
+        return finish(c)
 
     while True:
         iterations += 1
@@ -319,14 +318,15 @@ def hopp_reeve_meb(P) -> MebSolution:
             s_vals = gaps / slopes
         hits = slopes < -tol * tol
         s_vals = np.where(hits, s_vals, np.inf)
-        touching = (s_vals < 0.0) & (gaps > -tol * (1.0 + r2))  # already on the surface
+        # already on the surface: |p - c| > r - tol, to first order in tol
+        touching = (s_vals < 0.0) & (gaps > -2.0 * tol * math.sqrt(r2))
         s_vals = np.where(touching, 0.0, s_vals)
         s_vals = np.where(s_vals < 0.0, np.inf, s_vals)
         s_star = float(s_vals.min()) if len(s_vals) else np.inf
         if s_star > 1.0:
             return finish(t)  # reached the target with no contact
         c = c + s_star * v
-        contact = outside[s_vals <= s_star + 1e-12 * (1.0 + s_star)]
+        contact = outside[s_vals <= s_star + 1e-12]  # s is a fraction of the step
         Q.extend(int(i) for i in contact)
 
 
@@ -417,7 +417,7 @@ def elzinga_hearn_dual(P, tol: float = 1e-6, max_iter: int = 100_000):
     shift = P.mean(axis=0)
     Pc = P - shift  # centering keeps the quadratic terms well conditioned
     sq = np.einsum("ij,ij->i", Pc, Pc)
-    scale = 1.0 + float(sq.max())
+    scale = float(sq.max())  # gaps are squared lengths: relative to the largest
 
     lam = np.zeros(n)
     lam[int(np.argmax(sq))] = 1.0

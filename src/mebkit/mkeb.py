@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError
-from .geometry import Ball, as_points, geom_tol, subset_circumballs
+from .geometry import Ball, as_points, bbox_frame, geom_tol, subset_circumballs
 from .meb import exact_meb
 
 CANDIDATE_BUDGET = 10_000_000  # guard: n**(d+1) enumeration ceiling
@@ -39,9 +39,10 @@ def exact_mkeb(P, k: int) -> MkebSolution:
 
     Ties are broken by (radius, lexicographic center), so the result does not
     depend on enumeration order.  Guarded to n**(d+1) <= 10**7 candidates;
-    larger instances should use ``outlier_meb_sample``.
+    larger instances should use ``outlier_meb_sample``.  Candidates are
+    enumerated in ``bbox_frame``.
     """
-    P = as_points(P)
+    P, mid = bbox_frame(as_points(P))
     n, d = P.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
@@ -55,6 +56,7 @@ def exact_mkeb(P, k: int) -> MkebSolution:
     for centers, radii in subset_circumballs(P):
         dist = np.linalg.norm(P[None, :, :] - centers[:, None, :], axis=2)
         counts = (dist <= radii[:, None] + tol).sum(axis=1)
+        del dist  # freed before the next batch is built, which lowers peak memory
         eligible = np.flatnonzero(counts >= k)
         if not len(eligible):
             continue
@@ -67,9 +69,9 @@ def exact_mkeb(P, k: int) -> MkebSolution:
     if best is None:  # k >= 1 and singleton balls always cover one point
         raise RuntimeError("enumeration produced no covering candidate")
     radius, center = best
-    ball = Ball(np.array(center), radius)
-    covered = np.flatnonzero(np.linalg.norm(P - ball.center, axis=1) <= radius + tol)
-    return MkebSolution(ball, covered, k)
+    center = np.array(center)
+    covered = np.flatnonzero(np.linalg.norm(P - center, axis=1) <= radius + tol)
+    return MkebSolution(Ball(center + mid, radius), covered, k)
 
 
 def outlier_sample_size(d: int, eps: float, delta: float) -> int:
@@ -96,9 +98,9 @@ def outlier_meb_sample(P, eps: float, delta: float, seed: int | None = None) -> 
 
     The reported target k is ceil((1-eps) * n); ``covered`` holds whatever
     the sampled ball actually covers, which can fall short with probability
-    at most delta.
+    at most delta.  Coverage is counted in ``bbox_frame``.
     """
-    P = as_points(P)
+    P, mid = bbox_frame(as_points(P))
     n, d = P.shape
     m = outlier_sample_size(d, eps, delta)
     k_target = max(0, math.ceil((1.0 - eps) * n))
@@ -108,7 +110,6 @@ def outlier_meb_sample(P, eps: float, delta: float, seed: int | None = None) -> 
         rng = np.random.default_rng(seed)
         draw = rng.integers(0, n, size=m)
         solution = exact_meb(P[draw])
-    ball = solution.ball
-    tol = geom_tol(P, ball.center)
-    covered = np.flatnonzero(np.linalg.norm(P - ball.center, axis=1) <= ball.radius + tol)
-    return MkebSolution(ball, covered, k_target)
+    c, r = solution.ball.center, solution.ball.radius
+    covered = np.flatnonzero(np.linalg.norm(P - c, axis=1) <= r + geom_tol(P))
+    return MkebSolution(Ball(c + mid, r), covered, k_target)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mebkit
-from mebkit.cli import main
+from mebkit.cli import RunReport, main, render_report
 from mebkit.generators import gen_instance
 from mebkit.pointio import read_points, write_points
 
@@ -389,3 +389,31 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert mebkit.__version__ in capsys.readouterr().out
+
+
+def test_render_report_bytes_with_numpy_values():
+    report = RunReport(
+        command="meb",
+        parameters={"k": np.int64(3), "tol": 1e-06},
+        result={
+            "center": np.array([0.5, -0.25]),
+            "indices": np.array([0, 2], dtype=np.int64),
+            "flags": np.array([True, False]),
+            "exact": np.bool_(True),
+            "count": np.int64(7),
+            "radius": np.float64(0.1),
+            "pair": (1, np.int32(2)),
+            "witness": None,
+        },
+        seed=0,
+        timing_ms=1.5,
+        tool_version="0.1.0",
+    )
+    assert render_report(report) == (
+        '{\n  "command": "meb",\n  "parameters": {\n    "k": 3,\n    "tol": 1e-06\n  },\n'
+        '  "result": {\n    "center": [\n      0.5,\n      -0.25\n    ],\n    "count": 7,\n'
+        '    "exact": true,\n    "flags": [\n      true,\n      false\n    ],\n'
+        '    "indices": [\n      0,\n      2\n    ],\n    "pair": [\n      1,\n      2\n    ],\n'
+        '    "radius": 0.1,\n    "witness": null\n  },\n  "seed": 0,\n  "timing_ms": 1.5,\n'
+        '  "tool_version": "0.1.0"\n}\n'
+    )

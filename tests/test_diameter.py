@@ -13,6 +13,7 @@ from mebkit.diameter import (
     stream_2approx,
     stream_eps_2d,
 )
+from mebkit.generators import regular_simplex
 from mebkit.seeding import derive_rng
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -35,6 +36,10 @@ def test_bruteforce_square_two_diagonals():
     assert res.value == pytest.approx(math.sqrt(2))
     assert res.pairs_at_max == 2
     assert res.pair == (0, 3)  # lexicographically first of the tied pairs
+    simplex = regular_simplex(4, side=3.0)  # all 10 pairs tied
+    res = diameter_bruteforce(simplex)
+    assert res.value == pytest.approx(3.0)
+    assert (res.pair, res.pairs_at_max) == ((0, 1), 10)
 
 
 def test_calipers_square():

@@ -175,7 +175,13 @@ def test_fits_box_dimension_mismatch():
 
 
 def test_geom_tol_scales_with_magnitude():
-    small = geom_tol(np.array([0.5, 0.5]))
-    big = geom_tol(np.array([1e6, -2e6]))
-    assert small < big
-    assert big == pytest.approx(1e-9 * (1 + 2e6))
+    # the slack follows the spread of the points and the lengths compared,
+    # not where the points sit
+    P = np.array([[0.0, 0.0], [3.0, 1.0], [1.0, -1.0]])
+    assert geom_tol(P) == pytest.approx(1e-9 * 3.0)
+    assert geom_tol(P + 1e6) == pytest.approx(geom_tol(P))
+    assert geom_tol(P, 5.0) == pytest.approx(1e-9 * 5.0)
+    assert geom_tol(P, -0.5) == geom_tol(P)
+    for a in (1e-12, 1e-3, 1e7):
+        assert geom_tol(a * P - 2e6 * a, 5.0 * a) == pytest.approx(a * geom_tol(P, 5.0))
+    assert geom_tol(np.full((4, 3), 1e8)) == 0.0

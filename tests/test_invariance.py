@@ -1,0 +1,109 @@
+"""Translating or rescaling the input translates or rescales the answer.
+
+Each property draws a base cloud P, a scale a with |a| in [1e-12, 1e12]
+and a shift t with |t| up to 1e8 times the spread of aP.  It checks that
+aP gives |a| times the answer on P, and that Q = aP + t gives the answer
+on Q - t, which far from the origin is computed exactly and so is the
+input the routine saw, moved back.  Comparing Q with aP directly would
+test the input's rounding: rounding Q to its magnitude moves its points
+by up to 1e-8 of the spread.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, strategies as st
+
+from mebkit.convexity import dist_to_hull
+from mebkit.diameter import diameter_bruteforce
+from mebkit.geometry import BallBody, BoxBody
+from mebkit.meb import elzinga_hearn_dual, exact_meb, hopp_reeve_meb
+from mebkit.mkeb import exact_mkeb
+from mebkit.testers import one_s_tester
+
+REL = 1e-9
+
+frames = st.tuples(
+    st.integers(0, 2**32 - 1),  # seed of the base cloud
+    st.floats(-12.0, 12.0),     # log10 |a|
+    st.booleans(),              # a < 0
+    st.floats(-3.0, 8.0),       # log10 (|t| / spread of aP)
+)
+
+
+def moves(frame, n, d):
+    """(pairs, a): a seeded n x d cloud P under the drawn scale a and
+    shift t, as (moved, reference, unit) triples (aP, P, |a|) and
+    (aP + t, (aP + t) - t, 1), where unit scales the reference's lengths."""
+    seed, log_a, negative, log_shift = frame
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((n, d))
+    a = (-1.0 if negative else 1.0) * 10.0**log_a
+    X = a * P
+    direction = rng.standard_normal(d)
+    spread = float(np.max(X.max(axis=0) - X.min(axis=0)))
+    t = 10.0**log_shift * spread * direction / np.linalg.norm(direction)
+    Q = X + t
+    return [(X, P, abs(a)), (Q, Q - t, 1.0)], a
+
+
+def assert_length_transforms(length, pairs, rel=REL):
+    for moved, reference, unit in pairs:
+        assert length(moved) == pytest.approx(unit * length(reference), rel=rel)
+
+
+@given(frames, st.integers(2, 25), st.integers(1, 5))
+def test_exact_meb(frame, n, d):
+    pairs, _ = moves(frame, n, d)
+    assert_length_transforms(lambda X: exact_meb(X).ball.radius, pairs)
+    for moved, reference, _ in pairs:
+        assert np.array_equal(exact_meb(moved).support.indices, exact_meb(reference).support.indices)
+
+
+@given(frames, st.integers(2, 25), st.integers(1, 5))
+def test_hopp_reeve_meb(frame, n, d):
+    pairs, _ = moves(frame, n, d)
+    assert_length_transforms(lambda X: hopp_reeve_meb(X).ball.radius, pairs)
+
+
+@given(frames, st.integers(2, 25), st.integers(1, 5))
+def test_elzinga_hearn_dual_within_its_tol(frame, n, d):
+    pairs, _ = moves(frame, n, d)
+    tol = 1e-6
+    assert_length_transforms(lambda X: elzinga_hearn_dual(X, tol=tol)[0].ball.radius, pairs, rel=tol)
+
+
+@given(frames, st.integers(2, 8), st.integers(1, 3), st.data())
+def test_exact_mkeb(frame, n, d, data):
+    pairs, _ = moves(frame, n, d)
+    k = data.draw(st.integers(1, n))
+    assert_length_transforms(lambda X: exact_mkeb(X, k).ball.radius, pairs)
+
+
+@given(frames, st.integers(2, 30), st.integers(1, 4))
+def test_diameter_bruteforce(frame, n, d):
+    pairs, _ = moves(frame, n, d)
+    assert_length_transforms(lambda X: diameter_bruteforce(X).value, pairs)
+    for moved, reference, _ in pairs:
+        got, want = diameter_bruteforce(moved), diameter_bruteforce(reference)
+        assert (got.pair, got.pairs_at_max) == (want.pair, want.pairs_at_max)
+
+
+@given(frames, st.integers(1, 10), st.integers(1, 4))
+def test_dist_to_hull(frame, n, d):
+    pairs, _ = moves(frame, n + 1, d)  # row 0 is the query point
+    assert_length_transforms(lambda X: dist_to_hull(X[0], X[1:]), pairs)
+
+
+@given(frames, st.integers(2, 3), st.sampled_from(["ball", "box"]), st.floats(0.5, 2.0))
+@example((0, -12.0, False, 8.0), 2, "ball", 1.0)  # the ends of the scale range
+@example((0, 12.0, True, 8.0), 3, "box", 1.0)
+def test_one_s_tester_verdict(frame, d, shape, size):
+    pairs, a = moves(frame, 40, d)
+
+    def verdict(X, unit):
+        body = BallBody(size * unit) if shape == "ball" else BoxBody(np.full(d, size * unit))
+        v = one_s_tester(X, body, eps=0.5, delta=0.1, seed=3)
+        return v.outcome, v.rounds_used
+
+    for moved, reference, unit in pairs:
+        assert verdict(moved, abs(a)) == verdict(reference, abs(a) / unit)
