@@ -23,7 +23,7 @@ from .convexity import (
     caratheodory_reduce,
     fractional_helly_beta,
     helly_check_boxes,
-    jung_bound,
+    _jung_bound,
     make_combination,
     nodim_caratheodory,
     radon_partition,
@@ -228,7 +228,7 @@ def _run_bounds(args) -> dict:
         return {"alpha": args.alpha, "d": d, "beta": fractional_helly_beta(d, args.alpha)}
     P = _load_points(args)
     r = exact_meb(P).ball.radius
-    bound, tight = jung_bound(P)
+    bound, tight = _jung_bound(P, r)
     if args.which == "jung":
         return {
             "jung_bound": bound,

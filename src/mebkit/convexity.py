@@ -60,8 +60,13 @@ def _validate_combination(P, combo: ConvexCombination):
         raise ValueError("combination coefficients must be nonnegative")
     if abs(combo.coefficients.sum() - 1.0) > 1e-9:
         raise ValueError("combination coefficients must sum to one")
-    rebuilt = combo.coefficients @ P[combo.indices]
-    if np.linalg.norm(rebuilt - combo.target) > geom_tol(P):
+    Q = P[combo.indices]
+    rebuilt = combo.coefficients @ Q
+    # positions, not lengths: a weighted sum of m points rounds by up to about
+    # m eps max|q| per coordinate, once in the target and once in the rebuild
+    m, d = Q.shape
+    rounding = 2.0 * math.sqrt(d) * m * np.finfo(float).eps * float(np.abs(Q).max())
+    if np.linalg.norm(rebuilt - combo.target) > geom_tol(P) + rounding:
         raise ValueError("combination does not reproduce its target")
 
 
@@ -212,12 +217,16 @@ def jung_bound(points):
     d-simplex does.
     """
     P = as_points(points)
+    return _jung_bound(P, exact_meb(P).ball.radius)
+
+
+def _jung_bound(P, rho):
+    """``jung_bound`` of P given its exact enclosing radius ``rho``."""
     n, d = P.shape
     if n < 2:
         raise ValueError("need at least two points")
     diam = diameter_bruteforce(P).value
     bound = math.sqrt(d / (2.0 * (d + 1))) * diam
-    rho = exact_meb(P).ball.radius
     return bound, bool(abs(bound - rho) <= geom_tol(P))
 
 

@@ -2,7 +2,9 @@
 
 Four routes to the same ball:
 
-* ``exact_meb``: Welzl-style move-to-front recursion over support sets.
+* ``exact_meb``: Gärtner's pivoting loop around Welzl's move-to-front
+  recursion: one array scan finds the farthest violator, and the recursion
+  runs only on it and the current support.
 * ``hopp_reeve_meb``: geometric two-step construction that shrinks an
   enclosing ball toward the center of its current surface set.
 * ``badoiu_clarkson``: core-set iteration stepping toward the farthest point.
@@ -23,7 +25,6 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateInputError, IterationLimitError
 from .geometry import Ball, as_points, bbox_frame, circumballs, geom_tol, subset_circumballs
 
-_WELZL_SEED = 0x5EB    # fixed shuffle seed: deterministic output, order-independent input
 _PRUNE = 1e-10         # multipliers below this are treated as inactive
 
 
@@ -159,15 +160,15 @@ def _nnls(A, b) -> np.ndarray:
         w = gradient(b - A @ x)
 
 
-def _support_set(P, c, r, tol) -> SupportSet:
+def _support_set(P, c, r, dist, tol) -> SupportSet:
     """Recover boundary indices and convex multipliers for the optimal ball
-    (c, r) of P, whose points are within ``tol`` of the boundary.
+    (c, r) of P, whose points lie at distances ``dist`` from c and are within
+    ``tol`` of the boundary.
 
     Solves sum(l_i (p_i - c)) = 0, sum(l_i) = 1, l >= 0 restricted to points
     on the boundary.  NNLS returns a basic solution, so at most d+1
     multipliers come back strictly positive.
     """
-    dist = np.linalg.norm(P - c, axis=1)
     if r <= tol:
         return SupportSet(np.array([0]), np.array([1.0]))
     cand = np.flatnonzero(dist >= r - tol)
@@ -214,27 +215,51 @@ def _mtf_ball(P, order, boundary, tol, counter):
 
 
 def exact_meb(P) -> MebSolution:
-    """Exact minimum enclosing ball.
+    """Exact minimum enclosing ball by pivoting (Gärtner, ESA 1999).
 
-    Move-to-front recursion over support sets of size at most d+1 with the
-    circumball as base solver.  The processing order is shuffled with a fixed
-    seed, so the output is deterministic and independent of input order (the
-    optimal ball is unique).  The recursion runs in ``bbox_frame``.
+    Keeps a support list: the points on the current ball's boundary.  Each
+    step scans every point once for the farthest one.  If it lies more than
+    ``geom_tol`` outside, it lies on the boundary of the ball of itself and
+    the support, so the move-to-front recursion solves that list with it
+    pinned, and the listed points on the new boundary become the support.
+    Inputs of at most d+1 points start with all of them in the list, larger
+    ones with the first point.  The argmax takes the lowest index on ties, so
+    the output is deterministic.
+
+    ``iterations`` counts circumball solves.  Steps are capped at
+    ``_hard_cap(n, d)``, counting those whose radius does not grow (rounding
+    stalls); past the cap, ``IterationLimitError`` carries the enclosing ball
+    of the current center.  The loop runs in ``bbox_frame``.
     """
     P, mid = bbox_frame(as_points(P))
-    n, _ = P.shape
+    n, d = P.shape
     tol = geom_tol(P)
-    order = list(np.random.default_rng(_WELZL_SEED).permutation(n))
+    cap = _hard_cap(n, d)
     counter = [0]
-    center, _ = _mtf_ball(P, order, [], tol, counter)
-    radius = float(np.max(np.linalg.norm(P - center, axis=1)))
-    return MebSolution(
-        ball=Ball(center + mid, radius),
-        support=_support_set(P, center, radius, tol),
-        s=radius * radius,
-        iterations=counter[0],
-        algorithm="welzl-mtf",
-    )
+    support = list(range(n if n <= d + 1 else 1))
+    center, radius = _mtf_ball(P, support, [], tol, counter)
+    steps = 0
+
+    def solution(dist) -> MebSolution:
+        r = float(dist.max())
+        certificate = _support_set(P, center, r, dist, tol)
+        return MebSolution(Ball(center + mid, r), certificate, r * r, counter[0], "welzl-mtf")
+
+    while True:
+        diff = P - center
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        far = int(np.argmax(dist))
+        if dist[far] <= radius + tol:
+            return solution(dist)
+        steps += 1
+        if steps > cap:
+            raise IterationLimitError(
+                f"no convergence within the {cap}-step cap", best=solution(dist)
+            )
+        center, radius = _mtf_ball(P, support, [far], tol, counter)
+        listed = [far] + support
+        on_boundary = np.linalg.norm(P[listed] - center, axis=1) >= radius - tol
+        support = [i for i, keep in zip(listed, on_boundary) if keep]
 
 
 def iteration_bound(n: int, d: int) -> int:
@@ -249,7 +274,7 @@ def iteration_bound(n: int, d: int) -> int:
 
 def _hard_cap(n: int, d: int) -> int:
     # theoretical bound, saturated at a finite-precision safety cap
-    return min(iteration_bound(n, d), 10 * n * (d + 1))
+    return min(iteration_bound(max(n, 2), d), 10 * n * (d + 1))
 
 
 def hopp_reeve_meb(P) -> MebSolution:
@@ -280,8 +305,9 @@ def hopp_reeve_meb(P) -> MebSolution:
     iterations = 0
 
     def finish(center) -> MebSolution:
-        radius = float(np.max(np.linalg.norm(P - center, axis=1)))
-        support = _support_set(P, center, radius, tol)
+        dist = np.linalg.norm(P - center, axis=1)
+        radius = float(dist.max())
+        support = _support_set(P, center, radius, dist, tol)
         return MebSolution(Ball(center + mid, radius), support, radius * radius, iterations, "hopp-reeve")
 
     if dist[far] <= tol:  # all points coincide
@@ -337,9 +363,10 @@ def badoiu_clarkson(P, k: int, seed: int | None = None):
     ``c_i = c_{i-1} + (p_i - c_{i-1}) / i`` with ``p_i`` the farthest point
     from the current center, ties broken by lowest index.  Returns the
     resulting solution (radius is the exact maximum distance, so the ball
-    encloses the input by construction) and the visited core indices.
+    encloses the input by construction) and the visited core indices.  The
+    iteration runs in ``bbox_frame``.
     """
-    P = as_points(P)
+    P, mid = bbox_frame(as_points(P))
     n, _ = P.shape
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -356,7 +383,7 @@ def badoiu_clarkson(P, k: int, seed: int | None = None):
     dist = np.linalg.norm(P - c, axis=1)
     far = int(np.argmax(dist))
     radius = float(dist[far])
-    ball = Ball(c, radius)
+    ball = Ball(c + mid, radius)
     # the farthest point is the one contact certificate; not a full KT certificate
     support = SupportSet(np.array([far]), np.array([1.0]))
     solution = MebSolution(ball, support, radius * radius, k, "badoiu-clarkson")

@@ -54,9 +54,10 @@ def exact_mkeb(P, k: int) -> MkebSolution:
     tol = geom_tol(P)
     best = None  # (radius, center-as-tuple)
     for centers, radii in subset_circumballs(P):
-        dist = np.linalg.norm(P[None, :, :] - centers[:, None, :], axis=2)
-        counts = (dist <= radii[:, None] + tol).sum(axis=1)
-        del dist  # freed before the next batch is built, which lowers peak memory
+        diff = P[None, :, :] - centers[:, None, :]
+        diff *= diff  # squared in place: one (batch, n, d) array, same sums as a norm
+        counts = (np.sqrt(diff.sum(axis=2)) <= radii[:, None] + tol).sum(axis=1)
+        del diff  # freed before the next batch is built, which lowers peak memory
         eligible = np.flatnonzero(counts >= k)
         if not len(eligible):
             continue

@@ -234,6 +234,22 @@ def test_bounds_variant(square_csv, capsys):
     assert result["holds"] is True
 
 
+@pytest.mark.parametrize("which", ["jung", "variant"])
+def test_bounds_solves_the_meb_once(which, square_csv, capsys, monkeypatch):
+    calls = []
+
+    def counted(P):
+        calls.append(len(P))
+        return mebkit.meb.exact_meb(P)
+
+    monkeypatch.setattr("mebkit.cli.exact_meb", counted)
+    monkeypatch.setattr("mebkit.convexity.exact_meb", counted)
+    report, code = run_cli(["bounds", which, "--input", square_csv], capsys)
+    assert code == 0
+    assert calls == [4]
+    assert report["result"]["meb_radius"] == pytest.approx(math.sqrt(2))
+
+
 def test_bounds_fractional_helly(capsys):
     report, code = run_cli(["bounds", "fractional-helly", "--alpha", "0.75", "--d", "1"], capsys)
     assert code == 0

@@ -6,6 +6,7 @@ import pytest
 
 from mebkit.convexity import (
     AABox,
+    ConvexCombination,
     barycentric_circumradius,
     caratheodory_reduce,
     dist_to_hull,
@@ -82,6 +83,23 @@ def test_reduce_reconstruction_sweep():
         assert red.coefficients.sum() == pytest.approx(1.0, abs=1e-9)
         rebuilt = red.coefficients @ P[red.indices]
         assert np.linalg.norm(rebuilt - combo.target) <= 1e-7 * (1 + np.abs(P).max())
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e8])
+def test_combination_target_compares_positions_far_out(shift):
+    # the target's own rounding grows with |P|; a real offset does not pass with it
+    for trial in range(100):
+        rng = derive_rng(trial, "far-mean")
+        m = int(rng.integers(5, 41))
+        P = rng.standard_normal((m, 3)) + shift
+        w = np.full(m, 1.0 / m)
+        mean = P.mean(axis=0)
+        assert len(caratheodory_reduce(P, ConvexCombination(np.arange(m), w, mean)).indices) <= 4
+        spread = float(np.max(P.max(axis=0) - P.min(axis=0)))
+        u = rng.standard_normal(3)
+        off = mean + 1e-3 * spread * u / np.linalg.norm(u)
+        with pytest.raises(ValueError, match="reproduce"):
+            caratheodory_reduce(P, ConvexCombination(np.arange(m), w, off))
 
 
 # ------------------------------------------------------- radon

@@ -16,9 +16,9 @@ from hypothesis import example, given, strategies as st
 from mebkit.convexity import dist_to_hull
 from mebkit.diameter import diameter_bruteforce
 from mebkit.geometry import BallBody, BoxBody
-from mebkit.meb import elzinga_hearn_dual, exact_meb, hopp_reeve_meb
+from mebkit.meb import badoiu_clarkson, elzinga_hearn_dual, exact_meb, hopp_reeve_meb
 from mebkit.mkeb import exact_mkeb
-from mebkit.testers import one_s_tester
+from mebkit.testers import k_g_tester, one_s_tester
 
 REL = 1e-9
 
@@ -72,6 +72,12 @@ def test_elzinga_hearn_dual_within_its_tol(frame, n, d):
     assert_length_transforms(lambda X: elzinga_hearn_dual(X, tol=tol)[0].ball.radius, pairs, rel=tol)
 
 
+@given(frames, st.integers(2, 25), st.integers(1, 5), st.integers(1, 30), st.sampled_from([None, 7]))
+def test_badoiu_clarkson(frame, n, d, k, seed):
+    pairs, _ = moves(frame, n, d)
+    assert_length_transforms(lambda X: badoiu_clarkson(X, k, seed)[0].ball.radius, pairs)
+
+
 @given(frames, st.integers(2, 8), st.integers(1, 3), st.data())
 def test_exact_mkeb(frame, n, d, data):
     pairs, _ = moves(frame, n, d)
@@ -103,6 +109,20 @@ def test_one_s_tester_verdict(frame, d, shape, size):
     def verdict(X, unit):
         body = BallBody(size * unit) if shape == "ball" else BoxBody(np.full(d, size * unit))
         v = one_s_tester(X, body, eps=0.5, delta=0.1, seed=3)
+        return v.outcome, v.rounds_used
+
+    for moved, reference, unit in pairs:
+        assert verdict(moved, abs(a)) == verdict(reference, abs(a) / unit)
+
+
+@given(frames, st.integers(1, 3), st.integers(1, 3), st.sampled_from(["ball", "box"]), st.floats(0.5, 2.0))
+@example((0, 12.0, True, 8.0), 2, 2, "ball", 1.0)
+def test_k_g_tester_verdict(frame, k, d, shape, size):
+    pairs, a = moves(frame, 30, d)
+
+    def verdict(X, unit):
+        body = BallBody(size * unit) if shape == "ball" else BoxBody(np.full(d, size * unit))
+        v = k_g_tester(X, body, k, c=0.2, delta=0.1, seed=5)
         return v.outcome, v.rounds_used
 
     for moved, reference, unit in pairs:

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.optimize import nnls
 
-from mebkit.errors import ConvergenceError
+from mebkit.errors import ConvergenceError, IterationLimitError
+from mebkit.generators import gen_instance
 from mebkit.geometry import Ball
 from mebkit.meb import (
     _PRUNE,
+    _hard_cap,
     _nnls,
     badoiu_clarkson,
     elzinga_hearn_dual,
@@ -103,6 +106,72 @@ def test_exact_meb_collinear():
     sol = exact_meb(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]))
     assert np.allclose(sol.ball.center, [1.5, 0])
     assert sol.ball.radius == pytest.approx(1.5)
+
+
+CLOUD_KINDS = ("gaussian", "repeated", "collinear", "cospherical", "grid")
+# largest n per d for which meb_oracle enumerates at most ~20,000 subsets of each size
+ORACLE_N = {1: 40, 2: 40, 3: 27, 4: 20}
+
+
+def structured_cloud(kind, seed, n, d):
+    """A seeded n x d cloud of one of ``CLOUD_KINDS``."""
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        return rng.standard_normal((n, d))
+    if kind == "repeated":
+        base = rng.standard_normal((max(1, n // 3), d))
+        return base[rng.integers(0, len(base), n)]
+    if kind == "collinear":
+        return rng.standard_normal(d) + rng.standard_normal((n, 1)) * rng.standard_normal(d)
+    if kind == "cospherical":
+        X = rng.standard_normal((n, d))
+        return X / np.linalg.norm(X, axis=1, keepdims=True)
+    return rng.integers(-2, 3, (n, d)).astype(float)  # grid: repeats and exact ties
+
+
+@given(st.sampled_from(CLOUD_KINDS), st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 40))
+@example("grid", 0, 4, 40)
+@example("cospherical", 1, 2, 40)
+@example("repeated", 2, 3, 1)
+def test_exact_meb_matches_oracle_property(kind, seed, d, n):
+    P = structured_cloud(kind, seed, min(n, ORACLE_N[d]), d)
+    _, r_star = meb_oracle(P)
+    sol = exact_meb(P)
+    assert sol.ball.radius == pytest.approx(r_star, rel=1e-9, abs=1e-12)
+    check_solution(P, sol)
+
+
+@given(st.sampled_from(CLOUD_KINDS), st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 6))
+def test_exact_meb_ignores_input_order(kind, seed, n, d):
+    P = structured_cloud(kind, seed, n, d)
+    perm = np.random.default_rng(seed).permutation(n)
+    a, b = exact_meb(P), exact_meb(P[perm])
+    assert b.ball.radius == pytest.approx(a.ball.radius, rel=1e-12, abs=1e-15)
+    assert np.linalg.norm(b.ball.center - a.ball.center) <= 1e-12 * max(a.ball.radius, 1e-3)
+
+
+def test_exact_meb_work_tripwire():
+    # pivoting touches a few dozen supports; per-point move-to-front needs 300-800 solves here
+    for seed in (0, 1, 2):
+        P, _ = gen_instance("uniform-ball", 20_000, 3, seed=seed)
+        assert exact_meb(P).iterations <= 200
+
+
+def test_exact_meb_pivot_loop_is_capped(monkeypatch):
+    P = derive_rng(3, "cap").standard_normal((12, 3))
+    calls = []
+
+    def stuck(Q, order, boundary, tol, counter):  # a ball that never grows
+        calls.append(len(order) + len(boundary))
+        return Q[0].copy(), 0.0
+
+    monkeypatch.setattr("mebkit.meb._mtf_ball", stuck)
+    with pytest.raises(IterationLimitError) as err:
+        exact_meb(P)
+    assert len(calls) == 1 + _hard_cap(12, 3)  # the start, then one solve per step
+    best = err.value.best
+    assert np.allclose(best.ball.center, P[0], atol=1e-12)
+    assert best.ball.radius == pytest.approx(np.linalg.norm(P - P[0], axis=1).max(), rel=1e-12)
 
 
 def support_system(P, center, radius):
