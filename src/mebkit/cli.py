@@ -41,7 +41,7 @@ from .generators import KINDS, gen_instance
 from .geometry import BallBody, BoxBody, barycenter, geom_tol
 from .meb import badoiu_clarkson, elzinga_hearn_dual, exact_meb, hopp_reeve_meb, kt_residuals
 from .mkeb import exact_mkeb, outlier_meb_sample
-from .pointio import read_points, write_points
+from .pointio import is_number_list, read_points, write_points
 from .seeding import derive_seed
 from .testers import k_g_tester, one_s_tester, promise_label
 
@@ -259,8 +259,8 @@ def _read_boxes(args) -> list[AABox]:
         raise ParseError(1, 'expected an object with a non-empty "boxes" list')
     boxes = []
     for i, entry in enumerate(doc["boxes"]):
-        if not isinstance(entry, dict) or "lower" not in entry or "upper" not in entry:
-            raise ParseError(1, f'box {i}: expected "lower" and "upper" arrays')
+        if not isinstance(entry, dict) or not all(is_number_list(entry.get(k)) for k in ("lower", "upper")):
+            raise ParseError(1, f'box {i}: expected "lower" and "upper" lists of numbers')
         boxes.append(AABox(entry["lower"], entry["upper"]))
     return boxes
 

@@ -25,6 +25,7 @@ from .errors import DegenerateInputError
 
 TOL_BASE = 1e-9      # comparison slack per unit of spread
 PIVOT_EPS = 1e-12    # smallest unit-edge Gram eigenvalue of an affinely independent subset
+SUBSET_BATCH = 2048  # subsets per circumballs batch in subset_circumballs
 
 
 def geom_tol(P, *lengths) -> float:
@@ -144,11 +145,13 @@ def circumballs(S):
     """Circumballs of a batch of equal-size point subsets.
 
     ``S`` has shape (b, m, d): b subsets of m <= d+1 points each.  Returns
-    ``(centers, radii, ok)`` with shapes (b, d), (b,) and (b,).  A subset is
-    affinely independent (``ok``) when the smallest eigenvalue of the Gram
-    matrix of its unit-normalised edges p_i - p_0 exceeds ``PIVOT_EPS``, a
-    test of the subset's shape that ignores its position and scale.  Rows
-    that are not ok carry meaningless centers and radii.
+    ``(centers, radii, ok, coords)`` with shapes (b, d), (b,), (b,) and
+    (b, m).  ``coords`` are the affine coordinates of each center in its
+    subset: they sum to one and ``coords[k] @ S[k]`` is ``centers[k]``.  A
+    subset is affinely independent (``ok``) when the smallest eigenvalue of
+    the Gram matrix of its unit-normalised edges p_i - p_0 exceeds
+    ``PIVOT_EPS``, a test of the subset's shape that ignores its position and
+    scale.  Rows that are not ok carry meaningless centers, radii and coords.
 
     One point is its own ball and two points use the exact midpoint; larger
     subsets solve the equal-distance system in the unit-edge frame and take
@@ -157,30 +160,34 @@ def circumballs(S):
     S = np.asarray(S, dtype=float)
     b, m, d = S.shape
     if m == 1:
-        return S[:, 0, :].copy(), np.zeros(b), np.ones(b, dtype=bool)
+        return S[:, 0, :].copy(), np.zeros(b), np.ones(b, dtype=bool), np.ones((b, 1))
     if m == 2:
         centers = (S[:, 0, :] + S[:, 1, :]) / 2.0  # exact midpoint for the diametral pair
         radii = np.linalg.norm(S[:, 0, :] - centers, axis=1)
         # the unit-edge Gram matrix is [[1]], or [[0]] for a repeated point
-        return centers, radii, radii > 0.0
+        return centers, radii, radii > 0.0, np.full((b, 2), 0.5)
     U = S[:, 1:, :] - S[:, :1, :]
-    lens = np.linalg.norm(U, axis=2)
-    Un = U / np.where(lens > 0.0, lens, 1.0)[..., None]  # zero edges stay zero and fail
+    lens = np.sqrt(np.einsum("bid,bid->bi", U, U))
+    lens = np.where(lens > 0.0, lens, 1.0)  # zero edges stay zero and fail
+    Un = U / lens[..., None]
     Gn = Un @ Un.transpose(0, 2, 1)
     ok = np.linalg.eigvalsh(Gn)[:, 0] > PIVOT_EPS
+    if not ok.all():
+        Gn[~ok] = np.eye(m - 1)  # keeps the batched solve nonsingular
     # c = p_0 + sum_j y_j u_j/|u_j| is equidistant from p_0 and p_i exactly
-    # when (Gn y)_i = |u_i|/2
-    Gn[~ok] = np.eye(m - 1)  # keeps the batched solve nonsingular
-    y = np.linalg.solve(Gn, 0.5 * lens[..., None])[..., 0]
-    centers = S[:, 0, :] + np.einsum("bi,bid->bd", y, Un)
-    radii = np.linalg.norm(S - centers[:, None, :], axis=2).max(axis=1)
-    return centers, radii, ok
+    # when (Gn y)_i = |u_i|/2; w = y/|u| weighs the edges themselves
+    w = np.linalg.solve(Gn, 0.5 * lens[..., None])[..., 0] / lens
+    centers = S[:, 0, :] + np.einsum("bi,bid->bd", w, U)
+    R = S - centers[:, None, :]
+    radii = np.sqrt(np.einsum("bmd,bmd->bm", R, R).max(axis=1))
+    coords = np.concatenate([1.0 - w.sum(axis=1, keepdims=True), w], axis=1)
+    return centers, radii, ok, coords
 
 
-def subset_circumballs(P, chunk=20_000):
+def subset_circumballs(P):
     """Yield (centers, radii) of the circumballs of every affinely independent
     subset of P of size 1..d+1, in size-then-lexicographic order, at most
-    ``chunk`` subsets per batch.
+    ``SUBSET_BATCH`` subsets per batch.
 
     Dependent subsets are skipped; their limiting balls come from smaller
     subsets, so the family stays complete for enclosing-ball searches.
@@ -188,8 +195,8 @@ def subset_circumballs(P, chunk=20_000):
     n, d = P.shape
     for size in range(1, min(n, d + 1) + 1):
         combos = itertools.combinations(range(n), size)
-        while block := list(itertools.islice(combos, chunk)):
-            centers, radii, ok = circumballs(P[np.array(block)])
+        while block := list(itertools.islice(combos, SUBSET_BATCH)):
+            centers, radii, ok, _ = circumballs(P[np.array(block)])
             yield centers[ok], radii[ok]
 
 
@@ -206,7 +213,7 @@ def circumball(points) -> Ball:
         raise DegenerateInputError(
             range(m), f"{m} points in {d} dimensions cannot be affinely independent"
         )
-    centers, radii, ok = circumballs(P[None])
+    centers, radii, ok, _ = circumballs(P[None])
     if not ok[0]:
         raise DegenerateInputError(range(m))
     return Ball(centers[0], radii[0])

@@ -2,9 +2,9 @@
 
 Four routes to the same ball:
 
-* ``exact_meb``: Gärtner's pivoting loop around Welzl's move-to-front
-  recursion: one array scan finds the farthest violator, and the recursion
-  runs only on it and the current support.
+* ``exact_meb``: the walk of Fischer, Gärtner and Kutz, which moves the
+  center of an enclosing ball toward the circumcenter of its support.  The
+  same walk is the exact core of the other two exact routes.
 * ``hopp_reeve_meb``: geometric two-step construction that shrinks an
   enclosing ball toward the center of its current surface set.
 * ``badoiu_clarkson``: core-set iteration stepping toward the farthest point.
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateInputError, IterationLimitError
-from .geometry import Ball, as_points, bbox_frame, circumballs, geom_tol, subset_circumballs
+from .errors import ConvergenceError, IterationLimitError
+from .geometry import Ball, as_points, bbox_frame, circumballs, geom_tol
 
 _PRUNE = 1e-10         # multipliers below this are treated as inactive
 
@@ -72,38 +72,6 @@ class KtResiduals:
             self.negativity,
             self.primal_infeasibility,
         )
-
-
-def _small_meb(Q) -> Ball:
-    """Exact enclosing ball of a handful of points: its smallest enclosing circumball.
-
-    Fallback for degenerate boundary sets inside the recursion; Q never has
-    more than d+2 points there, so the enumeration is trivial.
-    """
-    Q = np.asarray(Q, dtype=float)
-    tol = geom_tol(Q)
-    best = None
-    for centers, radii in subset_circumballs(Q):
-        dist = np.linalg.norm(Q[None, :, :] - centers[:, None, :], axis=2)
-        enclosing = np.flatnonzero(np.all(dist <= radii[:, None] + tol, axis=1))
-        if len(enclosing):
-            j = enclosing[np.argmin(radii[enclosing])]
-            if best is None or radii[j] < best.radius:
-                best = Ball(centers[j], radii[j])
-    if best is None:  # cannot happen: the optimum is an independent subset's circumball
-        raise DegenerateInputError(range(len(Q)), "no enclosing candidate found")
-    return best
-
-
-def _boundary_ball(P, idxs):
-    """(center, radius) of the ball through the pinned points, or of their
-    smallest enclosing ball when they are affinely dependent."""
-    S = P[idxs]
-    centers, radii, ok = circumballs(S[None])
-    if ok[0]:
-        return centers[0], float(radii[0])
-    ball = _small_meb(S)
-    return ball.center, ball.radius
 
 
 def _nnls(A, b) -> np.ndarray:
@@ -160,106 +128,136 @@ def _nnls(A, b) -> np.ndarray:
         w = gradient(b - A @ x)
 
 
-def _support_set(P, c, r, dist, tol) -> SupportSet:
-    """Recover boundary indices and convex multipliers for the optimal ball
-    (c, r) of P, whose points lie at distances ``dist`` from c and are within
-    ``tol`` of the boundary.
-
-    Solves sum(l_i (p_i - c)) = 0, sum(l_i) = 1, l >= 0 restricted to points
-    on the boundary.  NNLS returns a basic solution, so at most d+1
-    multipliers come back strictly positive.
-    """
-    if r <= tol:
-        return SupportSet(np.array([0]), np.array([1.0]))
-    cand = np.flatnonzero(dist >= r - tol)
-    rows = np.vstack([(P[cand] - c).T / r, np.ones(len(cand))])
-    target = np.zeros(P.shape[1] + 1)
-    target[-1] = 1.0
-    weights = _nnls(rows, target)
-    keep = weights > _PRUNE
-    if not keep.any():
-        far = int(np.argmax(dist))
-        return SupportSet(np.array([far]), np.array([1.0]))
-    idx = cand[keep]
-    lam = weights[keep]
-    lam = lam / lam.sum()
+def _support(indices, lam) -> SupportSet:
+    """The entries of ``lam`` above ``_PRUNE`` on their ``indices``,
+    renormalised to sum to one and ordered by index."""
+    indices, lam = np.asarray(indices), np.asarray(lam)
+    keep = lam > _PRUNE
+    idx, w = indices[keep], lam[keep]
     order = np.argsort(idx)
-    return SupportSet(idx[order], lam[order])
+    return SupportSet(idx[order], w[order] / w.sum())
 
 
-def _mtf_ball(P, order, boundary, tol, counter):
-    """Move-to-front recursion: boundary points are pinned to the surface.
+def _hits(X, sq, T, c, t, rt, tol):
+    """Where each point of X reaches the boundary as the center moves from
+    c to t: ``(hit, rate)`` with ``hit`` in [0, 1) for blockers, else inf.
 
-    Returns the (center, radius) of the smallest ball enclosing the points of
-    ``order`` with every point of ``boundary`` on its surface.
+    The points of X[T] lie on the boundary of the ball around c, on the
+    sphere of radius ``rt`` around t, and on every sphere between; ``sq``
+    holds the squared norms of X.  Along c(s) = c + s (t - c),
+    |p - c(s)|^2 - |q - c(s)|^2 is linear in s, from gap (clamped at 0 for
+    points already on the boundary) at c to end = |p - t|^2 - rt^2 at t, so
+    p reaches the boundary at s = -gap / (end - gap).  ``rate`` = end - gap
+    is larger for steeper points.  A point blocks only if it ends more than
+    ``tol`` outside at t.  One product gives end and gap for every point to
+    within a rounding bound; blocking calls closer than that are recomputed.
     """
-    d = P.shape[1]
-    if len(boundary) == d + 1:
-        counter[0] += 1
-        return _boundary_ball(P, boundary)
-    ball = None
-    if boundary:
-        counter[0] += 1
-        ball = _boundary_ball(P, boundary)
-    front: list[int] = []
-    for idx in order:
-        if ball is None or np.linalg.norm(P[idx] - ball[0]) > ball[1] + tol:
-            ball = _mtf_ball(P, front, boundary + [idx], tol, counter)
-            front.insert(0, idx)
+    q = X[T[0]] - c
+    tt, thr = float(t @ t), tol * (2.0 * rt + tol)
+    G = (-2.0 * np.array([t, c])) @ X.T
+    G += sq
+    end, gap = G
+    end += tt - rt * rt
+    gap += c @ c - q @ q
+    # |p|^2 - 2 p.x + |x|^2 rounds by less than this; closer calls are
+    # recomputed from differences
+    round_off = 4.0 * (X.shape[1] + 4) * np.finfo(float).eps * (sq.max() + tt)
+    blocks = end > thr - round_off
+    near = (blocks & (end <= thr + round_off)).nonzero()[0]
+    E = X[near] - t
+    blocks[near] = np.einsum("ij,ij->i", E, E) > (rt + tol) ** 2
+    blocks[T] = False
+    np.minimum(gap, 0.0, out=gap)
+    rate = np.maximum(end, thr) - gap
+    return np.divide(-gap, rate, out=np.full(len(X), np.inf), where=blocks), rate
+
+
+def _walk(X, tol, cap, best=None):
+    """Exact minimum enclosing ball of X by the walk of Fischer, Gärtner and
+    Kutz (ESA 2003).  Returns ``(center, T, coords, solves)``.
+
+    Keeps a center c and an affinely independent support T, a list of row
+    indices whose points lie on the boundary of a ball around c enclosing X.
+    While c is away from the circumcenter t of T, c moves toward t until the
+    first point to reach the shrinking boundary joins T (``_hits``).  A
+    point blocks only if it would end more than ``tol`` outside at t; if
+    none does, c jumps to t.  Points that reach the boundary within ``tol``
+    of each other along the leg are tied, and the steepest of them, then the
+    lowest index, joins.  A blocker that fails the kernel's independence
+    test together with T is already on the sphere and is passed over for
+    that leg.  At t the walk returns when every affine coordinate of t in T
+    is nonnegative, and otherwise drops the point with the most negative
+    one.
+
+    Starts at X[0] with its farthest point as T.  ``t`` and its coordinates
+    come from ``circumballs``; ``solves`` counts its calls, and the call that
+    exceeds ``cap`` raises ``IterationLimitError`` carrying
+    ``best(c, T, coords, solves)``.
+    """
+    sq = np.einsum("ij,ij->i", X, X)
+    c = X[0]
+    D = X - c
+    T = [int(np.einsum("ij,ij->i", D, D).argmax())]
+    t, rt, lam = X[T[0]], 0.0, np.ones(1)
+    solves = 0
+
+    def solve(S):
+        nonlocal solves
+        centers, radii, ok, coords = circumballs(X[S][None])
+        solves += 1
+        if solves > cap:
+            raise IterationLimitError(
+                f"no convergence within the {cap}-solve cap", best=best and best(c, T, lam, solves)
+            )
+        return centers[0], float(radii[0]), bool(ok[0]), coords[0]
+
+    while True:
+        v = t - c
+        step = math.sqrt(v @ v)
+        if step <= tol:
+            c = t
+            if lam.min() >= 0.0:
+                return c, T, lam, solves
+            j = int(lam.argmin())
+            t, rt, _, lam = solve(T[:j] + T[j + 1:])
+            del T[j]
+            continue
+        hit, rate = _hits(X, sq, T, c, t, rt, tol)
+        while (h := hit.min()) <= 1.0:
+            tied = (hit <= h + tol / step).nonzero()[0]
+            if len(tied) > 1:  # keep the steepest, lowest index first
+                r = rate[tied]
+                tied = tied[r >= r.max() - 2.0 * tol * step]
+            k = int(tied[0])
+            t_new, rt_new, ok, lam_new = solve(T + [k])
+            if ok:
+                c = c + hit[k] * v
+                T, t, rt, lam = T + [k], t_new, rt_new, lam_new
+                break
+            hit[k] = np.inf
         else:
-            front.append(idx)
-    if ball is None:  # empty order with empty boundary: single-point base case
-        counter[0] += 1
-        ball = _boundary_ball(P, boundary)
-    return ball
+            c = t  # nothing blocks
 
 
 def exact_meb(P) -> MebSolution:
-    """Exact minimum enclosing ball by pivoting (Gärtner, ESA 1999).
+    """Exact minimum enclosing ball by the walk of Fischer, Gärtner and Kutz.
 
-    Keeps a support list: the points on the current ball's boundary.  Each
-    step scans every point once for the farthest one.  If it lies more than
-    ``geom_tol`` outside, it lies on the boundary of the ball of itself and
-    the support, so the move-to-front recursion solves that list with it
-    pinned, and the listed points on the new boundary become the support.
-    Inputs of at most d+1 points start with all of them in the list, larger
-    ones with the first point.  The argmax takes the lowest index on ties, so
-    the output is deterministic.
-
-    ``iterations`` counts circumball solves.  Steps are capped at
-    ``_hard_cap(n, d)``, counting those whose radius does not grow (rounding
-    stalls); past the cap, ``IterationLimitError`` carries the enclosing ball
-    of the current center.  The loop runs in ``bbox_frame``.
+    Runs ``_walk`` in ``bbox_frame``: its support and affine coordinates
+    are the certificate, and ``iterations`` counts its circumball solves.
+    The walk starts at the first point and breaks ties by the lowest index
+    or the steepest approach, so the output is deterministic.  Solves are
+    capped at ``_hard_cap(n, d)``; past the cap, ``IterationLimitError``
+    carries the enclosing ball of the current center.
     """
     P, mid = bbox_frame(as_points(P))
     n, d = P.shape
-    tol = geom_tol(P)
-    cap = _hard_cap(n, d)
-    counter = [0]
-    support = list(range(n if n <= d + 1 else 1))
-    center, radius = _mtf_ball(P, support, [], tol, counter)
-    steps = 0
 
-    def solution(dist) -> MebSolution:
-        r = float(dist.max())
-        certificate = _support_set(P, center, r, dist, tol)
-        return MebSolution(Ball(center + mid, r), certificate, r * r, counter[0], "welzl-mtf")
+    def solution(c, T, lam, solves) -> MebSolution:
+        diff = P - c
+        r = math.sqrt(float(np.einsum("ij,ij->i", diff, diff).max()))
+        return MebSolution(Ball(c + mid, r), _support(T, lam), r * r, solves, "fgk-walk")
 
-    while True:
-        diff = P - center
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        far = int(np.argmax(dist))
-        if dist[far] <= radius + tol:
-            return solution(dist)
-        steps += 1
-        if steps > cap:
-            raise IterationLimitError(
-                f"no convergence within the {cap}-step cap", best=solution(dist)
-            )
-        center, radius = _mtf_ball(P, support, [far], tol, counter)
-        listed = [far] + support
-        on_boundary = np.linalg.norm(P[listed] - center, axis=1) >= radius - tol
-        support = [i for i, keep in zip(listed, on_boundary) if keep]
+    return solution(*_walk(P, geom_tol(P), _hard_cap(n, d), solution))
 
 
 def iteration_bound(n: int, d: int) -> int:
@@ -273,22 +271,23 @@ def iteration_bound(n: int, d: int) -> int:
 
 
 def _hard_cap(n: int, d: int) -> int:
-    # theoretical bound, saturated at a finite-precision safety cap
-    return min(iteration_bound(max(n, 2), d), 10 * n * (d + 1))
+    # a finite-precision safety cap, polynomial in n and d
+    return 10 * n * (d + 1)
 
 
 def hopp_reeve_meb(P) -> MebSolution:
     """Minimum enclosing ball by the two-step shrinking construction.
 
     Keeps an enclosing ball centered at ``c`` with a surface set ``Q``.
-    Step 1 finds the center ``t`` of the exact enclosing ball of ``Q`` and
-    drops members that do not constrain it.  Step 2 moves ``c`` toward ``t``,
-    which keeps all of ``Q`` on the shrinking surface; the first interior
-    point to touch the surface joins ``Q``.  Stops when ``Q`` reaches d+1
-    points or the center arrives at ``t`` untouched.
+    Step 1 walks to the center ``t`` of the exact enclosing ball of ``Q``
+    and drops members whose multiplier vanishes; the rest, with their
+    multipliers, are the support.  Step 2 moves ``c`` toward ``t``, which
+    keeps all of ``Q`` on the shrinking surface; the first interior points
+    to touch the surface join ``Q``, by the blocking rule of ``_walk``.
+    Stops when the center arrives at ``t`` untouched.
 
-    Rounding can stall the walk, so iterations are capped; exceeding the cap
-    raises ``IterationLimitError`` carrying the best ball found.  The walk
+    Rounding can stall the construction, so iterations are capped; exceeding
+    the cap raises ``IterationLimitError`` carrying the best ball found.  It
     runs in ``bbox_frame``.
     """
     P, mid = bbox_frame(as_points(P))
@@ -298,16 +297,16 @@ def hopp_reeve_meb(P) -> MebSolution:
     tol = geom_tol(P)
     cap = _hard_cap(n, d)
 
+    sq = np.einsum("ij,ij->i", P, P)
     c = P[0].copy()
     dist = np.linalg.norm(P - c, axis=1)
     far = int(np.argmax(dist))
     Q = [far]
+    support = SupportSet([far], [1.0])
     iterations = 0
 
     def finish(center) -> MebSolution:
-        dist = np.linalg.norm(P - center, axis=1)
-        radius = float(dist.max())
-        support = _support_set(P, center, radius, dist, tol)
+        radius = float(np.linalg.norm(P - center, axis=1).max())
         return MebSolution(Ball(center + mid, radius), support, radius * radius, iterations, "hopp-reeve")
 
     if dist[far] <= tol:  # all points coincide
@@ -320,40 +319,25 @@ def hopp_reeve_meb(P) -> MebSolution:
                 f"no convergence within the {cap}-iteration cap", best=finish(c)
             )
 
-        # Step 1: target is the center of the exact ball of Q; prune members
-        # whose multiplier is numerically zero (they do not constrain it).
-        sub = exact_meb(P[Q])
-        t = sub.ball.center
-        lam = np.zeros(len(Q))
-        lam[sub.support.indices] = sub.support.multipliers
-        Q = [q for q, l in zip(Q, lam) if l > _PRUNE]
+        # Step 1: walk to the center t of the exact ball of Q; members whose
+        # multiplier is numerically zero do not constrain it and leave.
+        t, T, lam, _ = _walk(P[Q], tol, _hard_cap(len(Q), d), lambda *_: finish(c))
+        support = _support(np.asarray(Q)[T], lam)
+        Q = support.indices.tolist()
 
-        # Step 2: slide c toward t; all of Q stays on the shrinking surface.
+        # Step 2: slide c toward t; all of Q stays on the shrinking surface,
+        # and the first points to reach it join Q.
         v = t - c
-        if np.linalg.norm(v) <= tol:
+        step = math.sqrt(v @ v)
+        if step <= tol:
             return finish(t)
-        q0 = P[Q[0]]
-        r2 = float((c - q0) @ (c - q0))
-        outside = np.setdiff1d(np.arange(n), Q, assume_unique=False)
-        gaps = np.einsum("ij,ij->i", P[outside] - c, P[outside] - c) - r2
-        slopes = 2.0 * (P[outside] - q0) @ v
-        # a point touches where gap + s * 2 v . (q0 - p) = 0, i.e. at
-        # s = gap / slope; interior points (gap < 0) can only touch if their
-        # boundary margin shrinks (slope < 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_vals = gaps / slopes
-        hits = slopes < -tol * tol
-        s_vals = np.where(hits, s_vals, np.inf)
-        # already on the surface: |p - c| > r - tol, to first order in tol
-        touching = (s_vals < 0.0) & (gaps > -2.0 * tol * math.sqrt(r2))
-        s_vals = np.where(touching, 0.0, s_vals)
-        s_vals = np.where(s_vals < 0.0, np.inf, s_vals)
-        s_star = float(s_vals.min()) if len(s_vals) else np.inf
-        if s_star > 1.0:
+        e = P[Q[0]] - t
+        hit, _ = _hits(P, sq, Q, c, t, math.sqrt(e @ e), tol)
+        s = hit.min()
+        if s > 1.0:
             return finish(t)  # reached the target with no contact
-        c = c + s_star * v
-        contact = outside[s_vals <= s_star + 1e-12]  # s is a fraction of the step
-        Q.extend(int(i) for i in contact)
+        c = c + s * v
+        Q.extend((hit <= s + tol / step).nonzero()[0].tolist())
 
 
 def badoiu_clarkson(P, k: int, seed: int | None = None):
@@ -390,53 +374,23 @@ def badoiu_clarkson(P, k: int, seed: int | None = None):
     return solution, core
 
 
-def _polish(Pc, sq, active):
-    """Solve the equal-distance stationarity system on an active set.
-
-    Enforces sum(l) = 1 and equal squared distance from the recovered center
-    to every active point, dropping the most negative multiplier until the
-    solution is a valid convex combination.  Returns (indices, multipliers)
-    or None when the active set collapses.
-    """
-    S = list(active)
-    while S:
-        m = len(S)
-        A = np.zeros((m, m))
-        b = np.zeros(m)
-        A[0, :] = 1.0
-        b[0] = 1.0
-        p0 = Pc[S[0]]
-        for row, i in enumerate(S[1:], start=1):
-            A[row, :] = 2.0 * (p0 - Pc[i]) @ Pc[S].T
-            b[row] = sq[S[0]] - sq[i]
-        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-        if sol.min() >= -1e-12:
-            lam = np.clip(sol, 0.0, None)
-            total = lam.sum()
-            if total <= 0.0:
-                return None
-            return S, lam / total
-        S.pop(int(np.argmin(sol)))
-    return None
-
-
 def elzinga_hearn_dual(P, tol: float = 1e-6, max_iter: int = 100_000):
     """Dual quadratic program route to the minimum enclosing ball.
 
     Maximizes ``f(l) = sum(l_i |p_i|^2) - |sum(l_i p_i)|^2`` over the unit
     simplex by away-step Frank-Wolfe with exact line search.  The pairwise
     gap bounds both the duality gap and the worst Kuhn-Tucker residual, and
-    once it is small an active-set polish solves the stationarity system
-    exactly.  The center is ``sum(l_i p_i)`` and the squared radius is
-    ``sum(l_i |p_i - c|^2)``; points strictly inside the optimal ball end
-    with multiplier zero.
+    once it is small a polish walks the active set (``_walk``) to its exact
+    ball and keeps those multipliers when they close the gap.  The center is
+    ``sum(l_i p_i)`` and the squared radius is ``sum(l_i |p_i - c|^2)``;
+    points strictly inside the optimal ball end with multiplier zero.
 
     Returns the solution and the full multiplier vector.  Raises
     ``ConvergenceError`` (carrying the residual gap) if ``max_iter`` passes
     without reaching ``tol``.
     """
     P = as_points(P)
-    n, _ = P.shape
+    n, d = P.shape
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
@@ -445,6 +399,7 @@ def elzinga_hearn_dual(P, tol: float = 1e-6, max_iter: int = 100_000):
     Pc = P - shift  # centering keeps the quadratic terms well conditioned
     sq = np.einsum("ij,ij->i", Pc, Pc)
     scale = float(sq.max())  # gaps are squared lengths: relative to the largest
+    slack = geom_tol(Pc)
 
     lam = np.zeros(n)
     lam[int(np.argmax(sq))] = 1.0
@@ -465,18 +420,18 @@ def elzinga_hearn_dual(P, tol: float = 1e-6, max_iter: int = 100_000):
         gap = max(fw_gap, aw_gap)
 
         if gap <= target:
-            result = _polish(Pc, sq, [i for i in active if lam[i] > _PRUNE])
-            if result is not None:
-                S, w = result
-                trial = np.zeros(n)
-                trial[S] = w
-                c_t = trial @ Pc
-                grad_t = sq - 2.0 * (Pc @ c_t)
-                pair_gap = float(grad_t.max() - grad_t[S].min())
-                if pair_gap <= 1e-12 * scale:
-                    lam = trial
-                    polished = True
-                    break
+            S = active[lam[active] > _PRUNE]
+            _, T, w, _ = _walk(Pc[S], slack, _hard_cap(len(S), d))
+            S = S[T]
+            trial = np.zeros(n)
+            trial[S] = w
+            c_t = trial @ Pc
+            grad_t = sq - 2.0 * (Pc @ c_t)
+            pair_gap = float(grad_t.max() - grad_t[S].min())
+            if pair_gap <= 1e-12 * scale:
+                lam = trial
+                polished = True
+                break
             if target <= floor:
                 break  # tolerance met; polish did not improve further
             target = max(target / 1000.0, floor)
@@ -518,11 +473,7 @@ def elzinga_hearn_dual(P, tol: float = 1e-6, max_iter: int = 100_000):
     s = max(s, 0.0)
     radius = math.sqrt(s)
     ball = Ball(c + shift, radius)
-    keep = lam > _PRUNE
-    idx = np.flatnonzero(keep)
-    mult = lam[keep]
-    support = SupportSet(idx, mult / mult.sum())
-    solution = MebSolution(ball, support, radius * radius, iterations, "elzinga-hearn")
+    solution = MebSolution(ball, _support(np.arange(n), lam), radius * radius, iterations, "elzinga-hearn")
     return solution, lam
 
 

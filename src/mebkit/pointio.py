@@ -28,6 +28,13 @@ def _infer_format(path: str, fmt: str | None) -> str:
     raise ValueError(f"cannot infer format from {path!r}; pass fmt explicitly")
 
 
+def is_number_list(value) -> bool:
+    """True for a JSON list of numbers: ints and floats, but not booleans."""
+    return isinstance(value, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    )
+
+
 def _parse_csv(text: str) -> np.ndarray:
     rows = []
     width = None
@@ -64,9 +71,7 @@ def _parse_json(text: str) -> np.ndarray:
         raise ParseError(1, '"points" must be a non-empty list')
     width = None
     for i, row in enumerate(pts):
-        if not isinstance(row, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in row
-        ):
+        if not is_number_list(row):
             raise ParseError(1, f"point {i} is not a list of numbers")
         if width is None:
             width = len(row)

@@ -303,6 +303,19 @@ def test_convexity_helly_boxes_bad_file(tmp_path, capsys):
     assert report["result"]["error"]["kind"] == "input"
 
 
+@pytest.mark.parametrize("upper", [{"x": 1}, [1, True], "12", None])
+def test_convexity_helly_boxes_malformed_box(tmp_path, capsys, upper):
+    path = tmp_path / "boxes.json"
+    path.write_text(json.dumps({"boxes": [
+        {"lower": [0, 0], "upper": [2, 2]},
+        {"lower": [1, 1], "upper": upper},
+    ]}))
+    report, code = run_cli(["convexity", "helly-boxes", "--input", str(path)], capsys)
+    assert code == 2
+    assert report["result"]["error"]["kind"] == "input"
+    assert "box 1" in report["result"]["error"]["message"]
+
+
 def test_convexity_nodim(square_csv, capsys):
     report, code = run_cli(["convexity", "nodim", "--r", "2", "--input", square_csv], capsys)
     assert code == 0

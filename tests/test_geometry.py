@@ -104,8 +104,11 @@ def test_circumballs_batch_matches_single_calls(d):
     rng = np.random.default_rng(d)
     for m in range(1, d + 2):
         S = rng.standard_normal((6, m, d))
-        centers, radii, ok = circumballs(S)
+        centers, radii, ok, coords = circumballs(S)
         assert ok.all()
+        assert coords.shape == (len(S), m)
+        assert np.allclose(coords.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert np.allclose(np.einsum("bm,bmd->bd", coords, S), centers, rtol=1e-9, atol=1e-9)
         for row in range(len(S)):
             b = circumball(S[row])
             assert np.allclose(centers[row], b.center, rtol=1e-12, atol=1e-12)
@@ -128,9 +131,9 @@ def test_circumballs_flags_dependent_subsets(scale):
         [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 1.0, 0.0]],   # duplicate
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],   # independent
     ])
-    _, _, ok = circumballs(S)
+    _, _, ok, _ = circumballs(S)
     assert list(ok) == [False, False, True]
-    _, _, ok = circumballs(S[1:2, :2])
+    _, _, ok, _ = circumballs(S[1:2, :2])
     assert list(ok) == [False]
     with pytest.raises(DegenerateInputError) as info:
         circumball(S[0])

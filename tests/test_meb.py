@@ -10,7 +10,6 @@ from mebkit.generators import gen_instance
 from mebkit.geometry import Ball
 from mebkit.meb import (
     _PRUNE,
-    _hard_cap,
     _nnls,
     badoiu_clarkson,
     elzinga_hearn_dual,
@@ -136,9 +135,10 @@ def structured_cloud(kind, seed, n, d):
 def test_exact_meb_matches_oracle_property(kind, seed, d, n):
     P = structured_cloud(kind, seed, min(n, ORACLE_N[d]), d)
     _, r_star = meb_oracle(P)
-    sol = exact_meb(P)
-    assert sol.ball.radius == pytest.approx(r_star, rel=1e-9, abs=1e-12)
-    check_solution(P, sol)
+    for solver in (exact_meb, hopp_reeve_meb) if len(P) >= 2 else (exact_meb,):
+        sol = solver(P)
+        assert sol.ball.radius == pytest.approx(r_star, rel=1e-9, abs=1e-12)
+        check_solution(P, sol)
 
 
 @given(st.sampled_from(CLOUD_KINDS), st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 6))
@@ -151,27 +151,40 @@ def test_exact_meb_ignores_input_order(kind, seed, n, d):
 
 
 def test_exact_meb_work_tripwire():
-    # pivoting touches a few dozen supports; per-point move-to-front needs 300-800 solves here
+    # the walk touches a few dozen supports; per-point move-to-front needs 300-800 solves here
     for seed in (0, 1, 2):
         P, _ = gen_instance("uniform-ball", 20_000, 3, seed=seed)
         assert exact_meb(P).iterations <= 200
+    # move-to-front needs 8,215 solves at d = 30 and does not finish at d = 50;
+    # the oracle cannot enumerate here, so the KT certificate stands in for it
+    for d in (30, 50, 100):
+        P = np.random.default_rng(d).standard_normal((1000, d))
+        sol = exact_meb(P)
+        assert sol.iterations <= 4 * (d + 1)
+        lam = np.zeros(len(P))
+        lam[sol.support.indices] = sol.support.multipliers
+        assert kt_residuals(P, sol.ball, lam).worst <= 1e-9 * sol.s
 
 
 def test_exact_meb_pivot_loop_is_capped(monkeypatch):
     P = derive_rng(3, "cap").standard_normal((12, 3))
+    cap = 5  # below the 11 blockers of the first leg
     calls = []
 
-    def stuck(Q, order, boundary, tol, counter):  # a ball that never grows
-        calls.append(len(order) + len(boundary))
-        return Q[0].copy(), 0.0
+    def dependent(S):  # every blocker fails the independence test, so c never moves
+        calls.append(S.shape[1])
+        b, m, _ = S.shape
+        return S[:, 0, :].copy(), np.zeros(b), np.zeros(b, dtype=bool), np.full((b, m), 1.0 / m)
 
-    monkeypatch.setattr("mebkit.meb._mtf_ball", stuck)
+    monkeypatch.setattr("mebkit.meb.circumballs", dependent)
+    monkeypatch.setattr("mebkit.meb._hard_cap", lambda n, d: cap)
     with pytest.raises(IterationLimitError) as err:
         exact_meb(P)
-    assert len(calls) == 1 + _hard_cap(12, 3)  # the start, then one solve per step
+    assert len(calls) == cap + 1  # every solve counts, failed independence tests too
     best = err.value.best
     assert np.allclose(best.ball.center, P[0], atol=1e-12)
     assert best.ball.radius == pytest.approx(np.linalg.norm(P - P[0], axis=1).max(), rel=1e-12)
+    assert best.iterations == cap + 1
 
 
 def support_system(P, center, radius):
