@@ -149,30 +149,28 @@ def _hits(X, sq, T, c, t, rt, tol):
     points already on the boundary) at c to end = |p - t|^2 - rt^2 at t, so
     p reaches the boundary at s = -gap / (end - gap).  ``rate`` = end - gap
     is larger for steeper points.  A point blocks only if it ends more than
-    ``tol`` outside at t.  One product gives end and gap for every point to
-    within a rounding bound; blocking calls closer than that are recomputed.
+    ``tol`` outside at t.  Both come from |p|^2 - 2 p.x + |x|^2 (two
+    products over X); end values within its rounding of the threshold are
+    recomputed from differences, so a point repeating t does not block.
     """
-    q = X[T[0]] - c
-    tt, thr = float(t @ t), tol * (2.0 * rt + tol)
-    G = (-2.0 * np.array([t, c])) @ X.T
-    G += sq
-    end, gap = G
-    end += tt - rt * rt
-    gap += c @ c - q @ q
-    # |p|^2 - 2 p.x + |x|^2 rounds by less than this; closer calls are
-    # recomputed from differences
-    round_off = 4.0 * (X.shape[1] + 4) * np.finfo(float).eps * (sq.max() + tt)
-    blocks = end > thr - round_off
-    near = (blocks & (end <= thr + round_off)).nonzero()[0]
+    end = X @ (-2.0 * t)
+    end += sq
+    gap = end + 2.0 * (X @ (t - c))
+    gap -= gap[T[0]]
+    end += t @ t - rt * rt
+    thr = tol * (2.0 * rt + tol)
+    round_off = 4.0 * (X.shape[1] + 4) * np.finfo(float).eps * (sq.max() + t @ t)
+    near = (np.abs(end - thr) <= round_off).nonzero()[0]
     E = X[near] - t
-    blocks[near] = np.einsum("ij,ij->i", E, E) > (rt + tol) ** 2
+    end[near] = np.einsum("ij,ij->i", E, E) - rt * rt
+    blocks = end > thr
     blocks[T] = False
     np.minimum(gap, 0.0, out=gap)
     rate = np.maximum(end, thr) - gap
     return np.divide(-gap, rate, out=np.full(len(X), np.inf), where=blocks), rate
 
 
-def _walk(X, tol, cap, best=None):
+def _walk(X, tol, cap):
     """Exact minimum enclosing ball of X by the walk of Fischer, Gärtner and
     Kutz (ESA 2003).  Returns ``(center, T, coords, solves)``.
 
@@ -183,16 +181,18 @@ def _walk(X, tol, cap, best=None):
     point blocks only if it would end more than ``tol`` outside at t; if
     none does, c jumps to t.  Points that reach the boundary within ``tol``
     of each other along the leg are tied, and the steepest of them, then the
-    lowest index, joins.  A blocker that fails the kernel's independence
-    test together with T is already on the sphere and is passed over for
-    that leg.  At t the walk returns when every affine coordinate of t in T
-    is nonnegative, and otherwise drops the point with the most negative
-    one.
+    lowest index, joins; a tied point that reached it earlier may then be
+    outside, so after such a late join, c rescans X before it returns at t.
+    A blocker that fails the kernel's independence test together with T
+    lies numerically in aff(T) and replaces the member chosen by
+    ``_leaving``; only when that set fails too is it passed over for the
+    leg.  At t the walk returns when every affine coordinate of t in T is
+    nonnegative, and otherwise drops the point with the most negative one.
 
     Starts at X[0] with its farthest point as T.  ``t`` and its coordinates
     come from ``circumballs``; ``solves`` counts its calls, and the call that
-    exceeds ``cap`` raises ``IterationLimitError`` carrying
-    ``best(c, T, coords, solves)``.
+    exceeds ``cap`` raises ``IterationLimitError`` whose ``best`` is the
+    walk's state ``(c, T, coords, solves)``.
     """
     sq = np.einsum("ij,ij->i", X, X)
     c = X[0]
@@ -200,43 +200,67 @@ def _walk(X, tol, cap, best=None):
     T = [int(np.einsum("ij,ij->i", D, D).argmax())]
     t, rt, lam = X[T[0]], 0.0, np.ones(1)
     solves = 0
+    late = False  # the last point to join reached the boundary after a tied one
 
     def solve(S):
         nonlocal solves
         centers, radii, ok, coords = circumballs(X[S][None])
         solves += 1
         if solves > cap:
-            raise IterationLimitError(
-                f"no convergence within the {cap}-solve cap", best=best and best(c, T, lam, solves)
-            )
+            raise IterationLimitError(f"no convergence within the {cap}-solve cap", best=(c, T, lam, solves))
         return centers[0], float(radii[0]), bool(ok[0]), coords[0]
 
     while True:
         v = t - c
         step = math.sqrt(v @ v)
-        if step <= tol:
-            c = t
-            if lam.min() >= 0.0:
-                return c, T, lam, solves
-            j = int(lam.argmin())
-            t, rt, _, lam = solve(T[:j] + T[j + 1:])
-            del T[j]
-            continue
-        hit, rate = _hits(X, sq, T, c, t, rt, tol)
-        while (h := hit.min()) <= 1.0:
-            tied = (hit <= h + tol / step).nonzero()[0]
-            if len(tied) > 1:  # keep the steepest, lowest index first
-                r = rate[tied]
-                tied = tied[r >= r.max() - 2.0 * tol * step]
-            k = int(tied[0])
-            t_new, rt_new, ok, lam_new = solve(T + [k])
-            if ok:
+        # at t, only the tied points passed over by a late join can be outside
+        if step > tol or (late and lam.min() >= 0.0):
+            hit, rate = _hits(X, sq, T, c, t, rt, tol)
+            window = tol / step if step > tol else 1.0  # at t, all blockers tie
+            while (h := hit.min()) <= 1.0:
+                tied = (hit <= h + window).nonzero()[0]
+                if len(tied) > 1:  # keep the steepest, lowest index first
+                    r = rate[tied]
+                    tied = tied[r >= r.max() - 2.0 * tol * step]
+                k = int(tied[0])
+                S = T + [k]
+                t_new, rt_new, ok, lam_new = solve(S)
+                if not ok and len(T) > 1:
+                    j = _leaving(X, T, lam, k)
+                    S = T[:j] + T[j + 1:] + [k]
+                    t_new, rt_new, ok, lam_new = solve(S)
+                if ok:
+                    break
+                hit[k] = np.inf
+            if h <= 1.0:
                 c = c + hit[k] * v
-                T, t, rt, lam = T + [k], t_new, rt_new, lam_new
-                break
-            hit[k] = np.inf
-        else:
-            c = t  # nothing blocks
+                T, t, rt, lam = S, t_new, rt_new, lam_new
+                late = hit[k] > h
+                continue
+            late = False
+        c = t  # nothing blocks
+        if lam.min() >= 0.0:
+            return c, T, lam, solves
+        j = int(lam.argmin())
+        t, rt, _, lam = solve(T[:j] + T[j + 1:])
+        del T[j]
+
+
+def _leaving(X, T, lam, k) -> int:
+    """Position in T of the member that X[k] replaces when X[k] lies
+    numerically in aff(X[T]) (a pivot, as in the simplex method).
+
+    With X[k] = sum a_i X[T_i] (affine coordinates, by least squares), the
+    ratio test takes the smallest lam_i / a_i over a_i > 0, where ``lam``
+    are the coordinates of the target t in T: the swap keeps t an affine
+    combination of the new set with every coefficient that was nonnegative
+    still nonnegative, and the new member's coefficient is that ratio.
+    """
+    base = X[T[0]]
+    a = np.linalg.lstsq((X[T[1:]] - base).T, X[k] - base, rcond=None)[0]
+    a = np.concatenate([[1.0 - a.sum()], a])
+    pos = a > 0.0  # never empty: the coordinates sum to one
+    return int(np.argmin(np.where(pos, lam / np.where(pos, a, 1.0), np.inf)))
 
 
 def exact_meb(P) -> MebSolution:
@@ -257,7 +281,10 @@ def exact_meb(P) -> MebSolution:
         r = math.sqrt(float(np.einsum("ij,ij->i", diff, diff).max()))
         return MebSolution(Ball(c + mid, r), _support(T, lam), r * r, solves, "fgk-walk")
 
-    return solution(*_walk(P, geom_tol(P), _hard_cap(n, d), solution))
+    try:
+        return solution(*_walk(P, geom_tol(P), _hard_cap(n, d)))
+    except IterationLimitError as err:
+        raise IterationLimitError(str(err), best=solution(*err.best)) from None
 
 
 def iteration_bound(n: int, d: int) -> int:
@@ -321,7 +348,10 @@ def hopp_reeve_meb(P) -> MebSolution:
 
         # Step 1: walk to the center t of the exact ball of Q; members whose
         # multiplier is numerically zero do not constrain it and leave.
-        t, T, lam, _ = _walk(P[Q], tol, _hard_cap(len(Q), d), lambda *_: finish(c))
+        try:
+            t, T, lam, _ = _walk(P[Q], tol, _hard_cap(len(Q), d))
+        except IterationLimitError as err:
+            raise IterationLimitError(str(err), best=finish(c)) from None
         support = _support(np.asarray(Q)[T], lam)
         Q = support.indices.tolist()
 
@@ -421,17 +451,19 @@ def elzinga_hearn_dual(P, tol: float = 1e-6, max_iter: int = 100_000):
 
         if gap <= target:
             S = active[lam[active] > _PRUNE]
-            _, T, w, _ = _walk(Pc[S], slack, _hard_cap(len(S), d))
-            S = S[T]
-            trial = np.zeros(n)
-            trial[S] = w
-            c_t = trial @ Pc
-            grad_t = sq - 2.0 * (Pc @ c_t)
-            pair_gap = float(grad_t.max() - grad_t[S].min())
-            if pair_gap <= 1e-12 * scale:
-                lam = trial
-                polished = True
-                break
+            try:
+                _, T, w, _ = _walk(Pc[S], slack, _hard_cap(len(S), d))
+            except IterationLimitError:
+                pass  # a stalled polish does not improve
+            else:
+                S = S[T]
+                trial = np.zeros(n)
+                trial[S] = w
+                grad_t = sq - 2.0 * (Pc @ (trial @ Pc))
+                if grad_t.max() - grad_t[S].min() <= 1e-12 * scale:
+                    lam = trial
+                    polished = True
+                    break
             if target <= floor:
                 break  # tolerance met; polish did not improve further
             target = max(target / 1000.0, floor)

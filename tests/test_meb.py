@@ -7,7 +7,7 @@ from scipy.optimize import nnls
 
 from mebkit.errors import ConvergenceError, IterationLimitError
 from mebkit.generators import gen_instance
-from mebkit.geometry import Ball
+from mebkit.geometry import Ball, geom_tol
 from mebkit.meb import (
     _PRUNE,
     _nnls,
@@ -185,6 +185,59 @@ def test_exact_meb_pivot_loop_is_capped(monkeypatch):
     assert np.allclose(best.ball.center, P[0], atol=1e-12)
     assert best.ball.radius == pytest.approx(np.linalg.norm(P - P[0], axis=1).max(), rel=1e-12)
     assert best.iterations == cap + 1
+
+
+def kt_worst(P, sol):
+    lam = np.zeros(len(P))
+    lam[sol.support.indices] = sol.support.multipliers
+    return kt_residuals(P, sol.ball, lam).worst
+
+
+@pytest.mark.parametrize("p", [(1 + 1e-8, 1e-7), (1 + 1e-6, 2.8e-6)])
+@pytest.mark.parametrize("solver", [exact_meb, hopp_reeve_meb])
+def test_dependent_blocker_swaps_into_the_support(solver, p):
+    # p nearly repeats (1, 0): the kernel calls {(-1, 0), (1, 0), p} dependent,
+    # yet p ends 5e-9 to 5e-7 outside that pair's ball, so it must join
+    P = np.array([(0.0, 0.5), (-1.0, 0.0), (1.0, 0.0), p])
+    _, r_star = meb_oracle(P)
+    sol = solver(P)
+    assert sol.ball.radius == pytest.approx(r_star, rel=1e-12)
+    assert list(sol.support.indices) == [1, 3]
+    assert kt_worst(P, sol) <= 1e-12 * sol.s
+    check_solution(P, sol)
+
+
+def near_degenerate_cloud(kind, seed, delta):
+    """Points within about delta of a circle in 3-d, a line, the unit sphere,
+    or of each other (``pairs``)."""
+    rng = np.random.default_rng([seed, round(-math.log10(delta))])
+    if kind == "circle":
+        plane = np.linalg.qr(rng.standard_normal((3, 2)))[0].T
+        ang = rng.uniform(0, 2 * np.pi, 6)
+        X = np.vstack([np.c_[np.cos(ang), np.sin(ang)] @ plane, rng.uniform(-0.5, 0.5, (3, 3))])
+        return X + delta * rng.standard_normal(X.shape)
+    if kind == "line":
+        return rng.standard_normal((7, 1)) * rng.standard_normal(3) + delta * rng.standard_normal((7, 3))
+    if kind == "sphere":
+        X = rng.standard_normal((8, 3))
+        return X / np.linalg.norm(X, axis=1, keepdims=True) * (1 + delta * rng.standard_normal((8, 1)))
+    base = rng.standard_normal((4, 3))
+    return np.vstack([base, base + delta * rng.standard_normal(base.shape)])
+
+
+@pytest.mark.parametrize("delta", [1e-13, 1e-10, 1e-8, 1e-6, 1e-4])
+@pytest.mark.parametrize("kind", ["circle", "line", "sphere", "pairs"])
+def test_exact_walk_near_degenerate_within_geom_tol(kind, delta):
+    # the oracle's radius encloses P, so it bounds the optimum from above
+    for seed in range(10):
+        P = near_degenerate_cloud(kind, seed, delta)
+        _, r_star = meb_oracle(P)
+        tol = geom_tol(P)
+        for solver in (exact_meb, hopp_reeve_meb):
+            sol = solver(P)
+            assert sol.ball.radius <= r_star + tol
+            assert kt_worst(P, sol) <= 4 * tol * (1 + sol.s)
+            check_solution(P, sol)
 
 
 def support_system(P, center, radius):
@@ -423,6 +476,17 @@ def test_elzinga_hearn_convergence_error_carries_gap():
     with pytest.raises(ConvergenceError) as info:
         elzinga_hearn_dual(SQUARE * 100, tol=1e-15, max_iter=1)
     assert info.value.gap > 0
+
+
+def test_elzinga_hearn_stalled_polish_keeps_iterating(monkeypatch):
+    def stalled(X, tol, cap):
+        raise IterationLimitError("stalled")
+
+    P = uniform_d3_fixture()
+    monkeypatch.setattr("mebkit.meb._walk", stalled)
+    sol, lam = elzinga_hearn_dual(P, tol=1e-6, max_iter=2000)
+    assert sol.ball.radius == pytest.approx(FROZEN_D3_RADIUS, rel=1e-5)
+    assert lam.sum() == pytest.approx(1.0)
 
 
 def test_elzinga_hearn_rejects_bad_parameters():
