@@ -3,23 +3,28 @@
 Exact routes are the quadratic pair scan and, in the plane, rotating
 calipers over the convex hull (the hull has the same diameter as the set,
 so only antipodal hull pairs need checking).  ``diameter_doublesweep`` is a
-fast certified lower bound.  The streaming sketches never buffer the
-stream: the anchored sketch guarantees E <= diam <= 2E, and the
-directional-grid sketch guarantees E <= diam <= (1+eps)E with the grid
-resolution chosen from eps.  Exact diameter computation in the plane costs
-at least n log n in the algebraic decision model, which is why the sketches
-exist.
+fast certified lower bound.  The streaming sketches hold at most one
+block of the stream: each takes a block of points in one array pass
+(``extend``), and ``update`` is its one-point case, so a sketch fed point
+by point and one fed in blocks of any size agree exactly.  The anchored
+sketch guarantees E <= diam <= 2E, and the directional-grid sketch
+guarantees E <= diam <= (1+eps)E with the grid resolution chosen from
+eps.  Exact diameter computation in the plane costs at least n log n in
+the algebraic decision model, which is why the sketches exist.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .geometry import as_point, as_points, geom_tol
 from .seeding import derive_rng
+
+STREAM_BLOCK = 4096  # points per sketch update in stream_2approx and stream_eps_2d
 
 
 @dataclass(frozen=True)
@@ -167,8 +172,9 @@ class TwoApproxSketch:
     """One-pass anchored sketch: E <= diam <= 2E by the triangle inequality.
 
     The anchor is the first streamed point and E is the largest distance
-    seen from it.  Anchored sketches from different streams cannot be
-    merged.
+    seen from it.  ``extend`` takes a block of points in one array pass;
+    ``update`` is its one-point case.  Anchored sketches from different
+    streams cannot be merged.
     """
 
     def __init__(self):
@@ -176,15 +182,17 @@ class TwoApproxSketch:
         self.max_dist = 0.0
         self.count = 0
 
-    def update(self, point):
-        p = as_point(point)
+    def extend(self, block):
+        B = as_points(block)
         if self.anchor is None:
-            self.anchor = p.copy()
-        elif p.size != self.anchor.size:
+            self.anchor = B[0].copy()
+        elif B.shape[1] != self.anchor.size:
             raise ValueError("stream changed dimension")
-        else:
-            self.max_dist = max(self.max_dist, float(np.linalg.norm(p - self.anchor)))
-        self.count += 1
+        self.max_dist = max(self.max_dist, float(np.linalg.norm(B - self.anchor, axis=1).max()))
+        self.count += len(B)
+
+    def update(self, point):
+        self.extend(as_point(point)[None, :])
 
     @property
     def estimate(self) -> float:
@@ -221,14 +229,19 @@ class DirectionalSketch:
         self.hi = np.full(self.m, -np.inf)
         self.count = 0
 
-    def update(self, point):
-        p = as_point(point)
-        if p.size != 2:
+    def extend(self, block):
+        B = as_points(block)
+        if B.shape[1] != 2:
             raise ValueError("directional sketch is planar only")
-        proj = self.directions @ p
-        np.minimum(self.lo, proj, out=self.lo)
-        np.maximum(self.hi, proj, out=self.hi)
-        self.count += 1
+        # two explicit products per direction, not a matmul: the same
+        # rounding for every block size
+        proj = B[:, :1] * self.directions[:, 0] + B[:, 1:] * self.directions[:, 1]
+        np.minimum(self.lo, proj.min(axis=0), out=self.lo)
+        np.maximum(self.hi, proj.max(axis=0), out=self.hi)
+        self.count += len(B)
+
+    def update(self, point):
+        self.extend(as_point(point)[None, :])
 
     @property
     def estimate(self) -> float:
@@ -246,24 +259,42 @@ class DirectionalSketch:
         return merged
 
 
+def _feed(sketch, stream):
+    """Feed ``stream`` to ``sketch`` a block at a time: row slices of an
+    (n, d) array, chunks of ``STREAM_BLOCK`` points of any other iterable.
+
+    ``extend`` changes no state when it refuses a block, so a refused block
+    is fed point by point: the error is the one a point-by-point stream
+    raises, at the same point.
+    """
+    if isinstance(stream, np.ndarray) and stream.ndim == 2:
+        blocks = (stream[s:s + STREAM_BLOCK] for s in range(0, len(stream), STREAM_BLOCK))
+    else:
+        points = iter(stream)
+        blocks = iter(lambda: list(islice(points, STREAM_BLOCK)), [])
+    for block in blocks:
+        try:
+            sketch.extend(block)
+        except (TypeError, ValueError):
+            for point in block:
+                sketch.update(point)
+    return sketch
+
+
 def stream_2approx(stream):
-    """Feed a stream of points into an anchored sketch.
+    """Feed a stream of points into an anchored sketch, in blocks.
 
     Returns (estimate, sketch); the true diameter lies in [estimate, 2 * estimate].
     """
-    sketch = TwoApproxSketch()
-    for point in stream:
-        sketch.update(point)
+    sketch = _feed(TwoApproxSketch(), stream)
     return sketch.estimate, sketch
 
 
 def stream_eps_2d(stream, eps: float):
-    """Feed a planar stream into a directional sketch.
+    """Feed a planar stream into a directional sketch, in blocks.
 
     Returns (estimate, sketch); the true diameter lies in
     [estimate, (1 + eps) * estimate].
     """
-    sketch = DirectionalSketch(eps)
-    for point in stream:
-        sketch.update(point)
+    sketch = _feed(DirectionalSketch(eps), stream)
     return sketch.estimate, sketch

@@ -43,11 +43,17 @@ def geom_tol(P, *lengths) -> float:
     return TOL_BASE * scale
 
 
-def bbox_frame(P) -> tuple[np.ndarray, np.ndarray]:
-    """``(P - m, m)`` with ``m`` the midpoint of P's bounding box: the frame
-    in which solvers compute centers before adding ``m`` back."""
-    mid = (P.max(axis=0) + P.min(axis=0)) / 2.0
-    return P - mid, mid
+def bbox_frame(P) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(P - m, m, tol)`` with ``m`` the midpoint of P's bounding box: the
+    frame in which solvers compute centers before adding ``m`` back.
+
+    ``tol`` is ``geom_tol(P - m)`` from the one bounding box: subtracting
+    ``m`` rounds monotonically, so the framed box is ``[lo - m, hi - m]``
+    to the bit.
+    """
+    hi, lo = P.max(axis=0), P.min(axis=0)
+    mid = (hi + lo) / 2.0
+    return P - mid, mid, TOL_BASE * float(((hi - mid) - (lo - mid)).max())
 
 
 def as_point(p) -> np.ndarray:

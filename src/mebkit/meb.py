@@ -273,7 +273,7 @@ def exact_meb(P) -> MebSolution:
     capped at ``_hard_cap(n, d)``; past the cap, ``IterationLimitError``
     carries the enclosing ball of the current center.
     """
-    P, mid = bbox_frame(as_points(P))
+    P, mid, tol = bbox_frame(as_points(P))
     n, d = P.shape
 
     def solution(c, T, lam, solves) -> MebSolution:
@@ -282,7 +282,7 @@ def exact_meb(P) -> MebSolution:
         return MebSolution(Ball(c + mid, r), _support(T, lam), r * r, solves, "fgk-walk")
 
     try:
-        return solution(*_walk(P, geom_tol(P), _hard_cap(n, d)))
+        return solution(*_walk(P, tol, _hard_cap(n, d)))
     except IterationLimitError as err:
         raise IterationLimitError(str(err), best=solution(*err.best)) from None
 
@@ -317,11 +317,10 @@ def hopp_reeve_meb(P) -> MebSolution:
     the cap raises ``IterationLimitError`` carrying the best ball found.  It
     runs in ``bbox_frame``.
     """
-    P, mid = bbox_frame(as_points(P))
+    P, mid, tol = bbox_frame(as_points(P))
     n, d = P.shape
     if n < 2:
         raise ValueError("need at least two points")
-    tol = geom_tol(P)
     cap = _hard_cap(n, d)
 
     sq = np.einsum("ij,ij->i", P, P)
@@ -380,7 +379,7 @@ def badoiu_clarkson(P, k: int, seed: int | None = None):
     encloses the input by construction) and the visited core indices.  The
     iteration runs in ``bbox_frame``.
     """
-    P, mid = bbox_frame(as_points(P))
+    P, mid, _ = bbox_frame(as_points(P))
     n, _ = P.shape
     if k < 1:
         raise ValueError("k must be at least 1")

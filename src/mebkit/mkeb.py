@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError
-from .geometry import Ball, as_points, bbox_frame, geom_tol, subset_circumballs
+from .geometry import Ball, as_points, bbox_frame, subset_circumballs
 from .meb import exact_meb
 
 CANDIDATE_BUDGET = 10_000_000  # guard: n**(d+1) enumeration ceiling
@@ -42,7 +42,7 @@ def exact_mkeb(P, k: int) -> MkebSolution:
     larger instances should use ``outlier_meb_sample``.  Candidates are
     enumerated in ``bbox_frame``.
     """
-    P, mid = bbox_frame(as_points(P))
+    P, mid, tol = bbox_frame(as_points(P))
     n, d = P.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
@@ -51,7 +51,6 @@ def exact_mkeb(P, k: int) -> MkebSolution:
             f"n**(d+1) = {float(n) ** (d + 1):.2e} exceeds the exact enumeration "
             f"budget {CANDIDATE_BUDGET:.0e}; use outlier_meb_sample for large instances"
         )
-    tol = geom_tol(P)
     best = None  # (radius, center-as-tuple)
     for centers, radii in subset_circumballs(P):
         diff = P[None, :, :] - centers[:, None, :]
@@ -101,7 +100,7 @@ def outlier_meb_sample(P, eps: float, delta: float, seed: int | None = None) -> 
     the sampled ball actually covers, which can fall short with probability
     at most delta.  Coverage is counted in ``bbox_frame``.
     """
-    P, mid = bbox_frame(as_points(P))
+    P, mid, tol = bbox_frame(as_points(P))
     n, d = P.shape
     m = outlier_sample_size(d, eps, delta)
     k_target = max(0, math.ceil((1.0 - eps) * n))
@@ -112,5 +111,5 @@ def outlier_meb_sample(P, eps: float, delta: float, seed: int | None = None) -> 
         draw = rng.integers(0, n, size=m)
         solution = exact_meb(P[draw])
     c, r = solution.ball.center, solution.ball.radius
-    covered = np.flatnonzero(np.linalg.norm(P - c, axis=1) <= r + geom_tol(P))
+    covered = np.flatnonzero(np.linalg.norm(P - c, axis=1) <= r + tol)
     return MkebSolution(Ball(c + mid, r), covered, k_target)

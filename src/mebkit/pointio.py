@@ -1,5 +1,15 @@
 """Point-set file I/O: CSV (one point per row) and JSON ({"points": [...]}).
 
+Files are parsed and written in blocks of rows, with no Python step per
+point.  A CSV parse splits the text into lines once, checks every line's
+comma count at once, and converts blocks of lines with Python's ``float``
+into one preallocated array, so every token reads to the same bits as
+``float(token)``.  A block holds about ``BLOCK_VALUES`` coordinates, so
+the Python strings and floats alive at once stay bounded whatever the
+width.  A JSON document's rows are checked as one array.  Only a file
+that fails these checks is walked line by line (row by row), and only to
+name its first bad line in a ``ParseError``.
+
 Written floats use shortest round-trip repr, so write_points followed by
 read_points reproduces the array bit-for-bit.
 """
@@ -8,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import repeat
 
 import numpy as np
 
@@ -15,6 +26,7 @@ from .errors import ParseError
 from .geometry import as_points
 
 FORMATS = ("csv", "json")
+BLOCK_VALUES = 4096  # coordinates per block of rows read or written
 
 
 def _infer_format(path: str, fmt: str | None) -> str:
@@ -35,8 +47,9 @@ def is_number_list(value) -> bool:
     )
 
 
-def _parse_csv(text: str) -> np.ndarray:
-    rows = []
+def _csv_error(text: str) -> ParseError:
+    """The ParseError of the first bad line of a CSV text that ``_parse_csv``
+    cannot read in blocks ("no points found" when it has no data line)."""
     width = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -46,17 +59,55 @@ def _parse_csv(text: str) -> np.ndarray:
         try:
             row = [float(f) for f in fields]
         except ValueError:
-            raise ParseError(lineno, f"not a number in {line!r}") from None
+            return ParseError(lineno, f"not a number in {line!r}")
         if any(not np.isfinite(v) for v in row):
-            raise ParseError(lineno, "non-finite coordinate")
+            return ParseError(lineno, "non-finite coordinate")
         if width is None:
             width = len(row)
         elif len(row) != width:
-            raise ParseError(lineno, f"expected {width} coordinates, got {len(row)}")
-        rows.append(row)
-    if not rows:
-        raise ParseError(1, "no points found")
-    return np.array(rows, dtype=float)
+            return ParseError(lineno, f"expected {width} coordinates, got {len(row)}")
+    return ParseError(1, "no points found")
+
+
+def _block_rows(width: int) -> int:
+    return max(1, BLOCK_VALUES // width)
+
+
+def _parse_csv(text: str) -> np.ndarray:
+    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    n = len(lines)
+    if not n:
+        raise _csv_error(text)
+    commas = lines[0].count(",")
+    if list(map(str.count, lines, repeat(",", n))).count(commas) != n:
+        raise _csv_error(text)
+    width = commas + 1
+    arr = np.empty((n, width))
+    flat = arr.reshape(-1)  # a view: arr is contiguous
+    rows = _block_rows(width)
+    for start in range(0, n, rows):
+        tokens = ",".join(lines[start:start + rows]).split(",")
+        try:  # fromiter frees each Python float as soon as it is stored
+            values = np.fromiter(map(float, tokens), float, len(tokens))
+        except ValueError:
+            raise _csv_error(text) from None
+        flat[start * width:start * width + len(tokens)] = values
+    if not np.isfinite(arr).all():
+        raise _csv_error(text)
+    return arr
+
+
+def _number_rows(pts: list) -> np.ndarray | None:
+    """``pts`` as one float array when it is a list of equal-length lists of
+    ints and floats, else None.  Booleans must be ruled out beforehand:
+    numpy reads ``[[1, True]]`` as integers."""
+    try:
+        arr = np.array(pts)
+    except ValueError:  # ragged rows
+        return None
+    if arr.ndim != 2 or arr.dtype.kind not in "if":
+        return None
+    return arr.astype(float, copy=False)
 
 
 def _parse_json(text: str) -> np.ndarray:
@@ -69,15 +120,18 @@ def _parse_json(text: str) -> np.ndarray:
     pts = doc["points"]
     if not isinstance(pts, list) or not pts:
         raise ParseError(1, '"points" must be a non-empty list')
-    width = None
-    for i, row in enumerate(pts):
-        if not is_number_list(row):
-            raise ParseError(1, f"point {i} is not a list of numbers")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(1, f"point {i}: expected {width} coordinates, got {len(row)}")
-    arr = np.array(pts, dtype=float)
+    # a document with a JSON boolean anywhere takes the row walk
+    arr = None if "true" in text or "false" in text else _number_rows(pts)
+    if arr is None:
+        width = None
+        for i, row in enumerate(pts):
+            if not is_number_list(row):
+                raise ParseError(1, f"point {i} is not a list of numbers")
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ParseError(1, f"point {i}: expected {width} coordinates, got {len(row)}")
+        arr = np.array(pts, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ParseError(1, "non-finite coordinate")
     return arr
@@ -93,13 +147,19 @@ def read_points(path: str, fmt: str | None = None) -> np.ndarray:
 
 
 def write_points(path: str, points: np.ndarray, fmt: str | None = None) -> None:
-    """Write an (n, d) array so that read_points recovers it exactly."""
+    """Write an (n, d) array so that read_points recovers it exactly.
+
+    CSV is written in blocks of rows, each formatted by one ``%``
+    operation whose ``%r`` fields are the shortest round-trip repr.
+    """
     P = as_points(points)
     fmt = _infer_format(path, fmt)
-    if fmt == "csv":
-        lines = [",".join(repr(float(v)) for v in row) for row in P]
-        body = "\n".join(lines) + "\n"
-    else:
-        body = json.dumps({"points": [[float(v) for v in row] for row in P]}, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(body)
+        if fmt == "json":
+            fh.write(json.dumps({"points": P.tolist()}, indent=2) + "\n")
+            return
+        line = ",".join(["%r"] * P.shape[1]) + "\n"
+        rows = _block_rows(P.shape[1])
+        for start in range(0, len(P), rows):
+            block = P[start:start + rows]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))

@@ -2,14 +2,19 @@
 
 Everything here favors obviousness over speed: candidate enumeration with
 plain linear algebra, order statistics for coverage radii, LP feasibility
-plus face enumeration for hull distances.  Nothing imports solver internals.
+plus face enumeration for hull distances, and the one-point-at-a-time
+parsers that the block parsers of ``mebkit.pointio`` must agree with.
+Nothing imports solver internals.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
 from scipy.optimize import linprog
+
+from mebkit.errors import ParseError
 
 
 def candidate_centers(P):
@@ -172,3 +177,57 @@ def coverable_oracle(P, radius, k, meb_radius):
 def kth_radius(P, center, k):
     d = np.linalg.norm(np.asarray(P, float) - np.asarray(center, float), axis=1)
     return float(np.partition(d, k - 1)[k - 1])
+
+
+def csv_parse_oracle(text):
+    """Parse CSV text one line at a time: strip, skip blanks and ``#``
+    comments, ``float`` every stripped field, and raise ``ParseError`` at
+    the first line that is not a number, is not finite or changes width."""
+    rows = []
+    width = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        try:
+            row = [float(f) for f in fields]
+        except ValueError:
+            raise ParseError(lineno, f"not a number in {line!r}") from None
+        if any(not np.isfinite(v) for v in row):
+            raise ParseError(lineno, "non-finite coordinate")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(lineno, f"expected {width} coordinates, got {len(row)}")
+        rows.append(row)
+    if not rows:
+        raise ParseError(1, "no points found")
+    return np.array(rows, dtype=float)
+
+
+def json_parse_oracle(text):
+    """Parse a ``{"points": [...]}`` document by walking its rows: each must
+    be a list of ints and floats (not booleans) of the first row's width."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, exc.msg) from None
+    if not isinstance(doc, dict) or "points" not in doc:
+        raise ParseError(1, 'expected an object with a "points" key')
+    pts = doc["points"]
+    if not isinstance(pts, list) or not pts:
+        raise ParseError(1, '"points" must be a non-empty list')
+    width = None
+    for i, row in enumerate(pts):
+        if not (isinstance(row, list) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in row)):
+            raise ParseError(1, f"point {i} is not a list of numbers")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(1, f"point {i}: expected {width} coordinates, got {len(row)}")
+    arr = np.array(pts, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(1, "non-finite coordinate")
+    return arr

@@ -207,3 +207,92 @@ def test_streaming_contracts_random():
         for eps in (0.5, 0.1):
             ee, _ = stream_eps_2d(P, eps)
             assert ee <= truth + 1e-12 <= (1 + eps) * ee + 1e-9
+
+
+def _fed_in_blocks(sketch, P, size):
+    for start in range(0, len(P), size):
+        sketch.extend(P[start:start + size])
+    return sketch
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 64, 1000])
+def test_sketch_blocks_equal_points(size):
+    # the block update and the point update agree exactly, for every block size
+    rng = derive_rng(9, "blocks")
+    for shift in (0.0, 1e3, -4e6):
+        P = rng.standard_normal((250, 2)) * 3.0 + shift
+        two, eps = TwoApproxSketch(), DirectionalSketch(0.05)
+        for p in P:
+            two.update(p)
+            eps.update(p)
+        two_b = _fed_in_blocks(TwoApproxSketch(), P, size)
+        eps_b = _fed_in_blocks(DirectionalSketch(0.05), P, size)
+        assert two_b.estimate == two.estimate
+        assert np.array_equal(two_b.anchor, two.anchor)
+        assert eps_b.estimate == eps.estimate
+        assert np.array_equal(eps_b.lo, eps.lo) and np.array_equal(eps_b.hi, eps.hi)
+        assert two_b.count == eps_b.count == two.count == len(P)
+    P3 = rng.standard_normal((101, 3))
+    two3 = TwoApproxSketch()
+    for p in P3:
+        two3.update(p)
+    assert _fed_in_blocks(TwoApproxSketch(), P3, size).estimate == two3.estimate
+
+
+def test_stream_helpers_equal_point_feeding():
+    # stream_* feed slices of an array and chunks of any other iterable
+    rng = derive_rng(10, "stream-blocks")
+    P = rng.standard_normal((9_000, 2))  # more than two blocks
+    two = TwoApproxSketch()
+    eps = DirectionalSketch(0.01)
+    for p in P:
+        two.update(p)
+        eps.update(p)
+    for stream in (P, list(P), (tuple(p) for p in P.tolist())):
+        assert stream_2approx(stream)[0] == two.estimate
+    for stream in (P, P.tolist(), iter(P)):
+        est, sk = stream_eps_2d(stream, 0.01)
+        assert est == eps.estimate and sk.count == len(P)
+
+
+def test_directional_merge_of_block_fed_halves():
+    rng = derive_rng(11, "block-merge")
+    P = rng.standard_normal((5_001, 2))
+    _, whole = stream_eps_2d(P, 0.02)
+    left = _fed_in_blocks(DirectionalSketch(0.02), P[:2_345], 100)
+    right = _fed_in_blocks(DirectionalSketch(0.02), P[2_345:], 999)
+    merged = left.merge(right)
+    assert merged.estimate == whole.estimate
+    assert merged.count == whole.count == len(P)
+
+
+def test_sketch_block_errors():
+    good = np.zeros((5, 2))
+    bad = good.copy()
+    bad[3, 1] = np.nan
+    for sketch in (TwoApproxSketch(), DirectionalSketch(0.1)):
+        with pytest.raises(ValueError, match="finite"):
+            sketch.extend(bad)
+        assert sketch.count == 0  # a refused block changes nothing
+    with pytest.raises(ValueError, match="finite"):
+        stream_2approx(bad)
+    with pytest.raises(ValueError, match="finite"):
+        stream_eps_2d(bad, 0.1)
+    # a width change inside a block of an iterable stream
+    ragged = [[0.0, 0.0], [1.0, 0.0], [1.0, 2.0, 3.0], [4.0, 4.0]]
+    with pytest.raises(ValueError, match="stream changed dimension"):
+        stream_2approx(ragged)
+    with pytest.raises(ValueError, match="planar only"):
+        stream_eps_2d(ragged, 0.1)
+    with pytest.raises(ValueError, match="planar only"):
+        stream_eps_2d(np.zeros((4, 3)), 0.1)
+    sketch = TwoApproxSketch()
+    sketch.extend(good)
+    with pytest.raises(ValueError, match="stream changed dimension"):
+        sketch.extend(np.zeros((3, 3)))
+    # an empty stream still has no estimate
+    for stream in (np.zeros((0, 2)), [], iter(())):
+        with pytest.raises(ValueError, match="empty stream"):
+            stream_2approx(stream)
+        with pytest.raises(ValueError, match="empty stream"):
+            stream_eps_2d(stream, 0.1)

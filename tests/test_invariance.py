@@ -15,7 +15,7 @@ from hypothesis import example, given, strategies as st
 
 from mebkit.convexity import dist_to_hull
 from mebkit.diameter import diameter_bruteforce
-from mebkit.geometry import BallBody, BoxBody
+from mebkit.geometry import BallBody, BoxBody, bbox_frame, geom_tol
 from mebkit.meb import badoiu_clarkson, elzinga_hearn_dual, exact_meb, hopp_reeve_meb
 from mebkit.mkeb import exact_mkeb
 from mebkit.testers import k_g_tester, one_s_tester
@@ -49,6 +49,19 @@ def moves(frame, n, d):
 def assert_length_transforms(length, pairs, rel=REL):
     for moved, reference, unit in pairs:
         assert length(moved) == pytest.approx(unit * length(reference), rel=rel)
+
+
+@given(frames, st.integers(1, 25), st.integers(1, 5))
+@example((0, -12.0, False, 8.0), 5, 3)
+@example((0, 12.0, True, 8.0), 5, 3)
+def test_bbox_frame_tol_is_geom_tol_of_the_frame(frame, n, d):
+    # one bounding box gives both the frame and its tolerance, to the bit
+    pairs, _ = moves(frame, n, d)
+    for moved, _, _ in pairs:
+        framed, mid, tol = bbox_frame(moved)
+        assert np.array_equal(framed, moved - mid)
+        assert tol == geom_tol(framed)
+        assert np.float64(tol).tobytes() == np.float64(geom_tol(moved - mid)).tobytes()
 
 
 @given(frames, st.integers(2, 25), st.integers(1, 5))
