@@ -107,16 +107,6 @@ def _mkeb_payload(sol) -> dict:
     }
 
 
-def _verdict_payload(v) -> dict:
-    return {
-        "outcome": v.outcome,
-        "witness": v.witness,
-        "witness_indices": v.witness_indices,
-        "rounds_used": v.rounds_used,
-        "seed": v.seed,
-    }
-
-
 def _load_points(args) -> np.ndarray:
     if args.input is None:
         raise _UsageError(f"{args.command}: --input is required")
@@ -186,12 +176,7 @@ def _run_diameter(args) -> dict:
             "upper_bound": (1.0 + args.eps) * estimate,
             "directions": direction_count(args.eps),
         }
-    return {
-        "value": res.value,
-        "pair": list(res.pair),
-        "exact": res.exact,
-        "pairs_at_max": res.pairs_at_max,
-    }
+    return dataclasses.asdict(res)
 
 
 def _run_test_cluster(args) -> dict:
@@ -201,9 +186,9 @@ def _run_test_cluster(args) -> dict:
 
     def one_trial(trial_seed: int) -> dict:
         if args.mode == "1s":
-            return _verdict_payload(one_s_tester(P, body, args.eps, args.delta, seed=trial_seed))
+            return dataclasses.asdict(one_s_tester(P, body, args.eps, args.delta, seed=trial_seed))
         if args.mode == "kg":
-            return _verdict_payload(
+            return dataclasses.asdict(
                 k_g_tester(P, body, args.k, c=args.c, delta=args.delta, seed=trial_seed)
             )
         return _mkeb_payload(outlier_meb_sample(P, args.eps, args.delta, seed=trial_seed))
@@ -230,21 +215,19 @@ def _run_bounds(args) -> dict:
     r = exact_meb(P).ball.radius
     bound, tight = _jung_bound(P, r)
     if args.which == "jung":
-        return {
+        limit = bound
+        payload = {"jung_bound": bound, "tight": tight}
+    else:
+        beta = barycentric_circumradius(P)
+        limit = min(beta, bound)
+        payload = {
+            "barycentric_circumradius": beta,
             "jung_bound": bound,
-            "tight": tight,
-            "meb_radius": r,
-            "holds": bool(r <= bound + geom_tol(P, bound)),
+            "combined_bound": limit,
         }
-    beta = barycentric_circumradius(P)
-    combined = min(beta, bound)
-    return {
-        "barycentric_circumradius": beta,
-        "jung_bound": bound,
-        "combined_bound": combined,
-        "meb_radius": r,
-        "holds": bool(r <= combined + geom_tol(P, combined)),
-    }
+    payload["meb_radius"] = r
+    payload["holds"] = bool(r <= limit + geom_tol(P, limit))
+    return payload
 
 
 def _read_boxes(args) -> list[AABox]:
@@ -267,17 +250,11 @@ def _read_boxes(args) -> list[AABox]:
 
 def _run_convexity(args) -> dict:
     if args.which == "helly-boxes":
-        rep = helly_check_boxes(_read_boxes(args))
-        return {
-            "subfamilies_intersect": rep.subfamilies_intersect,
-            "family_intersects": rep.family_intersects,
-            "common_point": rep.common_point,
-        }
+        return dataclasses.asdict(helly_check_boxes(_read_boxes(args)))
     P = _load_points(args)
     n = len(P)
     if args.which == "radon":
-        part = radon_partition(P)
-        return {"left": part.left, "right": part.right, "witness": part.witness}
+        return dataclasses.asdict(radon_partition(P))
     if args.which == "caratheodory":
         combo = make_combination(P, np.arange(n), np.full(n, 1.0 / n))
         reduced = caratheodory_reduce(P, combo)
@@ -301,12 +278,13 @@ def _run_convexity(args) -> dict:
     }
 
 
+# gen's per-kind parameters, passed to gen_instance when given
+_GEN_PARAMS = {"radius": float, "sigma": float, "k": int, "separation": float,
+               "k1": int, "eps": float, "k2": int, "delta": float}
+
+
 def _run_gen(args) -> dict:
-    params = {}
-    for name in ("radius", "sigma", "k", "separation", "k1", "eps", "k2", "delta"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
+    params = {name: getattr(args, name) for name in _GEN_PARAMS if getattr(args, name) is not None}
     points, labels = gen_instance(args.kind, args.n, args.d, seed=args.seed, **params)
     payload: dict = {"kind": args.kind, "n": len(points), "d": points.shape[1], "labels": labels}
     if args.points_out:
@@ -385,14 +363,8 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--points-out", help="write generated points to this file")
     p.add_argument("--points-format", choices=("csv", "json"))
-    p.add_argument("--radius", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--separation", type=float)
-    p.add_argument("--k1", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--k2", type=int)
-    p.add_argument("--delta", type=float)
+    for name, kind in _GEN_PARAMS.items():
+        p.add_argument(f"--{name}", type=kind)
 
     return top
 

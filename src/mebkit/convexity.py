@@ -2,8 +2,8 @@
 box intersection checks, circumradius bounds, and hull distances.
 
 Everything here is deterministic and desk-scale exact; ``dist_to_hull``
-finds the hull's nearest point with the nonnegative least-squares solver
-that also recovers the MEB support multipliers.
+finds the hull's nearest point with an active-set nonnegative
+least-squares solve.
 """
 
 from __future__ import annotations
@@ -170,9 +170,9 @@ class HellyReport:
 def helly_check_boxes(family) -> HellyReport:
     """Check the box Helly property: (d+1)-wise intersection implies global.
 
-    Reports both findings and a common point when one exists.  For boxes the
-    implication is exact, so a family passing (a) but failing (b) would be a
-    computation error and raises.
+    Reports both findings and a common point when one exists.  Both are
+    decided by one O(n*d) test on the largest lower and smallest upper
+    corner.
     """
     boxes = list(family)
     if not boxes:
@@ -185,18 +185,12 @@ def helly_check_boxes(family) -> HellyReport:
     lows = np.array([b.lower for b in boxes])
     ups = np.array([b.upper for b in boxes])
     tol = geom_tol(np.vstack([lows, ups]))
-
-    def intersects(rows) -> bool:
-        return bool(np.all(lows[rows].max(axis=0) <= ups[rows].min(axis=0) + tol))
-
-    whole = intersects(list(range(len(boxes))))
-    small = all(intersects(list(combo)) for combo in itertools.combinations(range(len(boxes)), d + 1))
-    if small and not whole:
-        raise AssertionError("box Helly property violated; intersection test is inconsistent")
-    common = None
-    if whole:
-        common = (lows.max(axis=0) + ups.min(axis=0)) / 2.0
-    return HellyReport(small, whole, common)
+    low, up = lows.max(axis=0), ups.min(axis=0)
+    # Per axis, intervals meet iff every two do, and every pair lies in some
+    # (d+1)-subfamily (n >= d+1 >= 2): with the same tol the two tests agree.
+    whole = bool(np.all(low <= up + tol))
+    common = (low + up) / 2.0 if whole else None
+    return HellyReport(whole, whole, common)
 
 
 def fractional_helly_beta(d: int, alpha: float) -> float:

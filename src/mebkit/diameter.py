@@ -25,6 +25,7 @@ from .geometry import as_point, as_points, geom_tol
 from .seeding import derive_rng
 
 STREAM_BLOCK = 4096  # points per sketch update in stream_2approx and stream_eps_2d
+_SWEEP_RESTARTS = 3  # seeded starts of diameter_doublesweep
 
 
 @dataclass(frozen=True)
@@ -135,11 +136,11 @@ def diameter_calipers_2d(P) -> DiameterResult:
     return DiameterResult(value, pair, True, at_max)
 
 
-def diameter_doublesweep(P, seed: int = 0, restarts: int = 3) -> DiameterResult:
+def diameter_doublesweep(P, seed: int = 0) -> DiameterResult:
     """Iterated farthest-point sweeps: a fast certified lower bound.
 
     From a seeded start, walk to the farthest point and repeat while the
-    reached distance improves; a few restarts keep the estimate honest.  The
+    reached distance improves; three restarts keep the estimate honest.  The
     reported value is a realized pair distance, so it never exceeds the true
     diameter (``exact=False``).
     """
@@ -147,11 +148,9 @@ def diameter_doublesweep(P, seed: int = 0, restarts: int = 3) -> DiameterResult:
     n = len(P)
     if n < 2:
         raise ValueError("need at least two points")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
     value = -1.0
     pair = (0, 1)
-    for run in range(restarts):
+    for run in range(_SWEEP_RESTARTS):
         current = int(derive_rng(seed, "doublesweep", run).integers(n))
         reached = -1.0
         while True:

@@ -486,12 +486,6 @@ def elzinga_hearn_dual(P, tol: float = 1e-6, max_iter: int = 100_000):
         lam = lam + step * direction
         lam[lam < 1e-15] = 0.0
         lam = lam / lam.sum()
-    else:
-        if gap > tol * scale:
-            raise ConvergenceError(
-                f"duality gap {gap:.3e} after {max_iter} iterations (target {tol:.1e})",
-                gap=gap,
-            )
 
     if not polished and gap > tol * scale:
         raise ConvergenceError(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -80,6 +81,17 @@ def _rounds(rate: float, delta: float) -> int:
     return math.ceil(need)
 
 
+def _sampled_test(P, size: int, rounds: int, tag: str, seed: int, fits) -> TestVerdict:
+    """Up to ``rounds`` rounds, each drawing ``size`` distinct points from the
+    stream (seed, tag, round); the first sample ``fits`` refuses is the witness."""
+    for rnd in range(rounds):
+        idx = np.sort(derive_rng(seed, tag, rnd).choice(len(P), size, replace=False))
+        sample = P[idx]
+        if not fits(sample):
+            return TestVerdict(REJECT, sample, idx, rnd + 1, seed)
+    return TestVerdict(ACCEPT, None, None, rounds, seed)
+
+
 def one_s_tester(P, body, eps: float, delta: float, seed: int = 0) -> TestVerdict:
     """Sampled test of "all points fit one translate of the body".
 
@@ -100,13 +112,7 @@ def one_s_tester(P, body, eps: float, delta: float, seed: int = 0) -> TestVerdic
             return TestVerdict(ACCEPT, None, None, 0, seed)
         return TestVerdict(REJECT, P.copy(), np.arange(n), 0, seed)
     rounds = _rounds(eps ** (d + 1), delta)
-    for rnd in range(rounds):
-        rng = derive_rng(seed, "one-s-round", rnd)
-        idx = np.sort(rng.choice(n, size=d + 1, replace=False))
-        sample = P[idx]
-        if not fits_in_translate(body, sample):
-            return TestVerdict(REJECT, sample, idx, rnd + 1, seed)
-    return TestVerdict(ACCEPT, None, None, rounds, seed)
+    return _sampled_test(P, d + 1, rounds, "one-s-round", seed, partial(fits_in_translate, body))
 
 
 def _partition(order, k: int, fits) -> bool:
@@ -158,28 +164,26 @@ def k_g_tester(P, body, k: int, c: float = 0.01, delta: float = 0.1, seed: int =
     _check_unit(c, "c")
     _check_unit(delta, "delta")
     rounds = _rounds(c, delta)
-    for rnd in range(rounds):
-        rng = derive_rng(seed, "k-g-round", rnd)
-        idx = np.sort(rng.choice(n, size=k + 1, replace=False))
-        sample = P[idx]
 
-        def fits(members: list[int], i: int) -> bool:
-            return fits_in_translate(body, sample[members + [i]])
+    def fits(sample) -> bool:
+        return _partition(range(k + 1), k,
+                          lambda members, i: fits_in_translate(body, sample[members + [i]]))
 
-        if not _partition(range(k + 1), k, fits):
-            return TestVerdict(REJECT, sample, idx, rnd + 1, seed)
-    return TestVerdict(ACCEPT, None, None, rounds, seed)
+    return _sampled_test(P, k + 1, rounds, "k-g-round", seed, fits)
 
 
-def _farthest_first_order(P) -> list[int]:
-    n = len(P)
-    order = [0]
-    dist = np.linalg.norm(P - P[0], axis=1)
-    for _ in range(n - 1):
-        nxt = int(np.argmax(dist))
-        order.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(P - P[nxt], axis=1))
-    return order
+def _farthest_first(P):
+    """Farthest-first traversal (Gonzalez): yields (index, distance to the
+    points before it) from P[0], ties to the lowest index.  Visited points are
+    marked -inf, so each point comes once and repeated points come last."""
+    dist = np.full(len(P), np.inf)
+    i, gap = 0, math.inf
+    for _ in range(len(P)):
+        yield i, gap
+        np.minimum(dist, np.linalg.norm(P - P[i], axis=1), out=dist)
+        dist[i] = -np.inf
+        i = int(np.argmax(dist))
+        gap = float(dist[i])
 
 
 def _scattered(ok, target: int | None = None) -> list[int]:
@@ -232,14 +236,11 @@ def scattered_points(P, delta: float) -> ScatteredSet:
         chosen = _scattered(_compat_matrix(P, delta))
         return ScatteredSet(len(chosen), sorted(chosen), True)
     tol = geom_tol(P, delta)
-    chosen = [0]
-    dist = np.linalg.norm(P - P[0], axis=1)
-    while True:
-        nxt = int(np.argmax(dist))
-        if dist[nxt] < delta - tol:
+    chosen = []
+    for i, gap in _farthest_first(P):
+        if gap < delta - tol:
             break
-        chosen.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(P - P[nxt], axis=1))
+        chosen.append(i)
     return ScatteredSet(len(chosen), sorted(chosen), False)
 
 
@@ -284,7 +285,7 @@ def promise_label(P, k1: int, eps: float, k2: int, delta: float) -> PromiseLabel
             return exact_meb(P[members + [i]]).ball.radius <= eps + tol
 
         # a spread-out prefix makes the pruning bite early
-        yes = _partition(_farthest_first_order(P), k1, fits)
+        yes = _partition([i for i, _ in _farthest_first(P)], k1, fits)
     if k2 > n:
         no = False
     elif k2 == 1:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mebkit.convexity import (
 )
 from mebkit.errors import GuardError
 from mebkit.generators import regular_simplex
+from mebkit.geometry import geom_tol
 from mebkit.meb import exact_meb
 from mebkit.seeding import derive_rng
 
@@ -181,6 +183,53 @@ def test_helly_random_sweep_implication():
         rep = helly_check_boxes(fam)  # would raise if (a) held without (b)
         if rep.subfamilies_intersect:
             assert rep.family_intersects
+
+
+def helly_by_enumeration(fam):
+    """(every (d+1)-subfamily meets, the whole family meets), by listing every
+    (d+1)-subfamily with the tolerance helly_check_boxes uses."""
+    lows = np.array([b.lower for b in fam])
+    ups = np.array([b.upper for b in fam])
+    tol = geom_tol(np.vstack([lows, ups]))
+
+    def meets(rows):
+        return bool(np.all(lows[rows].max(axis=0) <= ups[rows].min(axis=0) + tol))
+
+    d = lows.shape[1]
+    small = all(meets(list(c)) for c in itertools.combinations(range(len(fam)), d + 1))
+    return small, meets(list(range(len(fam))))
+
+
+def test_helly_matches_subfamily_enumeration():
+    outcomes = set()
+    for trial in range(300):
+        rng = derive_rng(trial, "helly-enum")
+        d = int(rng.integers(1, 4))
+        n = int(rng.integers(d + 1, 9))
+        lows = rng.integers(-3, 3, (n, d)).astype(float)  # integer corners: boxes often touch
+        ups = lows + rng.integers(0, 4, (n, d))
+        if trial % 3 == 1:
+            ups -= rng.uniform(0.0, 1e-10, (n, d))  # touching within the tolerance
+        elif trial % 3 == 2:
+            lows += rng.uniform(-0.5, 0.5, (n, d))
+        fam = [AABox(lo, np.maximum(lo, up)) for lo, up in zip(lows, ups)]
+        rep = helly_check_boxes(fam)
+        want = helly_by_enumeration(fam)
+        assert (rep.subfamilies_intersect, rep.family_intersects) == want
+        assert (rep.common_point is not None) == want[1]
+        outcomes.add(want)
+    assert outcomes == {(True, True), (False, False)}
+
+
+def test_helly_large_family_is_linear():
+    rng = derive_rng(0, "helly-large")
+    lows = rng.uniform(-1.0, 0.0, (100, 5))
+    fam = [AABox(lo, lo + 1.5) for lo in lows]  # every box holds [0, 0.5]^5
+    start = time.perf_counter()
+    rep = helly_check_boxes(fam)
+    assert time.perf_counter() - start < 1.0  # C(100, 6) = 1.19e9 subfamilies
+    assert rep.subfamilies_intersect and rep.family_intersects
+    assert np.all(rep.common_point >= 0.0) and np.all(rep.common_point <= 0.5)
 
 
 def test_helly_requires_boxes_of_common_dimension():

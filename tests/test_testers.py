@@ -17,7 +17,7 @@ from mebkit.testers import (
     scattered_points,
 )
 
-from oracles import scattered_oracle
+from oracles import coverable_oracle, meb_oracle, scattered_oracle
 
 
 def two_clusters(seed=0, gap=10.0):
@@ -294,3 +294,79 @@ def test_promise_degenerate_counts():
     P = np.array([[0.0, 0.0], [1.0, 0.0]])
     assert promise_label(P, 5, 0.01, 1, 0.5).label == "BOTH"  # singletons + vacuous
     assert not promise_label(P, 1, 0.1, 3, 0.1).no_holds  # k2 > n
+
+
+# ---------------------------------------------------------------- farthest-first
+
+
+def repeated_cloud(rng, n, m):
+    """n points drawn with repetition from m distinct Gaussian points."""
+    base = rng.standard_normal((m, 2)) * 2
+    return base[rng.integers(m, size=n)]
+
+
+def test_farthest_first_places_repeated_points():
+    P = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
+    steps = list(testers._farthest_first(P))
+    assert [i for i, _ in steps] == [0, 3, 1, 2]
+    assert [gap for _, gap in steps] == [math.inf, pytest.approx(5.0 * math.sqrt(2)), 0.0, 0.0]
+
+
+def test_farthest_first_is_a_traversal():
+    for trial in range(10):
+        rng = derive_rng(trial, "farthest-first")
+        P = repeated_cloud(rng, 30, 12) if trial % 2 else rng.standard_normal((30, 3))
+        steps = list(testers._farthest_first(P))
+        order = [i for i, _ in steps]
+        assert sorted(order) == list(range(len(P)))
+        for k in range(1, len(P)):
+            gap = np.linalg.norm(P[order[:k]] - P[order[k]], axis=1).min()
+            assert steps[k][1] == pytest.approx(gap)
+            assert steps[k][1] <= steps[k - 1][1]  # each step takes the farthest point left
+
+
+def test_promise_label_places_every_point_once(monkeypatch):
+    orders = []
+    partition = testers._partition
+
+    def spy(order, k, fits):
+        orders.append(list(order))
+        return partition(order, k, fits)
+
+    monkeypatch.setattr(testers, "_partition", spy)
+    P = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
+    assert promise_label(P, 2, 0.5, 2, 1.0).label == "BOTH"
+    assert [sorted(order) for order in orders] == [[0, 1, 2, 3]]
+
+
+def test_promise_label_matches_oracles_on_repeated_points():
+    for trial in range(20):
+        rng = derive_rng(trial, "promise-repeats")
+        P = repeated_cloud(rng, 8, int(rng.integers(2, 6)))
+        k1, k2 = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        eps, delta = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.5, 3.0))
+        lbl = promise_label(P, k1, eps, k2, delta)
+        assert lbl.yes_holds == coverable_oracle(P, eps, k1, lambda Q: meb_oracle(Q)[1])
+        assert lbl.no_holds == (scattered_oracle(P, delta) >= k2)
+
+
+def test_scattered_matches_oracle_on_repeated_points():
+    for trial in range(10):
+        rng = derive_rng(trial, "scatter-repeats")
+        P = repeated_cloud(rng, 20, int(rng.integers(3, 10)))
+        delta = float(rng.uniform(0.5, 2.5))
+        assert scattered_points(P, delta).count == scattered_oracle(P, delta)
+
+
+def test_scattered_greedy_on_repeated_points():
+    for trial in range(5):
+        rng = derive_rng(trial, "scatter-greedy-repeats")
+        base = rng.standard_normal((12, 2)) * 3
+        P = np.vstack([base, base[rng.integers(12, size=70)]])  # every point repeats after the first 12
+        got = scattered_points(P, 1.0)
+        assert not got.exact
+        assert len(set(got.indices.tolist())) == got.count <= scattered_oracle(base, 1.0)
+        S = P[got.indices]
+        gaps = np.linalg.norm(S[:, None] - S[None, :], axis=2)
+        np.fill_diagonal(gaps, np.inf)
+        assert gaps.min() >= 1.0 - 1e-8
