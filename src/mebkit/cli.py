@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -41,9 +42,9 @@ from .generators import KINDS, gen_instance
 from .geometry import BallBody, BoxBody, barycenter, geom_tol
 from .meb import badoiu_clarkson, elzinga_hearn_dual, exact_meb, hopp_reeve_meb, kt_residuals
 from .mkeb import exact_mkeb, outlier_meb_sample
-from .pointio import is_number_list, read_points, write_points
+from .pointio import float_array, is_number_list, load_json, read_points, write_points
 from .seeding import derive_seed
-from .testers import k_g_tester, one_s_tester, promise_label
+from .testers import k_g_tester, one_s_tester
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -234,17 +235,14 @@ def _read_boxes(args) -> list[AABox]:
     if args.input is None:
         raise _UsageError("convexity helly-boxes: --input is required")
     with open(args.input, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, exc.msg) from None
+        doc = load_json(fh.read())
     if not isinstance(doc, dict) or not isinstance(doc.get("boxes"), list) or not doc["boxes"]:
         raise ParseError(1, 'expected an object with a non-empty "boxes" list')
     boxes = []
     for i, entry in enumerate(doc["boxes"]):
         if not isinstance(entry, dict) or not all(is_number_list(entry.get(k)) for k in ("lower", "upper")):
             raise ParseError(1, f'box {i}: expected "lower" and "upper" lists of numbers')
-        boxes.append(AABox(entry["lower"], entry["upper"]))
+        boxes.append(AABox(float_array(entry["lower"]), float_array(entry["upper"])))
     return boxes
 
 
@@ -308,6 +306,19 @@ _HANDLERS = {
 
 # ---------------------------------------------------------------- parser
 
+def _positive(kind):
+    """argparse type: a finite ``kind`` value above zero, else a usage error."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid float value"
+    return parse
+
+
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--input", help="point-set file (csv or json)")
@@ -322,7 +333,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("meb", parents=[common], help="minimum enclosing ball")
     p.add_argument("--algo", choices=("exact", "bc", "eh", "hr"), default="exact")
     p.add_argument("--k", type=int, default=100, help="iterations for --algo bc")
-    p.add_argument("--tol", type=float, default=1e-6, help="duality-gap tolerance for --algo eh")
+    p.add_argument("--tol", type=_positive(float), default=1e-6,
+                   help="duality-gap tolerance for --algo eh")
     p.add_argument("--max-iter", type=int, default=100_000)
 
     p = sub.add_parser("mkeb", parents=[common], help="minimum k-enclosing ball")
@@ -340,13 +352,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("test-cluster", parents=[common], help="sampled clusterability testers")
     p.add_argument("--mode", choices=("1s", "kg", "outliers"), required=True)
     p.add_argument("--body", choices=("ball", "box"), default="ball")
-    p.add_argument("--radius", type=float, default=1.0, help="ball body radius")
-    p.add_argument("--half-extent", type=float, default=1.0, help="box body half side")
+    p.add_argument("--radius", type=_positive(float), default=1.0, help="ball body radius")
+    p.add_argument("--half-extent", type=_positive(float), default=1.0, help="box body half side")
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--k", type=int, default=2, help="cluster count for --mode kg")
     p.add_argument("--c", type=float, default=0.01, help="far-fraction rate for --mode kg")
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_positive(int), default=1)
 
     p = sub.add_parser("bounds", parents=[common], help="enclosing-radius bounds")
     p.add_argument("which", choices=("jung", "variant", "fractional-helly"))

@@ -25,7 +25,8 @@ from .errors import DegenerateInputError
 
 TOL_BASE = 1e-9      # comparison slack per unit of spread
 PIVOT_EPS = 1e-12    # smallest unit-edge Gram eigenvalue of an affinely independent subset
-SUBSET_BATCH = 2048  # subsets per circumballs batch in subset_circumballs
+SUBSET_BATCH = 2048  # subsets per circumballs batch in subset_circumballs and small_meb_radii
+SMALL_MEB_MAX = 8    # most points per row that small_meb_radii enumerates; larger rows use exact_meb
 
 
 def geom_tol(P, *lengths) -> float:
@@ -113,7 +114,7 @@ class BallBody:
 
     def __post_init__(self):
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0.0:
+        if not self.radius > 0.0:
             raise ValueError("body radius must be positive")
 
 
@@ -131,15 +132,6 @@ class BoxBody:
     @property
     def dim(self) -> int:
         return self.half_extents.size
-
-
-def distance(p, q) -> float:
-    """Euclidean distance between two points of equal dimension."""
-    a = as_point(p)
-    b = as_point(q)
-    if a.size != b.size:
-        raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
-    return float(np.linalg.norm(a - b))
 
 
 def barycenter(points) -> np.ndarray:
@@ -225,24 +217,73 @@ def circumball(points) -> Ball:
     return Ball(centers[0], radii[0])
 
 
-def fits_in_translate(body, W) -> bool:
-    """True when some translate of the body contains every point of ``W``.
+def small_meb_radii(S) -> np.ndarray:
+    """Minimum enclosing radius of each row of a (b, m, d) batch of point sets.
 
-    For a ball body the check is whether the minimum enclosing radius of
-    ``W`` is at most the body radius; for a box body it is a per-axis extent
-    comparison.  Both allow ``geom_tol`` of the points and the body size.
+    Rows of at most ``SMALL_MEB_MAX`` points are solved together, each in its
+    bounding-box frame: a row's radius is the smallest, over the row's
+    affinely independent subsets of size 1..min(m, d+1) (``circumballs``),
+    of the largest distance from the subset's circumcenter to the row's
+    points.  That is the enclosing radius exactly: the optimal center is the
+    circumcenter of its support, and every other center lies farther from
+    some point, so no feasibility test is needed.  The rows go through
+    ``circumballs`` in blocks of at most ``SUBSET_BATCH`` subsets.  Larger
+    rows, whose 2**m subsets are too many, are solved one by one by
+    ``exact_meb``.
     """
-    pts = as_points(W)
-    if isinstance(body, BoxBody):
-        if body.dim != pts.shape[1]:
-            raise ValueError(
-                f"dimension mismatch: box is {body.dim}-d, points are {pts.shape[1]}-d"
-            )
-        half_span = (pts.max(axis=0) - pts.min(axis=0)) / 2.0
-        return bool(np.all(half_span <= body.half_extents + geom_tol(pts, body.half_extents.max())))
-    if isinstance(body, BallBody):
+    S = np.asarray(S, dtype=float)
+    b, m, d = S.shape
+    if m > SMALL_MEB_MAX:
         from .meb import exact_meb  # deferred import: solvers build on this module
 
-        radius = exact_meb(pts).ball.radius
-        return radius <= body.radius + geom_tol(pts, body.radius)
+        return np.array([exact_meb(row).ball.radius for row in S])
+    F = S - ((S.max(axis=1) + S.min(axis=1)) / 2.0)[:, None, :]
+    subsets = [np.array(list(itertools.combinations(range(m), size)))
+               for size in range(1, min(m, d + 1) + 1)]
+    rows = max(1, SUBSET_BATCH // sum(map(len, subsets)))
+    far2 = np.full(b, np.inf)
+    for lo in range(0, b, rows):
+        block = F[lo:lo + rows]
+        for combos in subsets:
+            count, size = combos.shape
+            centers, _, ok, _ = circumballs(block[:, combos].reshape(-1, size, d))
+            R = block[:, None, :, :] - centers.reshape(-1, count, 1, d)
+            far = np.einsum("bcmd,bcmd->bcm", R, R).max(axis=2)
+            far[~ok.reshape(-1, count)] = np.inf
+            np.minimum(far2[lo:lo + rows], far.min(axis=1), out=far2[lo:lo + rows])
+    return np.sqrt(far2)
+
+
+def fits_in_translates(body, S) -> np.ndarray:
+    """For each row of a (b, m, d) batch of point sets, whether some translate
+    of the body contains every point of the row.
+
+    For a ball body the check is whether the row's ``small_meb_radii`` is
+    at most the body radius; for a box body it is a per-axis extent
+    comparison.  Each row allows ``TOL_BASE`` times the larger of its longest
+    bounding-box side and the body size: the ``geom_tol`` of the row alone.
+    """
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 3 or S.shape[1] < 1 or S.shape[2] < 1:
+        raise ValueError(f"expected a (b, m, d) batch of point sets with m, d >= 1, got shape {S.shape}")
+    if not np.all(np.isfinite(S)):
+        raise ValueError("point coordinates must be finite")
+    span = S.max(axis=1) - S.min(axis=1)
+    side = span.max(axis=1)
+    if isinstance(body, BoxBody):
+        if body.dim != S.shape[2]:
+            raise ValueError(
+                f"dimension mismatch: box is {body.dim}-d, points are {S.shape[2]}-d"
+            )
+        tol = TOL_BASE * np.maximum(side, body.half_extents.max())
+        return np.all(span / 2.0 <= body.half_extents + tol[:, None], axis=1)
+    if isinstance(body, BallBody):
+        tol = TOL_BASE * np.maximum(side, body.radius)
+        return small_meb_radii(S) <= body.radius + tol
     raise TypeError(f"unsupported body type: {type(body).__name__}")
+
+
+def fits_in_translate(body, W) -> bool:
+    """True when some translate of the body contains every point of ``W``:
+    the one-row case of ``fits_in_translates``."""
+    return bool(fits_in_translates(body, as_points(W)[None])[0])

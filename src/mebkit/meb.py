@@ -287,16 +287,6 @@ def exact_meb(P) -> MebSolution:
         raise IterationLimitError(str(err), best=solution(*err.best)) from None
 
 
-def iteration_bound(n: int, d: int) -> int:
-    """Worst-case iteration count of the geometric construction.
-
-    Sum of binomial(n, i) for i = 2 .. min(n, d+1), computed exactly.
-    """
-    if n < 2 or d < 1:
-        raise ValueError("need n >= 2 and d >= 1")
-    return sum(math.comb(n, i) for i in range(2, min(n, d + 1) + 1))
-
-
 def _hard_cap(n: int, d: int) -> int:
     # a finite-precision safety cap, polynomial in n and d
     return 10 * n * (d + 1)
@@ -420,7 +410,7 @@ def elzinga_hearn_dual(P, tol: float = 1e-6, max_iter: int = 100_000):
     """
     P = as_points(P)
     n, d = P.shape
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

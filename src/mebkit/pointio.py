@@ -47,6 +47,26 @@ def is_number_list(value) -> bool:
     )
 
 
+def load_json(text: str):
+    """``json.loads`` with its failures as ``ParseError``: malformed text, and
+    nesting too deep for the decoder."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, exc.msg) from None
+    except RecursionError:
+        raise ParseError(1, "JSON nested too deeply") from None
+
+
+def float_array(values) -> np.ndarray:
+    """``values``, JSON lists of numbers, as a float array; an integer beyond
+    float range is a ``ParseError``."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        raise ParseError(1, "coordinate out of float range") from None
+
+
 def _csv_error(text: str) -> ParseError:
     """The ParseError of the first bad line of a CSV text that ``_parse_csv``
     cannot read in blocks ("no points found" when it has no data line)."""
@@ -111,10 +131,7 @@ def _number_rows(pts: list) -> np.ndarray | None:
 
 
 def _parse_json(text: str) -> np.ndarray:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.lineno, exc.msg) from None
+    doc = load_json(text)
     if not isinstance(doc, dict) or "points" not in doc:
         raise ParseError(1, 'expected an object with a "points" key')
     pts = doc["points"]
@@ -131,7 +148,7 @@ def _parse_json(text: str) -> np.ndarray:
                 width = len(row)
             elif len(row) != width:
                 raise ParseError(1, f"point {i}: expected {width} coordinates, got {len(row)}")
-        arr = np.array(pts, dtype=float)
+        arr = float_array(pts)
     if not np.all(np.isfinite(arr)):
         raise ParseError(1, "non-finite coordinate")
     return arr

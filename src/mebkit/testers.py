@@ -6,12 +6,23 @@ whole set.  Coverable inputs are never rejected; far-from-coverable inputs are
 rejected with probability at least 1 - delta.  Rejections always carry a
 re-checkable witness sample.
 
+Round r draws its sample from its own stream (seed, tag, r), but rounds are
+tested in chunks of 1, 2, 4, ... up to ``_CHUNK_MAX`` rounds: one call of the
+batched kernel ``geometry.fits_in_translates`` checks every sample of a chunk,
+and the first refused sample of the first chunk that has one is the witness.
+The growing chunks keep an early rejection as cheap as a round-by-round loop,
+and the verdict, ``rounds_used`` and witness are the ones that loop gives.
+The k-translate tester checks every nonempty subset of each sample of a chunk
+in the same way, then searches the partitions of each sample against that
+table of subsets.
+
 ``promise_label`` and ``scattered_points`` are the exact desk-scale deciders
 used to classify promise instances (clusterable vs pairwise-scattered).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -19,8 +30,7 @@ from functools import partial
 import numpy as np
 
 from .errors import GuardError
-from .geometry import as_points, fits_in_translate, geom_tol
-from .meb import exact_meb
+from .geometry import as_points, fits_in_translate, fits_in_translates, geom_tol, small_meb_radii
 from .seeding import derive_rng
 
 ACCEPT = "accept"
@@ -28,7 +38,9 @@ REJECT = "reject"
 
 _SCATTER_EXACT_LIMIT = 60   # branch-and-bound ceiling for the public decider
 _PROMISE_GUARD = 200        # exact clustering guard for k1 >= 2
+_SCATTER_GUARD = 1_000      # most points promise_label builds the n x n x d gap array for
 _ROUND_BUDGET = 1_000_000   # most sampling rounds a tester runs before refusing the input
+_CHUNK_MAX = 256            # most rounds a tester checks in one batch
 
 
 @dataclass(frozen=True)
@@ -83,12 +95,19 @@ def _rounds(rate: float, delta: float) -> int:
 
 def _sampled_test(P, size: int, rounds: int, tag: str, seed: int, fits) -> TestVerdict:
     """Up to ``rounds`` rounds, each drawing ``size`` distinct points from the
-    stream (seed, tag, round); the first sample ``fits`` refuses is the witness."""
-    for rnd in range(rounds):
-        idx = np.sort(derive_rng(seed, tag, rnd).choice(len(P), size, replace=False))
-        sample = P[idx]
-        if not fits(sample):
-            return TestVerdict(REJECT, sample, idx, rnd + 1, seed)
+    stream (seed, tag, round).  ``fits`` maps a (b, size, d) batch of samples
+    to a bool per sample; it sees chunks of 1, 2, 4, ... rounds, at most
+    ``_CHUNK_MAX``, and the first sample it refuses is the witness."""
+    start, chunk = 0, 1
+    while start < rounds:
+        stop = min(start + chunk, rounds)
+        idx = np.array([np.sort(derive_rng(seed, tag, rnd).choice(len(P), size, replace=False))
+                        for rnd in range(start, stop)])
+        refused = np.flatnonzero(~fits(P[idx]))
+        if refused.size:
+            j = int(refused[0])
+            return TestVerdict(REJECT, P[idx[j]], idx[j], start + j + 1, seed)
+        start, chunk = stop, min(2 * chunk, _CHUNK_MAX)
     return TestVerdict(ACCEPT, None, None, rounds, seed)
 
 
@@ -112,7 +131,7 @@ def one_s_tester(P, body, eps: float, delta: float, seed: int = 0) -> TestVerdic
             return TestVerdict(ACCEPT, None, None, 0, seed)
         return TestVerdict(REJECT, P.copy(), np.arange(n), 0, seed)
     rounds = _rounds(eps ** (d + 1), delta)
-    return _sampled_test(P, d + 1, rounds, "one-s-round", seed, partial(fits_in_translate, body))
+    return _sampled_test(P, d + 1, rounds, "one-s-round", seed, partial(fits_in_translates, body))
 
 
 def _partition(order, k: int, fits) -> bool:
@@ -144,6 +163,19 @@ def _partition(order, k: int, fits) -> bool:
     return place(0)
 
 
+def _subset_fits(body, S) -> np.ndarray:
+    """(b, 2**m) table for a (b, m, d) batch: entry [r, mask] says whether the
+    points of row r whose bits are set in ``mask`` fit one translate of the
+    body (the empty set does)."""
+    b, m, d = S.shape
+    table = np.ones((b, 1 << m), dtype=bool)
+    for size in range(1, m + 1):
+        combos = np.array(list(itertools.combinations(range(m), size)))
+        masks = (1 << combos).sum(axis=1)
+        table[:, masks] = fits_in_translates(body, S[:, combos].reshape(-1, size, d)).reshape(b, -1)
+    return table
+
+
 def k_g_tester(P, body, k: int, c: float = 0.01, delta: float = 0.1, seed: int = 0) -> TestVerdict:
     """Sampled test of "the points fit k translates of the body".
 
@@ -165,9 +197,12 @@ def k_g_tester(P, body, k: int, c: float = 0.01, delta: float = 0.1, seed: int =
     _check_unit(delta, "delta")
     rounds = _rounds(c, delta)
 
-    def fits(sample) -> bool:
-        return _partition(range(k + 1), k,
-                          lambda members, i: fits_in_translate(body, sample[members + [i]]))
+    def fits(samples) -> np.ndarray:
+        return np.array([
+            _partition(range(k + 1), k,
+                       lambda members, i, row=row: row[sum(1 << j for j in members) | 1 << i])
+            for row in _subset_fits(body, samples).tolist()
+        ])
 
     return _sampled_test(P, k + 1, rounds, "k-g-round", seed, fits)
 
@@ -261,8 +296,9 @@ def promise_label(P, k1: int, eps: float, k2: int, delta: float) -> PromiseLabel
     (decided by the exact enclosing ball for k1 = 1, by exhaustive clustering
     with branch-and-bound pruning for k1 >= 2, guarded to n <= 200).
     ``no_holds``: at least k2 points are pairwise at least delta apart
-    (decided exactly with an early-exit subset search).  The label is BOTH
-    when both sides hold and VIOLATES when neither does.
+    (decided exactly with an early-exit subset search over the n x n table
+    of pairwise gaps, guarded to n <= 1000 when 2 <= k2 <= n).  The label
+    is BOTH when both sides hold and VIOLATES when neither does.
     """
     P = as_points(P)
     n = len(P)
@@ -272,17 +308,19 @@ def promise_label(P, k1: int, eps: float, k2: int, delta: float) -> PromiseLabel
         raise ValueError("eps and delta must be positive")
     if k1 >= 2 and n > _PROMISE_GUARD:
         raise GuardError(f"exact {k1}-clustering is guarded to n <= {_PROMISE_GUARD}, got n = {n}")
+    if 2 <= k2 <= n and n > _SCATTER_GUARD:
+        raise GuardError(f"the exact scattered-set check is guarded to n <= {_SCATTER_GUARD}, got n = {n}")
+    tol = geom_tol(P, eps)
     if k1 == 1:
-        yes = exact_meb(P).ball.radius <= eps + geom_tol(P, eps)
+        yes = bool(small_meb_radii(P[None])[0] <= eps + tol)
     elif k1 >= n:
         yes = True  # singletons always fit
     else:
-        tol = geom_tol(P, eps)
 
         def fits(members: list[int], i: int) -> bool:
             if np.linalg.norm(P[members] - P[i], axis=1).max() > 2.0 * eps + tol:
                 return False  # two members further than a diameter apart
-            return exact_meb(P[members + [i]]).ball.radius <= eps + tol
+            return small_meb_radii(P[members + [i]][None])[0] <= eps + tol
 
         # a spread-out prefix makes the pruning bite early
         yes = _partition([i for i, _ in _farthest_first(P)], k1, fits)

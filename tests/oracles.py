@@ -2,8 +2,9 @@
 
 Everything here favors obviousness over speed: candidate enumeration with
 plain linear algebra, order statistics for coverage radii, LP feasibility
-plus face enumeration for hull distances, and the one-point-at-a-time
-parsers that the block parsers of ``mebkit.pointio`` must agree with.
+plus face enumeration for hull distances, the one-point-at-a-time
+parsers that the block parsers of ``mebkit.pointio`` must agree with, and
+the round-by-round loop that the batched testers must agree with.
 Nothing imports solver internals.
 """
 
@@ -15,6 +16,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from mebkit.errors import ParseError
+from mebkit.seeding import derive_rng
 
 
 def candidate_centers(P):
@@ -231,3 +233,14 @@ def json_parse_oracle(text):
     if not np.all(np.isfinite(arr)):
         raise ParseError(1, "non-finite coordinate")
     return arr
+
+
+def sampled_tester_oracle(P, size, rounds, tag, seed, fits):
+    """(outcome, rounds used, witness indices) of a sampled tester run one
+    round at a time: round r draws ``size`` distinct points from the stream
+    (seed, tag, r), and the first sample that ``fits`` refuses ends the run."""
+    for rnd in range(rounds):
+        idx = np.sort(derive_rng(seed, tag, rnd).choice(len(P), size, replace=False))
+        if not fits(P[idx]):
+            return "reject", rnd + 1, idx
+    return "accept", rounds, None

@@ -372,6 +372,37 @@ def test_parse_error_is_input_error(tmp_path, capsys):
     assert "line 2" in report["result"]["error"]["message"]
 
 
+HUGE = "1" + "0" * 400                  # an integer beyond float range
+DEEP = "[" * 100_000 + "]" * 100_000    # deeper than the JSON decoder recurses
+
+
+@pytest.mark.parametrize("command, text", [
+    (["meb"], '{"points": [[%s, 0]]}' % HUGE),
+    (["meb"], '{"points": %s}' % DEEP),
+    (["convexity", "helly-boxes"], '{"boxes": [{"lower": [%s, 0], "upper": [1, 1]}]}' % HUGE),
+    (["convexity", "helly-boxes"], '{"boxes": %s}' % DEEP),
+], ids=["points-overflow", "points-deep", "boxes-overflow", "boxes-deep"])
+def test_json_overflow_and_deep_nesting_are_input_errors(tmp_path, capsys, command, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    report, code = run_cli(command + ["--input", str(path)], capsys)  # exactly one report
+    assert code == 2
+    assert report["result"]["error"]["kind"] == "input"
+
+
+@pytest.mark.parametrize("argv", [
+    ["test-cluster", "--mode", "1s", "--radius", "nan"],
+    ["test-cluster", "--mode", "1s", "--body", "box", "--half-extent", "-1"],
+    ["test-cluster", "--mode", "kg", "--trials", "-3"],
+    ["test-cluster", "--mode", "1s", "--trials", "0"],
+    ["meb", "--algo", "eh", "--tol", "nan"],
+], ids=["radius-nan", "half-extent-negative", "trials-negative", "trials-zero", "tol-nan"])
+def test_invalid_parameters_are_usage_errors(square_csv, capsys, argv):
+    report, code = run_cli(argv + ["--input", square_csv], capsys)
+    assert code == 1
+    assert report["result"]["error"]["kind"] == "usage"
+
+
 def test_unknown_flag_is_usage_error(square_csv, capsys):
     report, code = run_cli(["meb", "--input", square_csv, "--frobnicate"], capsys)
     assert code == 1

@@ -180,7 +180,8 @@ def test_helly_random_sweep_implication():
         d = int(rng.integers(1, 4))
         lows = rng.uniform(-2, 1, (6, d))
         fam = [AABox(lo, lo + rng.uniform(0.5, 3, d)) for lo in lows]
-        rep = helly_check_boxes(fam)  # would raise if (a) held without (b)
+        rep = helly_check_boxes(fam)
+        # Helly: if every (d+1)-subfamily meets, the whole family meets
         if rep.subfamilies_intersect:
             assert rep.family_intersects
 

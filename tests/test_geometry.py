@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mebkit.errors import DegenerateInputError
 from mebkit.geometry import (
@@ -12,27 +13,12 @@ from mebkit.geometry import (
     barycenter,
     circumball,
     circumballs,
-    distance,
     fits_in_translate,
+    fits_in_translates,
     geom_tol,
+    small_meb_radii,
 )
-
-
-def test_distance_345():
-    assert distance((0, 0), (3, 4)) == 5.0
-
-
-def test_distance_identical_points():
-    assert distance((1, 1), (1, 1)) == 0.0
-
-
-def test_distance_unit_axes():
-    assert distance((1, 0, 0), (0, 1, 0)) == pytest.approx(math.sqrt(2))
-
-
-def test_distance_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        distance((0, 0), (0, 0, 0))
+from mebkit.meb import exact_meb
 
 
 def test_as_points_rejects_nan_and_empty():
@@ -57,6 +43,8 @@ def test_body_validation():
     with pytest.raises(ValueError):
         BallBody(0.0)
     with pytest.raises(ValueError):
+        BallBody(float("nan"))
+    with pytest.raises(ValueError):
         BoxBody([1.0, 0.0])
 
 
@@ -79,7 +67,7 @@ def test_circumball_equilateral_triangle():
     b = circumball(tri)
     assert b.radius == pytest.approx(1 / math.sqrt(3), abs=1e-12)
     for v in tri:
-        assert distance(v, b.center) == pytest.approx(b.radius, abs=1e-12)
+        assert np.linalg.norm(np.subtract(v, b.center)) == pytest.approx(b.radius, abs=1e-12)
 
 
 def test_circumball_single_point():
@@ -188,3 +176,92 @@ def test_geom_tol_scales_with_magnitude():
     for a in (1e-12, 1e-3, 1e7):
         assert geom_tol(a * P - 2e6 * a, 5.0 * a) == pytest.approx(a * geom_tol(P, 5.0))
     assert geom_tol(np.full((4, 3), 1e8)) == 0.0
+
+
+# ---------------------------------------------------------------- small balls in batches
+
+
+def dyadic_row(rng, m, d, shape):
+    """m points in d dimensions with coordinates in multiples of 1/8: in
+    general position, drawn with repetition from a few points, on one line,
+    or on one plane.  Moving them by an integer vector or scaling them by a
+    power of two is exact."""
+    ints = lambda *size: rng.integers(-8, 9, size)  # noqa: E731
+    if shape == "free":
+        P = ints(m, d) * 8
+    elif shape == "repeated":
+        P = (ints(max(1, m // 3), d) * 8)[rng.integers(max(1, m // 3), size=m)]
+    elif shape == "collinear":
+        P = ints(1, d) * 8 + ints(m, 1) * ints(1, d)
+    else:  # coplanar
+        P = ints(1, d) * 8 + ints(m, 1) * ints(1, d) + ints(m, 1) * ints(1, d)
+    return P / 8.0
+
+
+shapes = st.sampled_from(["free", "repeated", "collinear", "coplanar"])
+
+
+@st.composite
+def batches(draw):
+    """A (b, m, d) batch of dyadic rows, each of its own shape."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b, m, d = draw(st.integers(1, 12)), draw(st.integers(1, 9)), draw(st.integers(1, 6))
+    return np.array([dyadic_row(rng, m, d, draw(shapes)) for _ in range(b)])
+
+
+def row_side(S):
+    return (S.max(axis=1) - S.min(axis=1)).max(axis=1)
+
+
+@given(batches())
+def test_small_meb_radii_match_exact_meb(S):
+    radii = small_meb_radii(S)
+    exact = np.array([exact_meb(row).ball.radius for row in S])
+    assert np.all(np.abs(radii - exact) <= 1e-12 * np.maximum(row_side(S), exact))
+
+
+def bodies_near(S):
+    """Ball and box bodies at, just inside and just outside the largest
+    enclosing radius and half extent of the batch's rows."""
+    r = small_meb_radii(S).max()
+    h = (S.max(axis=1) - S.min(axis=1)).max() / 2.0
+    d = S.shape[2]
+    for f in (0.5, 1.0 - 2.0**-30, 1.0, 1.0 + 2.0**-30, 2.0):
+        if r > 0.0:
+            yield BallBody(f * r)
+        if h > 0.0:
+            yield BoxBody(np.full(d, f * h))
+
+
+def scaled(body, a):
+    return BallBody(a * body.radius) if isinstance(body, BallBody) else BoxBody(a * body.half_extents)
+
+
+@given(batches(), st.integers(-2**20, 2**20), st.integers(-30, 30))
+def test_fits_in_translates_ignores_position_and_units(S, shift, log2_scale):
+    a = 2.0**log2_scale
+    moved = S + shift * np.arange(1, S.shape[2] + 1)  # exact: dyadic plus integer
+    for body in bodies_near(S):
+        verdicts = fits_in_translates(body, S)
+        assert np.array_equal(fits_in_translates(body, moved), verdicts)
+        assert np.array_equal(fits_in_translates(scaled(body, a), a * S), verdicts)
+        assert [fits_in_translate(body, row) for row in S] == verdicts.tolist()
+
+
+def test_small_meb_radii_blocks_agree_with_single_rows():
+    # 8 points in 7 dimensions: 255 subsets a row, so 8 rows a circumballs block
+    rng = np.random.default_rng(3)
+    S = rng.standard_normal((40, 8, 7))
+    single = np.array([small_meb_radii(row[None])[0] for row in S])
+    assert np.allclose(small_meb_radii(S), single, rtol=1e-14, atol=0.0)
+
+
+def test_fits_in_translates_validates_batches():
+    with pytest.raises(ValueError):
+        fits_in_translates(BallBody(1.0), np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        fits_in_translates(BallBody(1.0), np.full((1, 2, 2), np.nan))
+    with pytest.raises(ValueError, match="mismatch"):
+        fits_in_translates(BoxBody([1.0, 1.0]), np.zeros((2, 3, 3)))
+    with pytest.raises(TypeError):
+        fits_in_translates("ball", np.zeros((1, 2, 2)))

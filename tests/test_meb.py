@@ -15,7 +15,6 @@ from mebkit.meb import (
     elzinga_hearn_dual,
     exact_meb,
     hopp_reeve_meb,
-    iteration_bound,
     kt_residuals,
 )
 from mebkit.seeding import derive_rng
@@ -362,20 +361,11 @@ def test_exact_meb_certificate_on_repeated_and_cospherical_points():
             assert kt_residuals(P, sol.ball, lam).worst <= 1e-9
 
 
-def test_iteration_bound_values():
-    assert iteration_bound(4, 2) == math.comb(4, 2) + math.comb(4, 3)
-    assert iteration_bound(4, 2) == 10
-    assert iteration_bound(2, 1) == 1
-    assert iteration_bound(3, 5) == math.comb(3, 2) + math.comb(3, 3)
-    with pytest.raises(ValueError):
-        iteration_bound(1, 2)
-
-
 def test_hopp_reeve_antipodal_pair():
     sol = hopp_reeve_meb(np.array([[-1.0, 0.0], [1.0, 0.0]]))
     assert np.allclose(sol.ball.center, [0, 0])
     assert sol.ball.radius == pytest.approx(1.0)
-    assert sol.iterations <= iteration_bound(2, 2) + 1
+    assert sol.iterations <= math.comb(2, 2) + 1  # worst-case construction count, plus one
 
 
 def test_hopp_reeve_matches_exact():
@@ -492,6 +482,8 @@ def test_elzinga_hearn_stalled_polish_keeps_iterating(monkeypatch):
 def test_elzinga_hearn_rejects_bad_parameters():
     with pytest.raises(ValueError):
         elzinga_hearn_dual(SQUARE, tol=0.0)
+    with pytest.raises(ValueError):
+        elzinga_hearn_dual(SQUARE, tol=float("nan"))
     with pytest.raises(ValueError):
         elzinga_hearn_dual(SQUARE, max_iter=0)
 

@@ -32,6 +32,14 @@ CASES = {
     "1s-reject": ["test-cluster", "--mode", "1s", "--eps", "0.5", "--seed", "5", "--input", "far"],
     "kg-accept": ["test-cluster", "--mode", "kg", "--k", "3", "--c", "0.5", "--input", "pairs"],
     "kg-reject": ["test-cluster", "--mode", "kg", "--k", "2", "--c", "0.5", "--input", "pairs"],
+    "1s-box-accept": ["test-cluster", "--mode", "1s", "--body", "box", "--eps", "0.5", "--input", "cloud"],
+    "1s-box-reject": ["test-cluster", "--mode", "1s", "--body", "box", "--half-extent", "0.5", "--eps", "0.5",
+                      "--seed", "5", "--input", "far"],
+    "kg-box-accept": ["test-cluster", "--mode", "kg", "--body", "box", "--k", "3", "--c", "0.5",
+                      "--input", "pairs"],
+    "1s-trials": ["test-cluster", "--mode", "1s", "--eps", "0.5", "--trials", "2", "--seed", "5",
+                  "--input", "far"],
+    "kg-trials": ["test-cluster", "--mode", "kg", "--k", "2", "--c", "0.5", "--trials", "2", "--input", "pairs"],
     "brute": ["diameter", "--algo", "brute", "--input", "plane"],
     "calipers": ["diameter", "--algo", "calipers", "--input", "plane"],
     "sweep": ["diameter", "--algo", "sweep", "--seed", "2", "--input", "plane"],
@@ -179,6 +187,255 @@ EXPECTED = {
       1,
       3,
       5
+    ]
+  },
+  "seed": 0,
+  "timing_ms": 0.0,
+  "tool_version": "0.1.0"
+}
+""",
+    "1s-box-accept": """\
+{
+  "command": "test-cluster",
+  "parameters": {
+    "body": "box",
+    "c": 0.01,
+    "delta": 0.1,
+    "eps": 0.5,
+    "half_extent": 1.0,
+    "input": "IN",
+    "k": 2,
+    "mode": "1s",
+    "radius": 1.0,
+    "seed": 0,
+    "trials": 1
+  },
+  "result": {
+    "outcome": "accept",
+    "rounds_used": 19,
+    "seed": 0,
+    "witness": null,
+    "witness_indices": null
+  },
+  "seed": 0,
+  "timing_ms": 0.0,
+  "tool_version": "0.1.0"
+}
+""",
+    "1s-box-reject": """\
+{
+  "command": "test-cluster",
+  "parameters": {
+    "body": "box",
+    "c": 0.01,
+    "delta": 0.1,
+    "eps": 0.5,
+    "half_extent": 0.5,
+    "input": "IN",
+    "k": 2,
+    "mode": "1s",
+    "radius": 1.0,
+    "seed": 5,
+    "trials": 1
+  },
+  "result": {
+    "outcome": "reject",
+    "rounds_used": 4,
+    "seed": 5,
+    "witness": [
+      [
+        -0.25,
+        0.5
+      ],
+      [
+        0.25,
+        -0.5
+      ],
+      [
+        5.0,
+        5.0
+      ]
+    ],
+    "witness_indices": [
+      2,
+      3,
+      4
+    ]
+  },
+  "seed": 5,
+  "timing_ms": 0.0,
+  "tool_version": "0.1.0"
+}
+""",
+    "kg-box-accept": """\
+{
+  "command": "test-cluster",
+  "parameters": {
+    "body": "box",
+    "c": 0.5,
+    "delta": 0.1,
+    "eps": 0.1,
+    "half_extent": 1.0,
+    "input": "IN",
+    "k": 3,
+    "mode": "kg",
+    "radius": 1.0,
+    "seed": 0,
+    "trials": 1
+  },
+  "result": {
+    "outcome": "accept",
+    "rounds_used": 5,
+    "seed": 0,
+    "witness": null,
+    "witness_indices": null
+  },
+  "seed": 0,
+  "timing_ms": 0.0,
+  "tool_version": "0.1.0"
+}
+""",
+    "1s-trials": """\
+{
+  "command": "test-cluster",
+  "parameters": {
+    "body": "ball",
+    "c": 0.01,
+    "delta": 0.1,
+    "eps": 0.5,
+    "half_extent": 1.0,
+    "input": "IN",
+    "k": 2,
+    "mode": "1s",
+    "radius": 1.0,
+    "seed": 5,
+    "trials": 2
+  },
+  "result": {
+    "accept_count": 0,
+    "trials": [
+      {
+        "outcome": "reject",
+        "rounds_used": 1,
+        "seed": 6443483751513631536,
+        "witness": [
+          [
+            0.0,
+            0.0
+          ],
+          [
+            0.5,
+            0.25
+          ],
+          [
+            5.0,
+            5.0
+          ]
+        ],
+        "witness_indices": [
+          0,
+          1,
+          4
+        ]
+      },
+      {
+        "outcome": "reject",
+        "rounds_used": 1,
+        "seed": 7116664326971585574,
+        "witness": [
+          [
+            0.0,
+            0.0
+          ],
+          [
+            -0.25,
+            0.5
+          ],
+          [
+            5.0,
+            5.0
+          ]
+        ],
+        "witness_indices": [
+          0,
+          2,
+          4
+        ]
+      }
+    ]
+  },
+  "seed": 5,
+  "timing_ms": 0.0,
+  "tool_version": "0.1.0"
+}
+""",
+    "kg-trials": """\
+{
+  "command": "test-cluster",
+  "parameters": {
+    "body": "ball",
+    "c": 0.5,
+    "delta": 0.1,
+    "eps": 0.1,
+    "half_extent": 1.0,
+    "input": "IN",
+    "k": 2,
+    "mode": "kg",
+    "radius": 1.0,
+    "seed": 0,
+    "trials": 2
+  },
+  "result": {
+    "accept_count": 0,
+    "trials": [
+      {
+        "outcome": "reject",
+        "rounds_used": 4,
+        "seed": 1831472134309618078,
+        "witness": [
+          [
+            0.5,
+            0.0
+          ],
+          [
+            6.5,
+            0.5
+          ],
+          [
+            0.5,
+            6.5
+          ]
+        ],
+        "witness_indices": [
+          1,
+          3,
+          5
+        ]
+      },
+      {
+        "outcome": "reject",
+        "rounds_used": 2,
+        "seed": 3734546797732971597,
+        "witness": [
+          [
+            0.5,
+            0.0
+          ],
+          [
+            6.5,
+            0.5
+          ],
+          [
+            0.5,
+            6.5
+          ]
+        ],
+        "witness_indices": [
+          1,
+          3,
+          5
+        ]
+      }
     ]
   },
   "seed": 0,

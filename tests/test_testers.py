@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mebkit import testers
+from mebkit import meb, testers
 from mebkit.errors import GuardError
 from mebkit.geometry import BallBody, BoxBody, fits_in_translate
 from mebkit.meb import exact_meb
@@ -17,7 +17,7 @@ from mebkit.testers import (
     scattered_points,
 )
 
-from oracles import coverable_oracle, meb_oracle, scattered_oracle
+from oracles import coverable_oracle, meb_oracle, sampled_tester_oracle, scattered_oracle
 
 
 def two_clusters(seed=0, gap=10.0):
@@ -124,6 +124,117 @@ def test_one_s_refuses_unbounded_rounds_up_front(monkeypatch):
         one_s_tester(P, BallBody(1.0), 0.1, 0.1)
     with pytest.raises(GuardError):
         one_s_tester(two_clusters(), BallBody(1.0), 1e-200, 0.1)
+
+
+def test_one_s_accepting_run_solves_no_exact_meb(monkeypatch):
+    calls = []
+    exact = meb.exact_meb
+
+    def counted(P):
+        calls.append(len(P))
+        return exact(P)
+
+    monkeypatch.setattr(meb, "exact_meb", counted)
+    rng = derive_rng(0, "tripwire")
+    dirs = rng.standard_normal((2000, 3))
+    P = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * rng.uniform(0, 0.99, (2000, 1))
+    v = one_s_tester(P, BallBody(1.0), 0.5, 0.1, seed=1)
+    assert v.accepted and v.rounds_used == math.ceil(2**4 * math.log(10))
+    assert calls == []  # every round is a 4-point row of the batched kernel
+
+
+# ---------------------------------------------------------------- batched rounds against the loop
+
+
+def cloud_with_strays(seed, n=60):
+    """A cloud inside the unit disc plus 0-3 points far outside it, so a
+    round rejects with moderate probability and the first rejecting round
+    varies with the seed."""
+    rng = derive_rng(seed, "strays")
+    strays = seed % 4
+    inside = rng.uniform(-0.6, 0.6, (n - strays, 2))
+    return np.vstack([inside, rng.uniform(4.0, 6.0, (strays, 2))])
+
+
+def ball_fits(radius):
+    return lambda S: meb_oracle(S)[1] <= radius + 1e-9 * max(np.ptp(S, axis=0).max(), radius)
+
+
+def box_fits(half):
+    return lambda S: bool(np.all(np.ptp(S, axis=0) / 2.0 <= half + 1e-9 * max(np.ptp(S, axis=0).max(), half)))
+
+
+def chunk_positions(rounds_used):
+    """Labels for where a round sits in the chunks 1, 2-3, 4-7, ... ."""
+    if rounds_used <= 2:
+        return {f"round {rounds_used}"}
+    return {"chunk start"} if rounds_used & (rounds_used - 1) == 0 else {"mid chunk"}
+
+
+def assert_same_verdict(P, v, oracle):
+    outcome, rounds_used, idx = oracle
+    assert (v.outcome, v.rounds_used) == (outcome, rounds_used)
+    if idx is None:
+        assert v.witness is None and v.witness_indices is None
+    else:
+        assert v.witness_indices.tolist() == idx.tolist()
+        assert np.array_equal(v.witness, P[idx])
+
+
+@pytest.mark.parametrize("body", ["ball", "box"])
+def test_one_s_batches_match_round_loop(body):
+    eps, delta = 0.5, 0.1
+    rounds = math.ceil(eps**-3 * math.log(1 / delta))
+    seen = set()
+    for seed in range(80):
+        P = cloud_with_strays(seed)
+        if body == "ball":
+            tester_body, fits = BallBody(1.0), ball_fits(1.0)
+        else:
+            tester_body, fits = BoxBody([0.75, 0.75]), box_fits(0.75)
+        v = one_s_tester(P, tester_body, eps, delta, seed=seed)
+        oracle = sampled_tester_oracle(P, 3, rounds, "one-s-round", seed, fits)
+        assert_same_verdict(P, v, oracle)
+        seen |= chunk_positions(v.rounds_used) if not v.accepted else {"accept"}
+    assert {"round 1", "round 2", "mid chunk", "accept"} <= seen
+
+
+def test_one_s_batches_match_round_loop_past_the_largest_chunk():
+    # 682 rounds: chunks of 1, 2, ..., 256 cover 511, and one more of 171 follows
+    P = clusterable_cloud(4)
+    eps, delta = 0.15, 0.1
+    rounds = math.ceil(eps**-3 * math.log(1 / delta))
+    v = one_s_tester(P, BallBody(1.0), eps, delta, seed=4)
+    assert_same_verdict(P, v, sampled_tester_oracle(P, 3, rounds, "one-s-round", 4, ball_fits(1.0)))
+    assert rounds > 2 * testers._CHUNK_MAX
+
+
+def three_groups(seed):
+    """Two clusters and a third one of 0-3 points: k = 2 groups fail only
+    when a round draws one point of each."""
+    rng = derive_rng(seed, "three-groups")
+    return np.vstack([rng.uniform(-0.5, 0.5, (20, 2)),
+                      rng.uniform(-0.5, 0.5, (20, 2)) + [6.0, 0.0],
+                      rng.uniform(-0.5, 0.5, (seed % 4, 2)) + [0.0, 6.0]])
+
+
+@pytest.mark.parametrize("body", ["ball", "box"])
+def test_k_g_batches_match_round_loop(body):
+    k, c, delta = 2, 0.1, 0.1
+    rounds = math.ceil((1 / c) * math.log(1 / delta))
+    if body == "ball":
+        tester_body, radius_of = BallBody(1.0), (lambda Q: meb_oracle(Q)[1])
+    else:
+        tester_body, radius_of = BoxBody([1.0, 1.0]), (lambda Q: np.ptp(Q, axis=0).max() / 2.0)
+    seen = set()
+    for seed in range(80):
+        P = three_groups(seed)
+        v = k_g_tester(P, tester_body, k, c=c, delta=delta, seed=seed)
+        oracle = sampled_tester_oracle(P, k + 1, rounds, "k-g-round", seed,
+                                       lambda S: coverable_oracle(S, 1.0, k, radius_of))
+        assert_same_verdict(P, v, oracle)
+        seen |= chunk_positions(v.rounds_used) if not v.accepted else {"accept"}
+    assert {"round 1", "round 2", "mid chunk", "accept"} <= seen
 
 
 # ---------------------------------------------------------------- k_g
@@ -288,6 +399,19 @@ def test_promise_guard():
     P = np.zeros((201, 2))
     with pytest.raises(GuardError):
         promise_label(P, 2, 1.0, 2, 1.0)
+
+
+def test_promise_scatter_guard_refuses_before_the_gap_table(monkeypatch):
+    monkeypatch.setattr(testers, "_SCATTER_GUARD", 5)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the n x n gap table was built")
+
+    monkeypatch.setattr(testers, "_compat_matrix", forbidden)
+    P = derive_rng(0, "scatter-guard").standard_normal((6, 2))
+    with pytest.raises(GuardError, match="n <= 5"):
+        promise_label(P, 1, 1.0, 2, 0.5)
+    assert promise_label(P, 1, 1.0, 1, 0.5).no_holds  # k2 = 1 needs no table
 
 
 def test_promise_degenerate_counts():
