@@ -367,7 +367,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("convexity", parents=[common], help="constructive convexity routines")
     p.add_argument("which", choices=("radon", "caratheodory", "helly-boxes", "nodim"))
-    p.add_argument("--r", type=int, default=4, help="subset size for nodim")
+    p.add_argument("--r", type=_positive(int), default=4, help="subset size for nodim")
 
     p = sub.add_parser("gen", parents=[common], help="generate a named instance")
     p.add_argument("--kind", choices=KINDS, required=True)

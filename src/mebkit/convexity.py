@@ -1,9 +1,14 @@
 """Constructive convexity routines: combination reduction, Radon splits,
 box intersection checks, circumradius bounds, and hull distances.
 
-Everything here is deterministic and desk-scale exact; ``dist_to_hull``
-finds the hull's nearest point with an active-set nonnegative
-least-squares solve.
+Everything here is deterministic and desk-scale exact, with bounded work.
+``dist_to_hull`` finds the hull's nearest point with an active-set
+nonnegative least-squares solve.  ``nodim_caratheodory`` does not call
+it: a greedy step scores all n candidates with one batched Gram solve per
+subset of the chosen points, and a call whose last step would exceed
+``_NODIM_FACE_BUDGET`` face projections raises ``GuardError`` before any
+work.  ``caratheodory_reduce`` eliminates through windows of d+2 points,
+O(n d^3) work in (d+1) x (d+2) SVDs.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .geometry import as_point, as_points, geom_tol
 from .meb import _nnls, exact_meb
 
 _BCIR_GUARD = 16  # subset enumeration ceiling for barycentric_circumradius
+_NODIM_FACE_BUDGET = 10_000_000  # face projections of nodim_caratheodory's last step
 
 
 @dataclass(frozen=True)
@@ -71,46 +77,50 @@ def _validate_combination(P, combo: ConvexCombination):
 
 
 def _affine_dependence(Q) -> np.ndarray:
-    """A nontrivial vector with sum zero and zero weighted point sum."""
-    m = Q.shape[0]
-    M = np.vstack([Q.T, np.ones(m)])
-    _, _, Vt = np.linalg.svd(M)
-    return Vt[-1]
+    """A nontrivial vector with sum zero and zero weighted point sum, for one
+    (m, d) point array or for each of a stack of them."""
+    m = Q.shape[-2]
+    ones = np.ones(Q.shape[:-2] + (1, m))
+    _, _, Vt = np.linalg.svd(np.concatenate([np.swapaxes(Q, -1, -2), ones], axis=-2))
+    return Vt[..., -1, :]
 
 
 def caratheodory_reduce(points, combo: ConvexCombination) -> ConvexCombination:
     """Rewrite a convex combination on at most d+1 points with the same target.
 
-    While more than d+1 points carry weight, weight is shifted along an
-    affine dependence until some coefficient reaches zero.  Inputs already at
-    d+1 or fewer points come back unchanged.
+    Each round cuts the weighted points, in order, into windows of d+2 and
+    shifts every window's weight along that window's affine dependence
+    until one coefficient reaches zero, all windows in one batched
+    (d+1) x (d+2) SVD.  A round of m points drops at least floor(m / (d+2))
+    of them, so the work is O(n d^3) and no array outgrows n x (d+2).
+    Inputs already at d+1 or fewer points come back unchanged.
     """
     P = as_points(points)
     _validate_combination(P, combo)
     d = P.shape[1]
-    active = combo.coefficients > 0.0
-    idx = list(combo.indices[active])
-    w = np.array(combo.coefficients[active], dtype=float)
-    w = w / w.sum()
     if len(combo.indices) <= d + 1:
         return combo
+    active = combo.coefficients > 0.0
+    idx = combo.indices[active]
+    w = combo.coefficients[active] / combo.coefficients[active].sum()
+    # the dependence of centred, unit-scaled points: an SVD's null vector is
+    # exact to eps of the largest entry, which the row of ones must not outgrow
+    X = P[idx] - combo.target
+    X /= float(np.abs(X).max()) or 1.0
     while len(idx) > d + 1:
-        alpha = _affine_dependence(P[idx])
-        if alpha.max() <= 0.0:
-            alpha = -alpha
+        g = len(idx) // (d + 2)
+        cut = g * (d + 2)
+        alpha = _affine_dependence(X[:cut].reshape(g, d + 2, d))
+        W = w[:cut].reshape(g, d + 2)
         pos = alpha > 1e-14
-        steps = w[pos] / alpha[pos]
-        t = steps.min()
-        w = w - t * alpha
-        w[w < 1e-15] = 0.0
-        keep = w > 0.0
-        if keep.all():  # numerical stall: zero out the limiting coefficient
-            w[np.flatnonzero(pos)[int(np.argmin(steps))]] = 0.0
-            keep = w > 0.0
-        idx = [i for i, k in zip(idx, keep) if k]
-        w = w[keep]
-        w = w / w.sum()
-    return ConvexCombination(np.array(idx), w, combo.target)
+        steps = np.divide(W, alpha, out=np.full_like(W, np.inf), where=pos)
+        rows, lim = np.arange(g), steps.argmin(axis=1)
+        W = W - steps[rows, lim][:, None] * alpha
+        W[rows, lim] = 0.0
+        w = np.concatenate([W.ravel(), w[cut:]])
+        keep = w >= 1e-15
+        idx, w, X = idx[keep], w[keep], X[keep]
+    return ConvexCombination(idx, w / w.sum(), combo.target)
 
 
 @dataclass(frozen=True)
@@ -279,6 +289,37 @@ def dist_to_hull(a, points) -> float:
     return 0.0 if inside else s * dist
 
 
+def _face_distances(U, chosen: list[int]) -> np.ndarray:
+    """Per candidate i (row of U, points less the target), the least distance
+    from the origin to a projection onto aff(T and i) over the subsets T of
+    ``chosen`` with |T| <= d whose projection has nonnegative barycentric
+    weights and whose face is non-degenerate; T empty is the point itself.
+
+    One batched (n, |T|, |T|) Gram solve per T.  Every counted projection is
+    a point of the hull, and the hull's nearest point lies on such a face
+    or on a face without i.
+    """
+    d = U.shape[1]
+    best = np.sqrt(np.einsum("ij,ij->i", U, U))
+    for size in range(1, min(len(chosen), d) + 1):
+        for T in itertools.combinations(chosen, size):
+            E = U[list(T)][None, :, :] - U[:, None, :]  # (n, |T|, d) edges from i
+            G = E @ E.transpose(0, 2, 1)
+            # scale to a unit diagonal: det is then the face's volume relative
+            # to its edge lengths, in [0, 1], and below eps the face is flat
+            norm = np.sqrt(np.einsum("njj->nj", G))
+            norm[norm == 0.0] = 1.0
+            C = G / (norm[:, :, None] * norm[:, None, :])
+            flat = ~(np.linalg.det(C) > np.finfo(float).eps)
+            C[flat] = np.eye(size)
+            rhs = -np.einsum("njd,nd->nj", E, U) / norm
+            y = np.linalg.solve(C, rhs[..., None])[..., 0] / norm  # weights of T; i gets 1 - sum
+            R = U + np.einsum("nj,njd->nd", y, E)
+            counts = ~flat & (y.min(axis=1) >= 0.0) & (y.sum(axis=1) <= 1.0)
+            np.minimum(best, np.where(counts, np.sqrt(np.einsum("nd,nd->n", R, R)), np.inf), out=best)
+    return best
+
+
 def nodim_caratheodory(points, a, r: int):
     """Greedy r-point hull approximation of an interior point.
 
@@ -288,25 +329,48 @@ def nodim_caratheodory(points, a, r: int):
     within diam(P) / sqrt(2r) always exists.  Membership of ``a`` in the
     hull is the caller's responsibility.
 
+    A step with k points chosen scores all n candidates at once: the hull
+    distance with candidate i is the smaller of the previous ``achieved``
+    and the distances of ``_face_distances``, clamped to 0 as in
+    ``dist_to_hull``.  Ties within ``geom_tol`` go to the lower index.  The
+    last step projects onto n * sum_{k <= min(r-1, d)} C(r-1, k) faces;
+    above ``_NODIM_FACE_BUDGET`` the call raises ``GuardError`` up front.
+
     Returns (indices, achieved).
     """
     P = as_points(points)
     target = as_point(a)
-    n = len(P)
+    n, d = P.shape
+    if target.size != d:
+        raise ValueError(f"dimension mismatch: point is {target.size}-d, points are {d}-d")
     if not 1 <= r <= n:
         raise ValueError(f"r must be in 1..{n}, got {r}")
-    tol = geom_tol(P)
+    faces = n * sum(math.comb(r - 1, k) for k in range(min(r - 1, d) + 1))
+    if faces > _NODIM_FACE_BUDGET:
+        raise GuardError(f"the last greedy step would project onto {faces} faces, "
+                         f"above the budget of {_NODIM_FACE_BUDGET}; lower r")
+    U = P - target
+    # a power-of-two unit at most the largest |coordinate| rescales exactly
+    # and keeps the squared lengths of the Gram systems inside the float range
+    unit = math.ldexp(1.0, math.frexp(float(np.abs(U).max()))[1] - 1)
+    U /= unit
+    tol = geom_tol(P) / unit
+    far = np.abs(U).max(axis=1)
+    sq = np.einsum("ij,ij->i", U, U)
     chosen: list[int] = []
     achieved = math.inf
     for _ in range(r):
-        best_i = -1
-        best_d = math.inf
-        for i in range(n):
-            if i in chosen:
-                continue
-            cand = dist_to_hull(target, P[chosen + [i]])
-            if cand < best_d - tol:
-                best_i, best_d = i, cand
+        cand = np.minimum(_face_distances(U, chosen), achieved)
+        # dist_to_hull's inside clamp, with its s and largest squared length
+        # taken over the candidate's hull
+        s = np.maximum(far, far[chosen].max(initial=0.0))
+        m = np.maximum(sq, sq[chosen].max(initial=0.0))
+        cand[cand * cand <= 1e-12 * (s * s + m)] = 0.0
+        cand[chosen] = np.inf
+        best_i, best_d = -1, math.inf
+        for i, c in enumerate(cand.tolist()):
+            if c < best_d - tol:
+                best_i, best_d = i, c
         chosen.append(best_i)
         achieved = best_d
-    return np.array(chosen), float(achieved)
+    return np.array(chosen), float(achieved) * unit

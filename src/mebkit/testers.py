@@ -265,8 +265,8 @@ def scattered_points(P, delta: float) -> ScatteredSet:
     """
     P = as_points(P)
     n = len(P)
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if n <= _SCATTER_EXACT_LIMIT:
         chosen = _scattered(_compat_matrix(P, delta))
         return ScatteredSet(len(chosen), sorted(chosen), True)
@@ -304,8 +304,8 @@ def promise_label(P, k1: int, eps: float, k2: int, delta: float) -> PromiseLabel
     n = len(P)
     if k1 < 1 or k2 < 1:
         raise ValueError("k1 and k2 must be at least 1")
-    if eps <= 0.0 or delta <= 0.0:
-        raise ValueError("eps and delta must be positive")
+    if not (0.0 < eps < math.inf and 0.0 < delta < math.inf):
+        raise ValueError(f"eps and delta must be positive and finite, got {eps} and {delta}")
     if k1 >= 2 and n > _PROMISE_GUARD:
         raise GuardError(f"exact {k1}-clustering is guarded to n <= {_PROMISE_GUARD}, got n = {n}")
     if 2 <= k2 <= n and n > _SCATTER_GUARD:

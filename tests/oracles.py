@@ -2,7 +2,8 @@
 
 Everything here favors obviousness over speed: candidate enumeration with
 plain linear algebra, order statistics for coverage radii, LP feasibility
-plus face enumeration for hull distances, the one-point-at-a-time
+plus face enumeration for hull distances, the greedy hull approximation
+with one hull-distance solve per candidate, the one-point-at-a-time
 parsers that the block parsers of ``mebkit.pointio`` must agree with, and
 the round-by-round loop that the batched testers must agree with.
 Nothing imports solver internals.
@@ -15,7 +16,9 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
+from mebkit.convexity import dist_to_hull
 from mebkit.errors import ParseError
+from mebkit.geometry import geom_tol
 from mebkit.seeding import derive_rng
 
 
@@ -115,6 +118,27 @@ def nodim_oracle(P, a, r):
         _face_distance(a, P[list(combo)])
         for combo in itertools.combinations(range(n), min(r, n))
     )
+
+
+def nodim_greedy_oracle(P, a, r):
+    """(indices, achieved) of the greedy r-point hull approximation, one
+    ``dist_to_hull`` solve per candidate and step: a candidate must beat the
+    best so far by more than ``geom_tol(P)``, so ties go to the lower index."""
+    P = np.asarray(P, dtype=float)
+    tol = geom_tol(P)
+    chosen: list[int] = []
+    achieved = math.inf
+    for _ in range(r):
+        best_i, best_d = -1, math.inf
+        for i in range(len(P)):
+            if i in chosen:
+                continue
+            cand = dist_to_hull(a, P[chosen + [i]])
+            if cand < best_d - tol:
+                best_i, best_d = i, cand
+        chosen.append(best_i)
+        achieved = best_d
+    return np.array(chosen), float(achieved)
 
 
 def scattered_oracle(P, delta):

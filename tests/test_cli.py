@@ -325,6 +325,18 @@ def test_convexity_nodim(square_csv, capsys):
     assert result["hull_distance"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_convexity_nodim_face_budget_is_a_compute_error(cloud_csv, capsys, monkeypatch):
+    # 30 points, r = 3 in 3-d: the last step projects onto 30 * (1 + 2 + 1) faces
+    monkeypatch.setattr("mebkit.convexity._NODIM_FACE_BUDGET", 119)
+    report, code = run_cli(["convexity", "nodim", "--r", "3", "--input", cloud_csv], capsys)
+    assert code == 3
+    assert report["result"]["error"]["kind"] == "computation"
+    assert "120 faces" in report["result"]["error"]["message"]
+    monkeypatch.setattr("mebkit.convexity._NODIM_FACE_BUDGET", 120)
+    report, code = run_cli(["convexity", "nodim", "--r", "3", "--input", cloud_csv], capsys)
+    assert code == 0
+
+
 def test_gen_inline_points(capsys):
     report, code = run_cli(["gen", "--kind", "gaussian", "--n", "8", "--d", "3"], capsys)
     assert code == 0
@@ -396,7 +408,8 @@ def test_json_overflow_and_deep_nesting_are_input_errors(tmp_path, capsys, comma
     ["test-cluster", "--mode", "kg", "--trials", "-3"],
     ["test-cluster", "--mode", "1s", "--trials", "0"],
     ["meb", "--algo", "eh", "--tol", "nan"],
-], ids=["radius-nan", "half-extent-negative", "trials-negative", "trials-zero", "tol-nan"])
+    ["convexity", "nodim", "--r", "0"],
+], ids=["radius-nan", "half-extent-negative", "trials-negative", "trials-zero", "tol-nan", "nodim-r-zero"])
 def test_invalid_parameters_are_usage_errors(square_csv, capsys, argv):
     report, code = run_cli(argv + ["--input", square_csv], capsys)
     assert code == 1

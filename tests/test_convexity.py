@@ -1,13 +1,17 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mebkit import convexity
 from mebkit.convexity import (
     AABox,
     ConvexCombination,
+    _validate_combination,
     barycentric_circumradius,
     caratheodory_reduce,
     dist_to_hull,
@@ -19,14 +23,25 @@ from mebkit.convexity import (
     radon_partition,
 )
 from mebkit.errors import GuardError
-from mebkit.generators import regular_simplex
+from mebkit.generators import gen_instance, regular_simplex
 from mebkit.geometry import geom_tol
 from mebkit.meb import exact_meb
 from mebkit.seeding import derive_rng
 
-from oracles import diameter_oracle, hull_distance_oracle, nodim_oracle
+from oracles import diameter_oracle, hull_distance_oracle, nodim_greedy_oracle, nodim_oracle
 
 SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+
+def random_cloud(seed, n, d, flat=False, repeats=False):
+    """A seeded Gaussian n x d cloud; ``flat`` puts it in a hyperplane
+    (d >= 2) and ``repeats`` makes its second half a copy of its first."""
+    rng = np.random.default_rng(seed)
+    k = d - 1 if flat and d >= 2 else d
+    P = rng.standard_normal((n, k)) @ rng.standard_normal((k, d))
+    if repeats:
+        P[n // 2:] = P[:n - n // 2]
+    return P
 
 
 def random_combination(rng, n, d):
@@ -102,6 +117,41 @@ def test_combination_target_compares_positions_far_out(shift):
         off = mean + 1e-3 * spread * u / np.linalg.norm(u)
         with pytest.raises(ValueError, match="reproduce"):
             caratheodory_reduce(P, ConvexCombination(np.arange(m), w, off))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 5), st.booleans(), st.booleans(),
+       st.sampled_from([0.0, 1e6]))
+def test_reduce_window_gives_a_valid_small_combination(seed, n, d, flat, repeats, shift):
+    P = random_cloud(seed, n, d, flat, repeats) + shift
+    rng = np.random.default_rng(seed + 1)
+    idx = rng.permutation(n)
+    w = rng.dirichlet(np.ones(n)) * (rng.random(n) > 0.2)  # about a fifth of the weights are 0
+    w[rng.integers(n)] += 0.5
+    combo = make_combination(P, idx, w / w.sum())
+    red = caratheodory_reduce(P, combo)
+    _validate_combination(P, red)  # the target, reproduced; weights >= 0 summing to one
+    assert len(red.indices) <= d + 1
+    assert red.coefficients.min() >= 0.0
+    assert red.coefficients.sum() == pytest.approx(1.0, abs=1e-12)
+    assert set(red.indices.tolist()) <= set(combo.indices.tolist())
+    assert np.array_equal(red.target, combo.target)
+
+
+def test_reduce_work_is_linear_in_n():
+    # the full-matrix SVD this replaced would build a 20,000 x 20,000 Vt (3.2 GB)
+    P, _ = gen_instance("uniform-ball", 20_000, 3, seed=0)
+    combo = make_combination(P, np.arange(len(P)), np.full(len(P), 1.0 / len(P)))
+    start = time.perf_counter()
+    red = caratheodory_reduce(P, combo)
+    elapsed = time.perf_counter() - start
+    _validate_combination(P, red)
+    assert len(red.indices) <= 4
+    assert elapsed < 1.0
+    tracemalloc.start()
+    caratheodory_reduce(P, combo)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 20 * P.nbytes
 
 
 # ------------------------------------------------------- radon
@@ -369,6 +419,56 @@ def test_nodim_square_diagonal():
 def test_nodim_r_too_large():
     with pytest.raises(ValueError):
         nodim_caratheodory(SQUARE, [0.0, 0.0], 5)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 5), st.integers(1, 6),
+       st.sampled_from(["barycenter", "combination", "outside", "member"]), st.booleans())
+def test_nodim_matches_the_greedy_reference(seed, n, d, r, where, repeats):
+    P = random_cloud(seed, n, d, repeats=repeats)
+    rng = np.random.default_rng(seed + 1)
+    a = {"barycenter": P.mean(axis=0),
+         "combination": rng.dirichlet(np.ones(n)) @ P,
+         "outside": 3.0 * rng.standard_normal(d),
+         "member": P[rng.integers(n)]}[where]
+    r = min(r, n)
+    got_idx, got = nodim_caratheodory(P, a, r)
+    want_idx, want = nodim_greedy_oracle(P, a, r)
+    assert np.array_equal(got_idx, want_idx)
+    assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_nodim_interior_target_reports_zero():
+    rng = derive_rng(3, "nodim-inside")
+    P = rng.standard_normal((200, 3))
+    chosen, achieved = nodim_caratheodory(P, P.mean(axis=0), 6)
+    assert achieved == 0.0
+    assert len(set(chosen.tolist())) == 6
+
+
+@pytest.mark.parametrize("power", [-900, -600, 600, 900])
+def test_nodim_is_exact_under_power_of_two_scaling(power):
+    # squared lengths at these scales leave the float range; the result must not
+    P = derive_rng(2, "nodim-scale").standard_normal((30, 3))
+    a = P.mean(axis=0) + 0.3
+    chosen, achieved = nodim_caratheodory(P, a, 3)
+    scaled, got = nodim_caratheodory(P * 2.0**power, a * 2.0**power, 3)
+    assert np.array_equal(scaled, chosen)
+    assert got == achieved * 2.0**power > 0.0
+
+
+def test_nodim_face_budget_refuses_before_any_projection(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a face was projected")
+
+    monkeypatch.setattr(convexity, "_face_distances", forbidden)
+    P = derive_rng(0, "nodim-budget").standard_normal((40, 5))
+    # 40 * sum_{k <= 5} C(39, k) = 26,717,120 faces in the last step
+    with pytest.raises(GuardError, match="26717120 faces"):
+        nodim_caratheodory(P, P.mean(axis=0), 40)
+    monkeypatch.setattr(convexity, "_NODIM_FACE_BUDGET", 39)
+    with pytest.raises(GuardError):
+        nodim_caratheodory(P, P.mean(axis=0), 1)  # one face per candidate
 
 
 def test_nodim_greedy_bound_and_existence():

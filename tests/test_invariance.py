@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mebkit.convexity import dist_to_hull
+from mebkit.convexity import caratheodory_reduce, dist_to_hull, make_combination, nodim_caratheodory
 from mebkit.diameter import diameter_bruteforce
 from mebkit.geometry import BallBody, BoxBody, bbox_frame, geom_tol
 from mebkit.meb import badoiu_clarkson, elzinga_hearn_dual, exact_meb, hopp_reeve_meb
@@ -111,6 +111,32 @@ def test_diameter_bruteforce(frame, n, d):
 def test_dist_to_hull(frame, n, d):
     pairs, _ = moves(frame, n + 1, d)  # row 0 is the query point
     assert_length_transforms(lambda X: dist_to_hull(X[0], X[1:]), pairs)
+
+
+@given(frames, st.integers(1, 25), st.integers(1, 4), st.integers(1, 5))
+@example((0, -12.0, False, 8.0), 12, 3, 4)
+@example((0, 12.0, True, 8.0), 12, 3, 4)
+def test_nodim_caratheodory(frame, n, d, r):
+    pairs, _ = moves(frame, n + 1, d)  # row 0 is the target
+    r = min(r, n)
+    for moved, reference, unit in pairs:
+        got_idx, got = nodim_caratheodory(moved[1:], moved[0], r)
+        want_idx, want = nodim_caratheodory(reference[1:], reference[0], r)
+        assert np.array_equal(got_idx, want_idx)
+        assert got == pytest.approx(unit * want, rel=REL)
+
+
+@given(frames, st.integers(1, 40), st.integers(1, 4))
+@example((0, -12.0, False, 8.0), 30, 3)
+@example((0, 12.0, True, 8.0), 30, 3)
+def test_caratheodory_reduce_support_size(frame, n, d):
+    pairs, _ = moves(frame, n, d)
+
+    def support(X):
+        return len(caratheodory_reduce(X, make_combination(X, np.arange(n), np.full(n, 1.0 / n))).indices)
+
+    for moved, reference, _ in pairs:
+        assert support(moved) == support(reference)
 
 
 @given(frames, st.integers(2, 3), st.sampled_from(["ball", "box"]), st.floats(0.5, 2.0))

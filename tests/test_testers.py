@@ -420,6 +420,18 @@ def test_promise_degenerate_counts():
     assert not promise_label(P, 1, 0.1, 3, 0.1).no_holds  # k2 > n
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_promise_and_scattered_refuse_bad_lengths(bad):
+    # NaN passes a "<= 0" check; it once labelled a cloud instead of failing
+    P = derive_rng(0, "bad-lengths").standard_normal((10, 2))
+    with pytest.raises(ValueError, match="positive and finite"):
+        promise_label(P, 1, bad, 2, 1.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        promise_label(P, 1, 1.0, 2, bad)
+    with pytest.raises(ValueError, match="positive and finite"):
+        scattered_points(P, bad)
+
+
 # ---------------------------------------------------------------- farthest-first
 
 
