@@ -306,13 +306,15 @@ _HANDLERS = {
 
 # ---------------------------------------------------------------- parser
 
-def _positive(kind):
-    """argparse type: a finite ``kind`` value above zero, else a usage error."""
+def _positive(kind, zero: bool = False):
+    """argparse type: a finite ``kind`` value above zero (or at least zero,
+    with ``zero``), else a usage error."""
 
     def parse(text: str):
         value = kind(text)
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+        if not ((value >= 0 if zero else value > 0) and value < math.inf):
+            sign = "nonnegative" if zero else "positive"
+            raise argparse.ArgumentTypeError(f"expected a {sign} finite number, got {text!r}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in "invalid float value"
@@ -332,17 +334,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("meb", parents=[common], help="minimum enclosing ball")
     p.add_argument("--algo", choices=("exact", "bc", "eh", "hr"), default="exact")
-    p.add_argument("--k", type=int, default=100, help="iterations for --algo bc")
+    p.add_argument("--k", type=_positive(int), default=100, help="iterations for --algo bc")
     p.add_argument("--tol", type=_positive(float), default=1e-6,
                    help="duality-gap tolerance for --algo eh")
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--max-iter", type=_positive(int), default=100_000)
 
     p = sub.add_parser("mkeb", parents=[common], help="minimum k-enclosing ball")
-    p.add_argument("--k", type=int, help="coverage target")
-    p.add_argument("--z", type=int, help="outlier count (k = n - z)")
+    p.add_argument("--k", type=_positive(int), help="coverage target")
+    p.add_argument("--z", type=_positive(int, zero=True), help="outlier count (k = n - z)")
     p.add_argument("--sample", action="store_true", help="sampled outlier variant")
-    p.add_argument("--eps", type=float, help="outlier fraction for --sample")
-    p.add_argument("--delta", type=float, help="failure probability for --sample")
+    p.add_argument("--eps", type=_positive(float), help="outlier fraction for --sample")
+    p.add_argument("--delta", type=_positive(float), help="failure probability for --sample")
 
     p = sub.add_parser("diameter", parents=[common], help="diameter of a point set")
     p.add_argument("--algo", choices=("brute", "calipers", "sweep", "stream2", "streameps"),
@@ -354,8 +356,8 @@ def build_parser() -> _Parser:
     p.add_argument("--body", choices=("ball", "box"), default="ball")
     p.add_argument("--radius", type=_positive(float), default=1.0, help="ball body radius")
     p.add_argument("--half-extent", type=_positive(float), default=1.0, help="box body half side")
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--eps", type=_positive(float), default=0.1)
+    p.add_argument("--delta", type=_positive(float), default=0.1)
     p.add_argument("--k", type=int, default=2, help="cluster count for --mode kg")
     p.add_argument("--c", type=float, default=0.01, help="far-fraction rate for --mode kg")
     p.add_argument("--trials", type=_positive(int), default=1)

@@ -54,6 +54,11 @@ def _spread_anchors(rng, count, d, gap):
     return np.array(anchors)
 
 
+def _require_length(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def gen_instance(kind: str, n: int, d: int, seed: int | None = None, **params):
     """Generate a named instance kind.  Returns (points, labels).
 
@@ -84,6 +89,7 @@ def gen_instance(kind: str, n: int, d: int, seed: int | None = None, **params):
         separation = float(params.get("separation", 10.0))
         if k < 1:
             raise ValueError("k must be at least 1")
+        _require_length("separation", separation)
         centers = _spread_anchors(rng, k, d, separation)
         assignment = rng.integers(0, k, size=n)
         points = centers[assignment] + (separation / 10.0) * rng.standard_normal((n, d))
@@ -94,8 +100,7 @@ def gen_instance(kind: str, n: int, d: int, seed: int | None = None, **params):
         eps = float(params.get("eps", 1.0))
         if k1 < 1:
             raise ValueError("k1 must be at least 1")
-        if eps <= 0.0:
-            raise ValueError("eps must be positive")
+        _require_length("eps", eps)
         centers = _spread_anchors(rng, k1, d, 4.0 * eps)
         assignment = rng.integers(0, k1, size=n)
         dirs = _unit_vectors(rng, n, d)
@@ -109,8 +114,7 @@ def gen_instance(kind: str, n: int, d: int, seed: int | None = None, **params):
             raise ValueError("k2 must be at least 2")
         if k2 > n:
             raise ValueError("k2 cannot exceed n")
-        if delta <= 0.0:
-            raise ValueError("delta must be positive")
+        _require_length("delta", delta)
         anchors = _spread_anchors(rng, k2, d, 1.05 * delta)
         extra = anchors[rng.integers(0, k2, size=n - k2)] + 0.01 * delta * rng.standard_normal(
             (n - k2, d)

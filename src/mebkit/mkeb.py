@@ -1,10 +1,21 @@
-"""Minimum k-enclosing ball: cover at least k of n points with the smallest ball.
+r"""Minimum k-enclosing ball: cover at least k of n points with the smallest ball.
 
-``exact_mkeb`` enumerates candidate balls exhaustively (the optimum is the
-circumball of at most d+1 boundary points of its covered subset, so circumballs
-of all affinely independent subsets of size 1..d+1 are a complete candidate
-family).  ``outlier_meb_sample`` is the sampled variant that tolerates an
-eps-fraction of outliers with confidence 1 - delta.
+``exact_mkeb`` has two exact paths, for z = n - k allowed outliers:
+
+* Enumeration scores the circumball of every affinely independent subset of
+  1..d+1 points (the optimum is the circumball of at most d+1 boundary points
+  of its covered subset): sum_{s <= d+1} C(n, s) candidates, cheap when n is
+  small whatever k is.
+* Support branching (Matousek, "On geometric optimization with few violated
+  constraints", 1995) solves the enclosing ball of P \ R by the walk of
+  ``meb`` for removed sets R grown one support point at a time: at most
+  sum_{j <= z} (d+1)^j walks, cheap when z is small whatever n is.
+
+``exact_mkeb`` takes the path whose bound costs less, counting one walk as
+``NODE_CANDIDATES`` enumerated candidates (a measured exchange rate), and
+raises ``GuardError`` up front when even the cheaper bound exceeds
+``CANDIDATE_BUDGET`` candidates.  ``outlier_meb_sample`` is the sampled
+variant that tolerates an eps-fraction of outliers with confidence 1 - delta.
 """
 
 from __future__ import annotations
@@ -16,9 +27,10 @@ import numpy as np
 
 from .errors import GuardError
 from .geometry import Ball, as_points, bbox_frame, subset_circumballs
-from .meb import exact_meb
+from .meb import _hard_cap, _walk, exact_meb
 
-CANDIDATE_BUDGET = 10_000_000  # guard: n**(d+1) enumeration ceiling
+CANDIDATE_BUDGET = 2_000_000  # guard: most enumerated candidates, or branch nodes at their rate
+NODE_CANDIDATES = 47          # one branch node costs about as much as 47 enumerated candidates
 
 
 @dataclass(frozen=True)
@@ -34,23 +46,54 @@ class MkebSolution:
         object.__setattr__(self, "k", int(self.k))
 
 
-def exact_mkeb(P, k: int) -> MkebSolution:
-    """Smallest ball covering at least k points, by exhaustive enumeration.
+def _work_bounds(n: int, d: int, k: int) -> tuple[int, int]:
+    """(candidates, walks): the most circumballs enumeration scores,
+    sum_{s <= d+1} C(n, s), and the most walks support branching runs,
+    sum_{j <= z} (d+1)^j, for k of n points in d dimensions.  The walk sum
+    stops once it is over the budget, where its exact size no longer matters.
+    """
+    candidates = sum(math.comb(n, s) for s in range(1, min(n, d + 1) + 1))
+    walks, level = 0, 1
+    for _ in range(n - k + 1):
+        walks += level
+        if walks * NODE_CANDIDATES > CANDIDATE_BUDGET:
+            break
+        level *= d + 1
+    return candidates, walks
 
-    Ties are broken by (radius, lexicographic center), so the result does not
-    depend on enumeration order.  Guarded to n**(d+1) <= 10**7 candidates;
-    larger instances should use ``outlier_meb_sample``.  Candidates are
-    enumerated in ``bbox_frame``.
+
+def exact_mkeb(P, k: int) -> MkebSolution:
+    """Smallest ball covering at least k points.
+
+    Ties are broken by (radius, lexicographic center), on either path.  The
+    path is chosen by ``_work_bounds``: support branching when its walk bound
+    times ``NODE_CANDIDATES`` is below the enumeration's candidate count,
+    else enumeration.  When the cheaper of the two exceeds
+    ``CANDIDATE_BUDGET`` candidates, ``GuardError`` is raised before any
+    work; such instances should use ``outlier_meb_sample``.  Both paths work
+    in ``bbox_frame`` and count a point as covered within its tolerance.
     """
     P, mid, tol = bbox_frame(as_points(P))
     n, d = P.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    if float(n) ** (d + 1) > CANDIDATE_BUDGET:
+    candidates, walks = _work_bounds(n, d, k)
+    if min(candidates, walks * NODE_CANDIDATES) > CANDIDATE_BUDGET:
         raise GuardError(
-            f"n**(d+1) = {float(n) ** (d + 1):.2e} exceeds the exact enumeration "
-            f"budget {CANDIDATE_BUDGET:.0e}; use outlier_meb_sample for large instances"
+            f"enumeration needs 10^{math.log10(candidates):.1f} candidates and branching up to "
+            f"{d + 1}^{n - k} walks, both over the budget of {CANDIDATE_BUDGET:.0e} candidates "
+            f"({NODE_CANDIDATES} per walk); use outlier_meb_sample for large instances"
         )
+    path = _branch_mkeb if walks * NODE_CANDIDATES < candidates else _enumerate_mkeb
+    radius, center = path(P, k, tol)
+    covered = np.flatnonzero(np.linalg.norm(P - center, axis=1) <= radius + tol)
+    return MkebSolution(Ball(center + mid, radius), covered, k)
+
+
+def _enumerate_mkeb(P, k: int, tol: float) -> tuple[float, np.ndarray]:
+    """(radius, center) of the least (radius, lexicographic center) circumball
+    of a subset of 1..d+1 points of the framed P that covers k points."""
+    d = P.shape[1]
     best = None  # (radius, center-as-tuple)
     for centers, radii in subset_circumballs(P):
         diff = P[None, :, :] - centers[:, None, :]
@@ -68,10 +111,54 @@ def exact_mkeb(P, k: int) -> MkebSolution:
             best = cand
     if best is None:  # k >= 1 and singleton balls always cover one point
         raise RuntimeError("enumeration produced no covering candidate")
-    radius, center = best
-    center = np.array(center)
-    covered = np.flatnonzero(np.linalg.norm(P - center, axis=1) <= radius + tol)
-    return MkebSolution(Ball(center + mid, radius), covered, k)
+    return best[0], np.array(best[1])
+
+
+def _branch_mkeb(P, k: int, tol: float) -> tuple[float, np.ndarray]:
+    r"""(radius, center) of the least (radius, lexicographic center) enclosing
+    ball of P \ R over the removed sets R of at most z = n - k points of the
+    framed P that support branching reaches.
+
+    The sets are visited breadth first from R = {}.  Each is solved once by
+    ``_walk`` (with the full set's tolerance ``tol``), and its children are
+    R + {s} for each point s of the walk's support T, at most d+1 of them,
+    so at most sum_{j <= z} (d+1)^j sets are solved.  Each ball covers
+    n - |R| >= k points.
+
+    Exactness.  Let B* be an optimal ball, of radius r*, and O* the at most
+    z points outside it.  B* is the enclosing ball of P \ O*, since a
+    smaller one would cover the same k or more points.  Take a visited R within O* whose ball B is not B*
+    (R = {} is one, unless B* is the ball of P).  B covers P \ R, which holds
+    P \ O*, so r(B) >= r*.  If the support T of B lay inside B*, then B*
+    would enclose T with a radius no larger than r(B), and B* would be B,
+    the unique smallest ball enclosing T.  So some s in T lies outside B*,
+    in O*.  R is a proper subset of O*, as its ball is not B*, so |R| < z
+    and the child R + {s}, still within O*, is visited.  From R = {}, at
+    most |O*| such steps reach a visited set whose ball is B*.  So every
+    optimal ball is the ball of a visited set, and the least (radius,
+    center) over the visited sets is the least over the optimal balls, the
+    enumeration's answer.
+    """
+    n, d = P.shape
+    z = n - k
+    best = None  # (radius, center-as-tuple)
+    level = [()]
+    for size in range(z + 1):
+        children = set()
+        for removed in level:
+            keep = np.ones(n, dtype=bool)
+            keep[list(removed)] = False
+            rows = np.flatnonzero(keep)
+            X = P[rows]
+            center, T, _, _ = _walk(X, tol, _hard_cap(len(X), d))
+            diff = X[T] - center
+            cand = (math.sqrt(float(np.einsum("ij,ij->i", diff, diff).max())), tuple(center))
+            if best is None or cand < best:
+                best = cand
+            if size < z:
+                children.update(tuple(sorted(removed + (int(s),))) for s in rows[T])
+        level = sorted(children)
+    return best[0], np.array(best[1])
 
 
 def outlier_sample_size(d: int, eps: float, delta: float) -> int:

@@ -3,7 +3,8 @@
 Everything here favors obviousness over speed: candidate enumeration with
 plain linear algebra, order statistics for coverage radii, LP feasibility
 plus face enumeration for hull distances, the greedy hull approximation
-with one hull-distance solve per candidate, the one-point-at-a-time
+with one hull-distance solve per candidate, the row-at-a-time diameter
+pair scan, the one-point-at-a-time
 parsers that the block parsers of ``mebkit.pointio`` must agree with, and
 the round-by-round loop that the batched testers must agree with.
 Nothing imports solver internals.
@@ -170,6 +171,22 @@ def scattered_oracle(P, delta):
 def diameter_oracle(P):
     P = np.asarray(P, dtype=float)
     return float(np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2).max())
+
+
+def diameter_rows_oracle(P):
+    """(value, pair, pairs_at_max) of the pair scan one row at a time: row i
+    against every later point, the first strictly larger gap taking the
+    pair, and the gaps within ``geom_tol(P)`` of the final maximum counted."""
+    P = np.asarray(P, dtype=float)
+    tol = geom_tol(P)
+    value, pair, near = -1.0, (0, 1), []
+    for i in range(len(P) - 1):
+        gaps = np.linalg.norm(P[i + 1:] - P[i], axis=1)
+        j = int(np.argmax(gaps))
+        if gaps[j] > value:
+            value, pair = float(gaps[j]), (i, i + 1 + j)
+        near.append(gaps[gaps >= value - tol])
+    return value, pair, int(np.count_nonzero(np.concatenate(near) >= value - tol))
 
 
 def coverable_oracle(P, radius, k, meb_radius):

@@ -409,11 +409,38 @@ def test_json_overflow_and_deep_nesting_are_input_errors(tmp_path, capsys, comma
     ["test-cluster", "--mode", "1s", "--trials", "0"],
     ["meb", "--algo", "eh", "--tol", "nan"],
     ["convexity", "nodim", "--r", "0"],
-], ids=["radius-nan", "half-extent-negative", "trials-negative", "trials-zero", "tol-nan", "nodim-r-zero"])
+    ["meb", "--algo", "bc", "--k", "0"],
+    ["meb", "--algo", "eh", "--max-iter", "-5"],
+    ["mkeb", "--k", "0"],
+    ["mkeb", "--z", "-1"],
+    ["mkeb", "--sample", "--eps", "nan", "--delta", "0.1"],
+    ["mkeb", "--sample", "--eps", "0.1", "--delta", "0"],
+    ["test-cluster", "--mode", "1s", "--eps", "-0.5"],
+    ["test-cluster", "--mode", "outliers", "--delta", "inf"],
+], ids=["radius-nan", "half-extent-negative", "trials-negative", "trials-zero", "tol-nan", "nodim-r-zero",
+        "bc-k-zero", "max-iter-negative", "mkeb-k-zero", "mkeb-z-negative", "mkeb-eps-nan", "mkeb-delta-zero",
+        "tester-eps-negative", "tester-delta-inf"])
 def test_invalid_parameters_are_usage_errors(square_csv, capsys, argv):
     report, code = run_cli(argv + ["--input", square_csv], capsys)
     assert code == 1
     assert report["result"]["error"]["kind"] == "usage"
+
+
+@pytest.mark.parametrize("kind, flag", [
+    ("far", "--delta"), ("clusterable", "--eps"), ("clustered", "--separation"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_gen_bad_lengths_are_input_errors(capsys, kind, flag, value):
+    report, code = run_cli(["gen", "--kind", kind, "--n", "20", "--d", "2", flag, value], capsys)
+    assert code == 2
+    assert report["result"]["error"]["kind"] == "input"
+    assert flag[2:] in report["result"]["error"]["message"]
+
+
+def test_mkeb_z_zero_is_the_enclosing_ball(square_csv, capsys):
+    report, code = run_cli(["mkeb", "--z", "0", "--input", square_csv], capsys)
+    assert code == 0
+    assert report["result"]["radius"] == pytest.approx(math.sqrt(2))
 
 
 def test_unknown_flag_is_usage_error(square_csv, capsys):

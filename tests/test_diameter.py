@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from mebkit import diameter
 from mebkit.diameter import (
     DirectionalSketch,
     TwoApproxSketch,
@@ -15,6 +17,8 @@ from mebkit.diameter import (
 )
 from mebkit.generators import regular_simplex
 from mebkit.seeding import derive_rng
+
+from oracles import diameter_rows_oracle
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -40,6 +44,28 @@ def test_bruteforce_square_two_diagonals():
     res = diameter_bruteforce(simplex)
     assert res.value == pytest.approx(3.0)
     assert (res.pair, res.pairs_at_max) == ((0, 1), 10)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 70), st.integers(1, 12),
+       st.sampled_from(["random", "lattice", "collinear", "repeated"]), st.integers(-6, 6), st.booleans())
+@example(0, 5, 130, "random", 0, False)     # above 128 coordinates numpy sums in two halves
+@example(0, 40, 2, "repeated", 0, True)     # many pairs tied at the maximum, across blocks
+def test_bruteforce_blocks_equal_the_row_scan(seed, n, d, shape, log_scale, small_blocks):
+    rng = np.random.default_rng(seed)
+    if shape == "lattice":
+        P = rng.integers(-2, 3, size=(n, d)).astype(float)
+    elif shape == "collinear":
+        P = np.outer(rng.standard_normal(n), rng.standard_normal(d)) + rng.standard_normal(d)
+    elif shape == "repeated":
+        P = rng.standard_normal((3, d))[rng.integers(0, 3, size=n)]
+    else:
+        P = rng.standard_normal((n, d))
+    P = P * 10.0 ** log_scale
+    with pytest.MonkeyPatch.context() as mp:
+        if small_blocks:  # several blocks, and one-row blocks, even for small n
+            mp.setattr(diameter, "PAIR_BLOCK", 7)
+        res = diameter_bruteforce(P)
+    assert (res.value, res.pair, res.pairs_at_max) == diameter_rows_oracle(P)  # to the bit
 
 
 def test_calipers_square():

@@ -1,9 +1,14 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from mebkit import mkeb
 from mebkit.errors import GuardError
+from mebkit.generators import gen_instance
+from mebkit.geometry import bbox_frame
 from mebkit.meb import exact_meb
 from mebkit.mkeb import exact_mkeb, outlier_meb_sample, outlier_sample_size
 from mebkit.seeding import derive_rng
@@ -93,6 +98,62 @@ def test_budget_guard_mentions_sampler():
     P = np.zeros((300, 2))
     with pytest.raises(GuardError, match="outlier_meb_sample"):
         exact_mkeb(P, 10)
+
+
+def mkeb_cloud(seed, n, d, shape, move):
+    rng = np.random.default_rng(seed)
+    if shape == "lattice":
+        P = rng.integers(-1, 2, size=(n, d)).astype(float)
+    elif shape == "collinear":
+        P = np.outer(rng.standard_normal(n), rng.standard_normal(d))
+    elif shape == "duplicated":
+        P = rng.standard_normal((max(1, n // 2), d))[rng.integers(0, max(1, n // 2), size=n)]
+    else:
+        P = rng.standard_normal((n, d))
+    return {"none": P, "small": 1e-6 * P, "large": 1e6 * P, "shifted": P + 1e6}[move]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 3),
+       st.sampled_from(["random", "lattice", "collinear", "duplicated"]),
+       st.sampled_from(["none", "small", "large", "shifted"]), st.data())
+def test_branching_and_enumeration_agree_with_the_oracle(seed, n, d, shape, move, data):
+    P = mkeb_cloud(seed, n, d, shape, move)
+    k = data.draw(st.integers(max(1, n - 4), n))
+    framed, _, tol = bbox_frame(P)
+    spread = float(np.max(P.max(axis=0) - P.min(axis=0)))
+    r_branch, _ = mkeb._branch_mkeb(framed, k, tol)
+    r_enum, _ = mkeb._enumerate_mkeb(framed, k, tol)
+    _, r_star = mkeb_oracle(P - P.min(axis=0), k)  # an exact translation: coordinates near the origin
+    assert abs(r_branch - r_enum) <= 1e-9 * spread
+    assert abs(r_branch - r_star) <= 1e-9 * spread
+    sol = exact_mkeb(P, k)
+    assert sol.ball.radius in (r_branch, r_enum)
+    assert len(sol.covered) >= k
+
+
+def test_work_bounds_choose_the_cheaper_path(monkeypatch):
+    assert mkeb._work_bounds(36, 3, 32) == (36 + 630 + 7140 + 58905, 1 + 4 + 16 + 64 + 256)
+    P, _ = gen_instance("uniform-ball", 36, 3, seed=1)
+
+    def refuse(*args):
+        raise AssertionError("the other path was chosen")
+
+    monkeypatch.setattr(mkeb, "_enumerate_mkeb", refuse)
+    exact_mkeb(P, 32)  # 341 walks cost less than 66,711 candidates
+    monkeypatch.undo()
+    monkeypatch.setattr(mkeb, "_branch_mkeb", refuse)
+    exact_mkeb(P, 3)  # 4**33 walks would not
+
+
+def test_few_outliers_in_a_large_cloud_take_few_walks():
+    # enumeration would score 2.6e13 candidates here; support branching at most 341 walks
+    P, _ = gen_instance("gaussian", 5_000, 3, seed=0)
+    start = time.perf_counter()
+    sol = exact_mkeb(P, len(P) - 4)
+    elapsed = time.perf_counter() - start
+    assert len(sol.covered) >= len(P) - 4
+    assert sol.ball.radius < exact_meb(P).ball.radius
+    assert elapsed < 1.0
 
 
 def test_sample_size_formula():
