@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 import time
@@ -42,7 +41,7 @@ from .generators import KINDS, gen_instance
 from .geometry import BallBody, BoxBody, barycenter, geom_tol
 from .meb import badoiu_clarkson, elzinga_hearn_dual, exact_meb, hopp_reeve_meb, kt_residuals
 from .mkeb import exact_mkeb, outlier_meb_sample
-from .pointio import float_array, is_number_list, load_json, read_points, write_points
+from .pointio import float_array, is_number_list, json_chunks, load_json, read_points, write_points
 from .seeding import derive_seed
 from .testers import k_g_tester, one_s_tester
 
@@ -73,17 +72,8 @@ class RunReport:
     tool_version: str
 
 
-def _json_default(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def render_report(report: RunReport) -> str:
-    doc = dataclasses.asdict(report)
-    return json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return "".join(json_chunks(vars(report))) + "\n"
 
 
 def _ball_payload(sol) -> dict:
@@ -349,7 +339,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("diameter", parents=[common], help="diameter of a point set")
     p.add_argument("--algo", choices=("brute", "calipers", "sweep", "stream2", "streameps"),
                    default="brute")
-    p.add_argument("--eps", type=float, default=0.1, help="accuracy for --algo streameps")
+    p.add_argument("--eps", type=_positive(float), default=0.1, help="accuracy for --algo streameps")
 
     p = sub.add_parser("test-cluster", parents=[common], help="sampled clusterability testers")
     p.add_argument("--mode", choices=("1s", "kg", "outliers"), required=True)
@@ -358,14 +348,14 @@ def build_parser() -> _Parser:
     p.add_argument("--half-extent", type=_positive(float), default=1.0, help="box body half side")
     p.add_argument("--eps", type=_positive(float), default=0.1)
     p.add_argument("--delta", type=_positive(float), default=0.1)
-    p.add_argument("--k", type=int, default=2, help="cluster count for --mode kg")
-    p.add_argument("--c", type=float, default=0.01, help="far-fraction rate for --mode kg")
+    p.add_argument("--k", type=_positive(int), default=2, help="cluster count for --mode kg")
+    p.add_argument("--c", type=_positive(float), default=0.01, help="far-fraction rate for --mode kg")
     p.add_argument("--trials", type=_positive(int), default=1)
 
     p = sub.add_parser("bounds", parents=[common], help="enclosing-radius bounds")
     p.add_argument("which", choices=("jung", "variant", "fractional-helly"))
-    p.add_argument("--alpha", type=float, help="intersection fraction for fractional-helly")
-    p.add_argument("--d", type=int, help="dimension for fractional-helly without --input")
+    p.add_argument("--alpha", type=_positive(float), help="intersection fraction for fractional-helly")
+    p.add_argument("--d", type=_positive(int), help="dimension for fractional-helly without --input")
 
     p = sub.add_parser("convexity", parents=[common], help="constructive convexity routines")
     p.add_argument("which", choices=("radon", "caratheodory", "helly-boxes", "nodim"))
@@ -384,8 +374,12 @@ def build_parser() -> _Parser:
 
 
 def _parameters(args) -> dict:
+    """The parsed options, as the report echoes them.  Only gen's per-kind
+    lengths reach here non-finite, and gen_instance refuses them; JSON has
+    no NaN or infinity, so such a value is echoed as its repr."""
     skip = {"command", "output"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
+    return {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
 def _run(argv) -> tuple[RunReport, int, str | None]:

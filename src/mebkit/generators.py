@@ -39,11 +39,14 @@ def _unit_vectors(rng, n, d):
 
 
 def _spread_anchors(rng, count, d, gap):
-    """Points with pairwise distances at least ``gap`` (rejection sampling)."""
+    """Points with pairwise distances at least ``gap`` (rejection sampling).
+    A gap too large to sample at in float range is a ``ValueError``."""
     anchors = []
     radius = gap * max(2.0, count)
     attempts = 0
     while len(anchors) < count:
+        if not 2.0 * radius < math.inf:
+            raise ValueError(f"anchor gap {gap} is too large to place {count} anchors in float range")
         candidate = rng.uniform(-radius, radius, size=d)
         if all(np.linalg.norm(candidate - a) >= gap for a in anchors):
             anchors.append(candidate)
@@ -75,14 +78,17 @@ def gen_instance(kind: str, n: int, d: int, seed: int | None = None, **params):
 
     if kind == "uniform-ball":
         radius = float(params.get("radius", 1.0))
+        _require_length("radius", radius)
         dirs = _unit_vectors(rng, n, d)
         radii = radius * rng.uniform(0.0, 1.0, size=n) ** (1.0 / d)
         points = dirs * radii[:, None]
     elif kind == "sphere-surface":
         radius = float(params.get("radius", 1.0))
+        _require_length("radius", radius)
         points = radius * _unit_vectors(rng, n, d)
     elif kind == "gaussian":
         sigma = float(params.get("sigma", 1.0))
+        _require_length("sigma", sigma)
         points = sigma * rng.standard_normal((n, d))
     elif kind == "clustered":
         k = int(params.get("k", 3))

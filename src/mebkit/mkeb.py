@@ -162,7 +162,8 @@ def _branch_mkeb(P, k: int, tol: float) -> tuple[float, np.ndarray]:
 
 
 def outlier_sample_size(d: int, eps: float, delta: float) -> int:
-    """Sample size ceil((d+1)/eps**(d+1) * ln(1/delta)), at least 1."""
+    """Sample size ceil((d+1)/eps**(d+1) * ln(1/delta)), at least 1.  A size
+    beyond float range is refused with ``GuardError``."""
     if d < 1:
         raise ValueError("d must be at least 1")
     if not 0.0 < eps <= 1.0:
@@ -171,7 +172,12 @@ def outlier_sample_size(d: int, eps: float, delta: float) -> int:
         raise ValueError("delta must lie in (0, 1]")
     if delta == 1.0:
         return 1
-    return max(1, math.ceil((d + 1) / eps ** (d + 1) * math.log(1.0 / delta)))
+    power = eps ** (d + 1)  # underflows to 0.0 for a small eps or a large d
+    need = (d + 1) / power * math.log(1.0 / delta) if power else math.inf
+    if need == math.inf:
+        raise GuardError(f"the sample size for d = {d}, eps = {eps}, delta = {delta} is beyond "
+                         "float range; raise eps or delta")
+    return max(1, math.ceil(need))
 
 
 def outlier_meb_sample(P, eps: float, delta: float, seed: int | None = None) -> MkebSolution:

@@ -11,7 +11,9 @@ that fails these checks is walked line by line (row by row), and only to
 name its first bad line in a ``ParseError``.
 
 Written floats use shortest round-trip repr, so write_points followed by
-read_points reproduces the array bit-for-bit.
+read_points reproduces the array bit-for-bit.  The same block formatter
+renders the numeric arrays of any JSON document (``json_chunks``): JSON
+point files and the CLI's reports.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .geometry import as_points
 
 FORMATS = ("csv", "json")
 BLOCK_VALUES = 4096  # coordinates per block of rows read or written
+# json_chunks' stand-in for an array; its JSON text is found in the encoder's output
+_ARRAY = "\x00array\x00"
+_ARRAY_TOKEN = json.dumps(_ARRAY)
 
 
 def _infer_format(path: str, fmt: str | None) -> str:
@@ -91,6 +96,82 @@ def _csv_error(text: str) -> ParseError:
 
 def _block_rows(width: int) -> int:
     return max(1, BLOCK_VALUES // width)
+
+
+def _format_rows(rows: np.ndarray, line: str):
+    """Yield the text of a 2-d int or float array, ``line`` (one ``%r``
+    field per column) once per row, a block of rows per ``%`` operation.
+    ``%r`` of a Python int or float is its shortest round-trip repr, the
+    text ``json.dumps`` writes for it too."""
+    per = _block_rows(rows.shape[1])
+    for start in range(0, len(rows), per):
+        block = rows[start:start + per]
+        yield line * len(block) % tuple(block.ravel().tolist())
+
+
+def _json_default(value):
+    """``json.dumps``'s ``default`` for numpy arrays and scalars."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _templated(value) -> bool:
+    """True for an array whose JSON text ``_array_chunks`` writes: non-empty,
+    1-d or 2-d, of ints or finite floats.  Booleans, NaN and infinities are
+    left to the encoder, which writes ``true``, ``NaN`` and ``Infinity``
+    where ``%r`` writes ``True``, ``nan`` and ``inf``."""
+    return (type(value) is np.ndarray and value.ndim in (1, 2) and value.size > 0
+            and value.dtype.kind in "iuf" and bool(np.isfinite(value).all()))
+
+
+def _array_chunks(arr: np.ndarray, pad: str):
+    """The text of ``json.dumps(arr.tolist(), indent=2)`` with every line but
+    the first indented by ``pad``, in blocks of rows."""
+    inner = pad + "  "
+    if arr.ndim == 1:
+        arr = arr[:, None]
+        line = "\n" + inner + "%r,"
+    else:
+        cells = ",".join(["\n" + inner + "  %r"] * arr.shape[1])
+        line = "\n" + inner + "[" + cells + "\n" + inner + "],"
+    yield "["
+    yield from _format_rows(arr[:-1], line)
+    yield line[:-1] % tuple(arr[-1].tolist()) + "\n" + pad + "]"
+
+
+def json_chunks(doc):
+    """Yield the text of ``json.dumps(doc, indent=2, sort_keys=True)``, numpy
+    values included, in pieces.
+
+    The pure-Python encoder that ``indent`` needs writes one number at a
+    time, so each non-empty 1-d or 2-d int or finite-float array is handed
+    to it as a stand-in string instead.  The encoder calls ``default`` in
+    the order it writes, so the stand-ins in its output meet the arrays in
+    the order they were seen, and each is replaced by its array's text at
+    the indent of the line that holds it.  Other values, arrays that
+    ``_templated`` refuses among them, are the encoder's.
+    """
+    arrays = []
+
+    def default(value):
+        if _templated(value):
+            arrays.append(value)
+            return _ARRAY
+        return _json_default(value)
+
+    text = json.dumps(doc, indent=2, sort_keys=True, default=default)
+    parts = text.split(_ARRAY_TOKEN)
+    if len(parts) != len(arrays) + 1:  # a string of doc equals the stand-in
+        yield json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
+        return
+    for part, arr in zip(parts, arrays):
+        yield part
+        line = part[part.rfind("\n") + 1:]
+        yield from _array_chunks(arr, " " * (len(line) - len(line.lstrip(" "))))
+    yield parts[-1]
 
 
 def _parse_csv(text: str) -> np.ndarray:
@@ -166,17 +247,14 @@ def read_points(path: str, fmt: str | None = None) -> np.ndarray:
 def write_points(path: str, points: np.ndarray, fmt: str | None = None) -> None:
     """Write an (n, d) array so that read_points recovers it exactly.
 
-    CSV is written in blocks of rows, each formatted by one ``%``
+    Both formats are written in blocks of rows, each formatted by one ``%``
     operation whose ``%r`` fields are the shortest round-trip repr.
     """
     P = as_points(points)
     fmt = _infer_format(path, fmt)
     with open(path, "w", encoding="utf-8") as fh:
         if fmt == "json":
-            fh.write(json.dumps({"points": P.tolist()}, indent=2) + "\n")
-            return
-        line = ",".join(["%r"] * P.shape[1]) + "\n"
-        rows = _block_rows(P.shape[1])
-        for start in range(0, len(P), rows):
-            block = P[start:start + rows]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            fh.writelines(json_chunks({"points": P}))
+            fh.write("\n")
+        else:
+            fh.writelines(_format_rows(P, ",".join(["%r"] * P.shape[1]) + "\n"))

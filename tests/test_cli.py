@@ -6,19 +6,29 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mebkit
-from mebkit.cli import RunReport, main, render_report
-from mebkit.generators import gen_instance
+from mebkit.cli import RunReport, dispatch, main, render_report
+from mebkit.generators import KINDS, gen_instance
 from mebkit.pointio import read_points, write_points
 
 SQUARE = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
 
 
+def strict_json(text):
+    """``json.loads`` refusing NaN and Infinity, which RFC 8259 JSON lacks."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
-    return (json.loads(out) if out else None), code
+    return (strict_json(out) if out else None), code
 
 
 @pytest.fixture
@@ -417,9 +427,17 @@ def test_json_overflow_and_deep_nesting_are_input_errors(tmp_path, capsys, comma
     ["mkeb", "--sample", "--eps", "0.1", "--delta", "0"],
     ["test-cluster", "--mode", "1s", "--eps", "-0.5"],
     ["test-cluster", "--mode", "outliers", "--delta", "inf"],
+    ["diameter", "--algo", "streameps", "--eps", "nan"],
+    ["diameter", "--eps", "inf"],
+    ["test-cluster", "--mode", "kg", "--c", "nan"],
+    ["test-cluster", "--mode", "kg", "--c", "inf"],
+    ["test-cluster", "--mode", "kg", "--k", "0"],
+    ["bounds", "fractional-helly", "--alpha", "nan", "--d", "2"],
+    ["bounds", "fractional-helly", "--alpha", "0.5", "--d", "0"],
 ], ids=["radius-nan", "half-extent-negative", "trials-negative", "trials-zero", "tol-nan", "nodim-r-zero",
         "bc-k-zero", "max-iter-negative", "mkeb-k-zero", "mkeb-z-negative", "mkeb-eps-nan", "mkeb-delta-zero",
-        "tester-eps-negative", "tester-delta-inf"])
+        "tester-eps-negative", "tester-delta-inf", "diameter-eps-nan", "diameter-eps-inf", "kg-c-nan",
+        "kg-c-inf", "kg-k-zero", "alpha-nan", "bounds-d-zero"])
 def test_invalid_parameters_are_usage_errors(square_csv, capsys, argv):
     report, code = run_cli(argv + ["--input", square_csv], capsys)
     assert code == 1
@@ -428,6 +446,7 @@ def test_invalid_parameters_are_usage_errors(square_csv, capsys, argv):
 
 @pytest.mark.parametrize("kind, flag", [
     ("far", "--delta"), ("clusterable", "--eps"), ("clustered", "--separation"),
+    ("uniform-ball", "--radius"), ("sphere-surface", "--radius"), ("gaussian", "--sigma"),
 ])
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 def test_gen_bad_lengths_are_input_errors(capsys, kind, flag, value):
@@ -517,3 +536,93 @@ def test_render_report_bytes_with_numpy_values():
         '    "radius": 0.1,\n    "witness": null\n  },\n  "seed": 0,\n  "timing_ms": 1.5,\n'
         '  "tool_version": "0.1.0"\n}\n'
     )
+
+
+# --- fuzzing dispatch -------------------------------------------------------
+
+# Option values that parse, huge ones among them, and BAD values that a
+# parser or a library refuses: non-finite, negative, zero and malformed.
+# Each argv spoils at most one option with a BAD value, so that most calls
+# get past the parser.  Counts that set how much work a call asks for
+# (iterations, trials, instance size, anchor count) stay small: large ones
+# ask for proportionally long runs.
+FLOATS = ["0.25", "1", "3", "1e308"]
+COUNTS = ["1", "2", "3", "9", str(10**30)]
+WORK = ["1", "3"]
+BAD = ["nan", "inf", "-1", "0", "1.5", "x"]
+INPUTS = ["cloud.csv", "cloud.json", "line.csv", "one.csv", "boxes.json", "bad.csv", "bad.json",
+          "missing.csv", "."]
+OPTIONS = {
+    "meb": {"--algo": ["exact", "bc", "eh", "hr"], "--k": WORK, "--tol": FLOATS, "--max-iter": WORK},
+    "mkeb": {"--k": COUNTS, "--z": COUNTS, "--sample": None, "--eps": FLOATS, "--delta": FLOATS},
+    "diameter": {"--algo": ["brute", "calipers", "sweep", "stream2", "streameps"], "--eps": FLOATS},
+    "test-cluster": {"--mode": ["1s", "kg", "outliers"], "--body": ["ball", "box"], "--radius": FLOATS,
+                     "--half-extent": FLOATS, "--eps": FLOATS, "--delta": FLOATS, "--k": COUNTS,
+                     "--c": FLOATS, "--trials": WORK},
+    "bounds": {"--alpha": FLOATS, "--d": COUNTS},
+    "convexity": {"--r": COUNTS},
+    "gen": {"--kind": list(KINDS) + ["torus"], "--n": WORK, "--d": WORK,
+            "--points-out": ["out.csv", "out.json", "no-such-dir/out.csv"], "--points-format": ["csv", "json"],
+            "--radius": FLOATS, "--sigma": FLOATS, "--k": WORK, "--separation": FLOATS, "--k1": WORK,
+            "--eps": FLOATS, "--k2": WORK, "--delta": FLOATS},
+}
+POSITIONAL = {"bounds": ["jung", "variant", "fractional-helly", "x"],
+              "convexity": ["radon", "caratheodory", "helly-boxes", "nodim", "x"]}
+REQUIRED = {"gen": ["--kind", "--n", "--d"], "test-cluster": ["--mode"]}
+KIND_PARAMS = {"uniform-ball": ["--radius"], "sphere-surface": ["--radius"], "gaussian": ["--sigma"],
+               "clustered": ["--k", "--separation"], "clusterable": ["--k1", "--eps"], "far": ["--k2", "--delta"]}
+COMMON = {"--input": INPUTS, "--format": ["csv", "json"], "--seed": COUNTS}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    cloud = np.vstack([SQUARE, [[0.5, 0.25], [-0.25, 0.5]]])
+    write_points(str(root / "cloud.csv"), cloud)
+    write_points(str(root / "cloud.json"), cloud)
+    write_points(str(root / "line.csv"), np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
+    write_points(str(root / "one.csv"), np.array([[1.0, 2.0]]))
+    (root / "boxes.json").write_text(json.dumps({"boxes": [{"lower": [0, 0], "upper": [2, 2]},
+                                                           {"lower": [1, 1], "upper": [3, 3]}]}))
+    (root / "bad.csv").write_text("1,2\n3\n")
+    (root / "bad.json").write_text('{"points": [[1, 2],')
+    return root
+
+
+@st.composite
+def argvs(draw, root, command):
+    """An argv for ``command`` (None: no subcommand or an unknown one): its
+    required options, mostly ``--input``, and a few others, each once, with
+    paths resolved under ``root``."""
+    if command is None:
+        return draw(st.sampled_from([[], ["nope"], ["--seed", "1"]]))
+    argv = [command]
+    if command in POSITIONAL:
+        argv.append(draw(st.sampled_from(POSITIONAL[command])))
+    options = {**COMMON, **OPTIONS.get(command, {})}
+    flags = REQUIRED.get(command, []) + (["--input"] if draw(st.integers(0, 3)) else [])
+    flags += draw(st.lists(st.sampled_from(sorted(set(options) - set(flags))), unique=True, max_size=4))
+    values = {}
+    if command == "gen":  # the kind's own parameters, each most of the time
+        values["--kind"] = draw(st.sampled_from(options["--kind"]))
+        flags += [f for f in KIND_PARAMS.get(values["--kind"], []) if f not in flags and draw(st.integers(0, 3))]
+    spoiled = draw(st.sampled_from([None] + flags))
+    for flag in flags:
+        if options[flag] is None:
+            argv.append(flag)
+            continue
+        value = values.get(flag) or draw(st.sampled_from(options[flag] + (BAD if flag == spoiled else [])))
+        argv += [flag, str(root / value) if flag in ("--input", "--points-out") else value]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS) + [None])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_dispatch_always_ends_in_one_strict_report(fuzz_dir, command, data):
+    argv = data.draw(argvs(fuzz_dir, command))
+    report, code = dispatch(argv)
+    assert code in (0, 1, 2, 3)
+    doc = strict_json(render_report(report))
+    assert sorted(doc) == ["command", "parameters", "result", "seed", "timing_ms", "tool_version"]
+    assert ("error" in doc["result"]) == (code != 0)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mebkit import generators
 from mebkit.diameter import diameter_bruteforce
 from mebkit.errors import ParseError
 from mebkit.generators import KINDS, gen_instance, regular_simplex
@@ -95,6 +96,26 @@ def test_gen_far_validation():
         gen_instance("far", 5, 2, seed=0, k2=1)
     with pytest.raises(ValueError):
         gen_instance("far", 5, 2, seed=0, k2=3, delta=0.0)
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("uniform-ball", "radius"), ("sphere-surface", "radius"), ("gaussian", "sigma"),
+])
+@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
+def test_gen_lengths_are_refused_before_drawing(monkeypatch, kind, name, value):
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError("drew points for a refused length")
+
+    monkeypatch.setattr(generators, "derive_rng", lambda *args: NoDraws())
+    with pytest.raises(ValueError, match=name):
+        gen_instance(kind, 1000, 3, seed=0, **{name: value})
+
+
+@pytest.mark.parametrize("kind, name", [("clustered", "separation"), ("clusterable", "eps"), ("far", "delta")])
+def test_gen_anchor_gap_beyond_float_range_is_refused(kind, name):
+    with pytest.raises(ValueError, match="float range"):
+        gen_instance(kind, 5, 2, seed=0, **{name: 1e308})
 
 
 def test_gen_clustered_labels():

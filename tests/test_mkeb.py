@@ -168,6 +168,12 @@ def test_sample_size_formula():
         outlier_sample_size(2, 0.5, 1.5)
 
 
+@pytest.mark.parametrize("d, eps", [(2, 1e-300), (2000, 0.5), (1, 1e-160)])
+def test_sample_size_beyond_float_range_is_a_guard_error(d, eps):
+    with pytest.raises(GuardError, match="float range"):
+        outlier_sample_size(d, eps, 0.1)
+
+
 def test_sample_saturation_equals_exact():
     # m >= n forces the whole set: radius equals the full enclosing radius
     P = outlier_fixture()

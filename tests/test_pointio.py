@@ -1,15 +1,18 @@
 """The block parsers and writers of mebkit.pointio against the one-point-at-a-time
 versions they replace: the same array bytes, or the same ParseError line
-and message, and byte-identical files."""
+and message, and byte-identical files and JSON text."""
 
 import json
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mebkit.errors import ParseError
-from mebkit.pointio import BLOCK_VALUES, _parse_csv, _parse_json, read_points, write_points
+from mebkit.pointio import (
+    BLOCK_VALUES, _json_default, _parse_csv, _parse_json, json_chunks, read_points, write_points,
+)
 from oracles import csv_parse_oracle, json_parse_oracle
 
 
@@ -174,3 +177,70 @@ def test_write_points_bytes_and_round_trip(tmp_path, name, fmt):
     assert path.read_bytes() == written_oracle(P, fmt).encode("utf-8")
     back = read_points(str(path))
     assert back.tobytes() == P.tobytes()  # bit-exact, -0.0 included
+
+
+# --- JSON rendering -------------------------------------------------------
+
+def dumps_oracle(doc):
+    """The text the standard encoder writes for doc, one number at a time."""
+    return json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
+
+
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1e16, -123456789.0]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+SHAPES = st.one_of(
+    st.tuples(st.integers(0, 4)),
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.just(()),
+    st.just((2, 1, 2)),
+)
+
+
+@st.composite
+def ndarrays(draw):
+    """Small int, float and bool arrays of every shape the renderer meets,
+    some floats holding a NaN or an infinity, and a few rows wider than a
+    block."""
+    dtype = draw(st.sampled_from(["float64", "float32", "int64", "int32", "uint8", "bool"]))
+    if draw(st.integers(0, 9)) == 0:
+        wide = np.random.default_rng(draw(st.integers(0, 9))).standard_normal((2, BLOCK_VALUES + 1))
+        return wide.astype(dtype)
+    if dtype.startswith("float"):
+        width = int(dtype[-2:])
+        elements = st.one_of(st.floats(width=width, allow_nan=False, allow_infinity=False),
+                             st.sampled_from(FLOAT_EDGES).map(np.dtype(dtype).type))
+    else:
+        elements = hnp.from_dtype(np.dtype(dtype))
+    arr = draw(hnp.arrays(dtype, draw(SHAPES), elements=elements))
+    if dtype.startswith("float") and arr.size and draw(st.integers(0, 3)) == 0:
+        arr.flat[draw(st.integers(0, arr.size - 1))] = draw(st.sampled_from(NON_FINITE))
+    return arr
+
+
+LEAVES = st.one_of(
+    ndarrays(),
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.sampled_from([np.int64(7), np.float64(-0.0), np.bool_(True), "\x00array\x00"]),
+)
+DOCS = st.recursive(
+    LEAVES,
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(st.text(" ab", max_size=3), kids, max_size=3)),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCS)
+@example(np.empty((0, 3)))
+@example({"n-by-0": np.empty((3, 0)), "one": np.array([[2.5]]), "flat": np.array([1, -2, 3])})
+@example({"edges": np.array([[-0.0, 5e-324], [1.7976931348623157e308, -1.7976931348623157e308]])})
+@example({"f32": np.array([[0.1, -2.5]], dtype=np.float32), "nan": np.array([[1.0, np.nan]]),
+          "inf": np.array([np.inf, 0.5]), "flags": np.array([True, False])})
+@example({"trials": [{"witness": np.array([[0.5, 0.0], [6.5, 0.5]]), "witness_indices": np.array([1, 3])},
+                     {"witness": None, "witness_indices": None}]})
+@example({"wide": np.random.default_rng(9).standard_normal((3, BLOCK_VALUES + 1))})
+@example(["\x00array\x00", np.array([1.0, 2.0])])  # a string equal to the stand-in
+def test_json_chunks_match_the_encoder(doc):
+    assert "".join(json_chunks(doc)) == dumps_oracle(doc)

@@ -1,17 +1,20 @@
-"""Report bytes of the commands whose payload is a result dataclass.
+"""Report bytes of the commands whose payload is a result dataclass, and of
+``gen`` with its points inline.
 
 Each command runs on a small fixed input and its rendered report is compared
 byte for byte with a literal, with ``timing_ms`` zeroed and the input path
 replaced by ``IN``.  The literals pin the field names, the key order, the
-JSON rendering of tuples and arrays, and every number.
+JSON rendering of tuples and arrays, and every number.  The ``gen`` reports
+run through ``main`` and carry 1-d and 2-d arrays, nested in ``labels``.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from mebkit.cli import dispatch, render_report
+from mebkit.cli import dispatch, main, render_report
 from mebkit.pointio import write_points
 
 POINTS = {
@@ -583,6 +586,111 @@ EXPECTED = {
 """,
 }
 
+GEN_CASES = {
+    "gen-clusterable": ["gen", "--kind", "clusterable", "--n", "4", "--d", "2", "--k1", "2", "--eps", "0.5",
+                        "--seed", "3"],
+    "gen-inline": ["gen", "--kind", "uniform-ball", "--n", "3", "--d", "2", "--seed", "1"],
+}
+GEN_EXPECTED = {
+    "gen-clusterable": """\
+{
+  "command": "gen",
+  "parameters": {
+    "d": 2,
+    "eps": 0.5,
+    "k1": 2,
+    "kind": "clusterable",
+    "n": 4,
+    "seed": 3
+  },
+  "result": {
+    "d": 2,
+    "kind": "clusterable",
+    "labels": {
+      "certificate": {
+        "assignment": [
+          0,
+          1,
+          0,
+          0
+        ],
+        "centers": [
+          [
+            2.937472337969017,
+            -2.038770977386421
+          ],
+          [
+            2.8488973616837345,
+            3.916740082920078
+          ]
+        ],
+        "radius": 0.5
+      },
+      "kind": "clusterable"
+    },
+    "n": 4,
+    "points": [
+      [
+        2.706794527291199,
+        -2.4649016032638915
+      ],
+      [
+        2.7725249075816145,
+        3.662183295957852
+      ],
+      [
+        3.246061461013777,
+        -1.7735032721900845
+      ],
+      [
+        3.3759562747892717,
+        -1.9433134340695415
+      ]
+    ]
+  },
+  "seed": 3,
+  "timing_ms": 0.0,
+  "tool_version": "0.1.0"
+}
+""",
+    "gen-inline": """\
+{
+  "command": "gen",
+  "parameters": {
+    "d": 2,
+    "kind": "uniform-ball",
+    "n": 3,
+    "seed": 1
+  },
+  "result": {
+    "d": 2,
+    "kind": "uniform-ball",
+    "labels": {
+      "kind": "uniform-ball"
+    },
+    "n": 3,
+    "points": [
+      [
+        -0.5347709556154316,
+        -0.7926297028191382
+      ],
+      [
+        -0.33274423554961907,
+        0.12957793289771077
+      ],
+      [
+        0.7569839450709958,
+        0.0482136669802038
+      ]
+    ]
+  },
+  "seed": 1,
+  "timing_ms": 0.0,
+  "tool_version": "0.1.0"
+}
+""",
+}
+
 
 @pytest.fixture
 def inputs(tmp_path):
@@ -605,3 +713,10 @@ def test_report_bytes(case, inputs):
     report.timing_ms = 0.0
     report.parameters["input"] = "IN"
     assert render_report(report) == EXPECTED[case]
+
+
+@pytest.mark.parametrize("case", sorted(GEN_CASES))
+def test_gen_report_bytes(case, capsys):
+    assert main(GEN_CASES[case]) == 0
+    text = capsys.readouterr().out
+    assert re.sub(r'"timing_ms": [^,]+,', '"timing_ms": 0.0,', text) == GEN_EXPECTED[case]
