@@ -32,7 +32,6 @@ from .diameter import (
     diameter_bruteforce,
     diameter_calipers_2d,
     diameter_doublesweep,
-    direction_count,
     stream_2approx,
     stream_eps_2d,
 )
@@ -165,7 +164,7 @@ def _run_diameter(args) -> dict:
         return {
             "estimate": estimate,
             "upper_bound": (1.0 + args.eps) * estimate,
-            "directions": direction_count(args.eps),
+            "directions": sketch.m,
         }
     return dataclasses.asdict(res)
 
@@ -315,7 +314,7 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--input", help="point-set file (csv or json)")
     common.add_argument("--format", choices=("csv", "json"), help="input format override")
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    common.add_argument("--seed", type=_positive(int, zero=True), default=0, help="master seed (default 0)")
     common.add_argument("--output", help="write the report here instead of stdout")
 
     top = _Parser(prog="mebkit", description=__doc__)

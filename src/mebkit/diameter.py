@@ -21,6 +21,7 @@ from itertools import islice
 
 import numpy as np
 
+from .errors import GuardError
 from .geometry import as_point, as_points, geom_tol
 from .seeding import derive_rng
 
@@ -253,12 +254,23 @@ class TwoApproxSketch:
 
 
 def direction_count(eps: float) -> int:
-    """Smallest m with cos(pi / (2m)) >= 1 / (1 + eps)."""
+    """Smallest m with cos(pi / (2m)) >= 1 / (1 + eps): the closed form
+    ceil(pi / (2 acos(1 / (1 + eps)))), moved by one where rounding puts it
+    beside that test.  More than ``STREAM_BLOCK`` directions (eps below about
+    7.4e-8) raise ``GuardError``, so a block's projection holds at most
+    ``STREAM_BLOCK`` squared values."""
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    m = 1
-    while math.cos(math.pi / (2.0 * m)) < 1.0 / (1.0 + eps):
+    target = 1.0 / (1.0 + eps)
+    angle = math.acos(target)  # zero where 1 + eps rounds to one
+    too_many = angle * (STREAM_BLOCK + 1) < math.pi / 2.0  # refused below, without dividing by zero
+    m = STREAM_BLOCK + 1 if too_many else math.ceil(math.pi / (2.0 * angle))
+    if m > 1 and math.cos(math.pi / (2.0 * (m - 1))) >= target:
+        m -= 1
+    elif math.cos(math.pi / (2.0 * m)) < target:
         m += 1
+    if m > STREAM_BLOCK:
+        raise GuardError(f"eps = {eps} needs more than {STREAM_BLOCK} sketch directions; raise eps")
     return m
 
 

@@ -12,9 +12,9 @@ batched kernel ``geometry.fits_in_translates`` checks every sample of a chunk,
 and the first refused sample of the first chunk that has one is the witness.
 The growing chunks keep an early rejection as cheap as a round-by-round loop,
 and the verdict, ``rounds_used`` and witness are the ones that loop gives.
-The k-translate tester checks every nonempty subset of each sample of a chunk
-in the same way, then searches the partitions of each sample against that
-table of subsets.
+The k-translate tester checks the pairs of each sample of a chunk in the same
+way: k+1 points split into at most k groups that fit iff some pair of them
+fits (see ``k_g_tester``).
 
 ``promise_label`` and ``scattered_points`` are the exact desk-scale deciders
 used to classify promise instances (clusterable vs pairwise-scattered).
@@ -22,7 +22,6 @@ used to classify promise instances (clusterable vs pairwise-scattered).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -163,46 +162,35 @@ def _partition(order, k: int, fits) -> bool:
     return place(0)
 
 
-def _subset_fits(body, S) -> np.ndarray:
-    """(b, 2**m) table for a (b, m, d) batch: entry [r, mask] says whether the
-    points of row r whose bits are set in ``mask`` fit one translate of the
-    body (the empty set does)."""
-    b, m, d = S.shape
-    table = np.ones((b, 1 << m), dtype=bool)
-    for size in range(1, m + 1):
-        combos = np.array(list(itertools.combinations(range(m), size)))
-        masks = (1 << combos).sum(axis=1)
-        table[:, masks] = fits_in_translates(body, S[:, combos].reshape(-1, size, d)).reshape(b, -1)
-    return table
-
-
 def k_g_tester(P, body, k: int, c: float = 0.01, delta: float = 0.1, seed: int = 0) -> TestVerdict:
     """Sampled test of "the points fit k translates of the body".
 
     Runs ceil((1/c) * ln(1/delta)) rounds; each round draws k+1 distinct
-    points and rejects if no partition into at most k groups fits, group by
-    group, in a translate of the body.  The witness-density constant ``c``
-    depends on the body shape and is supplied by the caller.  More than
-    ``_ROUND_BUDGET`` rounds raise ``GuardError`` before the first one.
+    points and rejects if they do not split into at most k groups that each
+    fit a translate of the body.  That holds iff some pair of them fits: a
+    split into k groups puts two of the k+1 points in one group, and a
+    subset of a fitting group fits; conversely a fitting pair and k-1
+    singletons are such a split.  So a rejected sample is k+1 pairwise-far
+    points.  The witness-density constant ``c`` depends on the body shape
+    and is supplied by the caller.  More than ``_ROUND_BUDGET`` rounds raise
+    ``GuardError`` before the first one.
     """
     P = as_points(P)
-    n, _ = P.shape
+    n, d = P.shape
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > 8:
-        raise GuardError(f"partition enumeration is guarded to k <= 8, got k = {k}")
+        raise GuardError(f"the k-translate tester is guarded to k <= 8, got k = {k}")
     if n < k + 1:
         raise ValueError(f"need at least k+1 = {k + 1} points, got {n}")
     _check_unit(c, "c")
     _check_unit(delta, "delta")
     rounds = _rounds(c, delta)
+    pairs = np.column_stack(np.triu_indices(k + 1, 1))
 
     def fits(samples) -> np.ndarray:
-        return np.array([
-            _partition(range(k + 1), k,
-                       lambda members, i, row=row: row[sum(1 << j for j in members) | 1 << i])
-            for row in _subset_fits(body, samples).tolist()
-        ])
+        pair_fits = fits_in_translates(body, samples[:, pairs].reshape(-1, 2, d))
+        return pair_fits.reshape(len(samples), -1).any(axis=1)
 
     return _sampled_test(P, k + 1, rounds, "k-g-round", seed, fits)
 

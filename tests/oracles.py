@@ -189,10 +189,19 @@ def diameter_rows_oracle(P):
     return value, pair, int(np.count_nonzero(np.concatenate(near) >= value - tol))
 
 
-def coverable_oracle(P, radius, k, meb_radius):
-    """Can P be covered by k balls of the given radius?  Exact, tiny n only.
+def direction_count_oracle(eps):
+    """Smallest m with cos(pi / (2m)) >= 1 / (1 + eps), counting up from 1."""
+    m = 1
+    while math.cos(math.pi / (2.0 * m)) < 1.0 / (1.0 + eps):
+        m += 1
+    return m
 
-    meb_radius: callable returning the enclosing radius of a subset.
+
+def coverable_oracle(P, k, fits):
+    """Can P be split into at most k groups that each pass ``fits``?  Exact,
+    tiny n only.
+
+    fits: callable taking the points of one group.
     """
     P = np.asarray(P, dtype=float)
     n = len(P)
@@ -203,7 +212,7 @@ def coverable_oracle(P, radius, k, meb_radius):
             return True
         for g in groups:
             g.append(i)
-            if meb_radius(P[g]) <= radius + 1e-12:
+            if fits(P[g]):
                 if place(i + 1):
                     return True
             g.pop()

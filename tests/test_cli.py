@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -190,6 +191,16 @@ def test_test_cluster_kg_guard(tmp_path, capsys):
     )
     assert code == 3
     assert report["result"]["error"]["kind"] == "computation"
+
+
+def test_streameps_direction_budget_is_a_compute_error(square_csv, capsys):
+    # about 1e150 directions by the old one-by-one count; refused up front now
+    started = time.perf_counter()
+    report, code = run_cli(["diameter", "--algo", "streameps", "--eps", "1e-300", "--input", square_csv], capsys)
+    assert time.perf_counter() - started < 5.0
+    assert code == 3
+    assert report["result"]["error"]["kind"] == "computation"
+    assert "directions" in report["result"]["error"]["message"]
 
 
 def test_test_cluster_round_budget_is_a_compute_error(tmp_path, capsys):
@@ -434,10 +445,12 @@ def test_json_overflow_and_deep_nesting_are_input_errors(tmp_path, capsys, comma
     ["test-cluster", "--mode", "kg", "--k", "0"],
     ["bounds", "fractional-helly", "--alpha", "nan", "--d", "2"],
     ["bounds", "fractional-helly", "--alpha", "0.5", "--d", "0"],
+    ["meb", "--algo", "bc", "--k", "3", "--seed", "-5"],
+    ["gen", "--kind", "gaussian", "--n", "3", "--d", "2", "--seed", "-1"],
 ], ids=["radius-nan", "half-extent-negative", "trials-negative", "trials-zero", "tol-nan", "nodim-r-zero",
         "bc-k-zero", "max-iter-negative", "mkeb-k-zero", "mkeb-z-negative", "mkeb-eps-nan", "mkeb-delta-zero",
         "tester-eps-negative", "tester-delta-inf", "diameter-eps-nan", "diameter-eps-inf", "kg-c-nan",
-        "kg-c-inf", "kg-k-zero", "alpha-nan", "bounds-d-zero"])
+        "kg-c-inf", "kg-k-zero", "alpha-nan", "bounds-d-zero", "bc-seed-negative", "gen-seed-negative"])
 def test_invalid_parameters_are_usage_errors(square_csv, capsys, argv):
     report, code = run_cli(argv + ["--input", square_csv], capsys)
     assert code == 1

@@ -15,10 +15,11 @@ from mebkit.diameter import (
     stream_2approx,
     stream_eps_2d,
 )
+from mebkit.errors import GuardError
 from mebkit.generators import regular_simplex
 from mebkit.seeding import derive_rng
 
-from oracles import diameter_rows_oracle
+from oracles import diameter_rows_oracle, direction_count_oracle
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -176,6 +177,28 @@ def test_direction_count_examples():
         assert m == 1 or math.cos(math.pi / (2 * (m - 1))) < 1 / (1 + eps)
     with pytest.raises(ValueError):
         direction_count(0.0)
+
+
+def test_direction_count_closed_form_equals_the_count():
+    for eps in np.logspace(math.log10(7.4e-8), 0.0, 2000):
+        assert direction_count(float(eps)) == direction_count_oracle(float(eps))
+    # at and beside each step of the count, where rounding decides the test
+    for m in range(2, diameter.STREAM_BLOCK + 1, 7):
+        edge = 1.0 / math.cos(math.pi / (2 * m)) - 1.0
+        for eps in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)):
+            assert direction_count(eps) == direction_count_oracle(eps)
+    assert direction_count(0.01) == 12
+
+
+def test_direction_count_refuses_more_than_a_block_of_directions():
+    edge = 1.0 / math.cos(math.pi / (2 * diameter.STREAM_BLOCK)) - 1.0  # about 7.35e-8
+    assert direction_count(edge * (1 + 1e-6)) == direction_count_oracle(edge * (1 + 1e-6)) == diameter.STREAM_BLOCK
+    assert direction_count_oracle(edge * (1 - 1e-6)) == diameter.STREAM_BLOCK + 1
+    for eps in (edge * (1 - 1e-6), 1e-12, 1e-16, 1e-300, 5e-324):
+        with pytest.raises(GuardError, match="directions"):
+            direction_count(eps)
+    with pytest.raises(GuardError):
+        stream_eps_2d(SQUARE, 1e-300)
 
 
 def test_directional_sketch_axis_segment_exact():

@@ -40,6 +40,8 @@ CASES = {
                       "--seed", "5", "--input", "far"],
     "kg-box-accept": ["test-cluster", "--mode", "kg", "--body", "box", "--k", "3", "--c", "0.5",
                       "--input", "pairs"],
+    "kg-box-reject": ["test-cluster", "--mode", "kg", "--body", "box", "--k", "2", "--c", "0.5",
+                      "--input", "pairs"],
     "1s-trials": ["test-cluster", "--mode", "1s", "--eps", "0.5", "--trials", "2", "--seed", "5",
                   "--input", "far"],
     "kg-trials": ["test-cluster", "--mode", "kg", "--k", "2", "--c", "0.5", "--trials", "2", "--input", "pairs"],
@@ -292,6 +294,51 @@ EXPECTED = {
     "seed": 0,
     "witness": null,
     "witness_indices": null
+  },
+  "seed": 0,
+  "timing_ms": 0.0,
+  "tool_version": "0.1.0"
+}
+""",
+    "kg-box-reject": """\
+{
+  "command": "test-cluster",
+  "parameters": {
+    "body": "box",
+    "c": 0.5,
+    "delta": 0.1,
+    "eps": 0.1,
+    "half_extent": 1.0,
+    "input": "IN",
+    "k": 2,
+    "mode": "kg",
+    "radius": 1.0,
+    "seed": 0,
+    "trials": 1
+  },
+  "result": {
+    "outcome": "reject",
+    "rounds_used": 2,
+    "seed": 0,
+    "witness": [
+      [
+        0.5,
+        0.0
+      ],
+      [
+        6.5,
+        0.5
+      ],
+      [
+        0.5,
+        6.5
+      ]
+    ],
+    "witness_indices": [
+      1,
+      3,
+      5
+    ]
   },
   "seed": 0,
   "timing_ms": 0.0,

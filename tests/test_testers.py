@@ -157,7 +157,8 @@ def cloud_with_strays(seed, n=60):
 
 
 def ball_fits(radius):
-    return lambda S: meb_oracle(S)[1] <= radius + 1e-9 * max(np.ptp(S, axis=0).max(), radius)
+    # the radius of S less its least corner: far from the origin the subtraction is exact
+    return lambda S: meb_oracle(S - S.min(axis=0))[1] <= radius + 1e-9 * max(np.ptp(S, axis=0).max(), radius)
 
 
 def box_fits(half):
@@ -218,23 +219,61 @@ def three_groups(seed):
                       rng.uniform(-0.5, 0.5, (seed % 4, 2)) + [0.0, 6.0]])
 
 
+def k_g_clouds(k, seed):
+    """(cloud, scale) for k translates of a body of size ``scale``, on points
+    10 apart along a line: k clusters a quarter wide plus a (k+1)-th of 0-3
+    points; k or k+1 line points plus two repeats (with k, every sample holds
+    a repeat); or k line points plus a partner of the first at 2 (1 +- 1e-12)
+    or 2 (1 +- 1e-6) along one axis, the diameter of the unit ball and the
+    side of the unit box, so every sample is the whole cloud and only that
+    pair can fit.  Clouds are scaled by 1e-6 or 1e6 or shifted by 1e6 in
+    turn."""
+    rng = derive_rng(seed, "k-g-clouds", k)
+    d = 1 + (seed // 3) % 3
+    u = rng.standard_normal(d)
+    line = 10.0 * np.arange(k + 1)[:, None] * u / np.linalg.norm(u)
+    kind, turn = seed % 3, (seed // 3) % 4
+    if kind == 0:
+        sizes = [8] * k + [seed % 4]
+        P = np.vstack([c + rng.uniform(-0.125, 0.125, (m, d)) for c, m in zip(line, sizes)])
+    elif kind == 1:
+        distinct = line[:k + turn % 2]
+        P = np.vstack([distinct, distinct[rng.integers(0, len(distinct), 2)]])
+    else:
+        gap = 2.0 * (1.0 + (1e-12, -1e-12, 1e-6, -1e-6)[turn])
+        P = np.vstack([line[:k], line[:1] + gap * np.eye(d)[seed % d]])
+    P = rng.permutation(P)
+    scale, shift = ((1.0, 0.0), (1e-6, 0.0), (1e6, 0.0), (1.0, 1e6))[(seed // 12) % 4]
+    return scale * P + shift, scale
+
+
 @pytest.mark.parametrize("body", ["ball", "box"])
 def test_k_g_batches_match_round_loop(body):
-    k, c, delta = 2, 0.1, 0.1
+    c, delta = 0.1, 0.1
     rounds = math.ceil((1 / c) * math.log(1 / delta))
-    if body == "ball":
-        tester_body, radius_of = BallBody(1.0), (lambda Q: meb_oracle(Q)[1])
-    else:
-        tester_body, radius_of = BoxBody([1.0, 1.0]), (lambda Q: np.ptp(Q, axis=0).max() / 2.0)
-    seen = set()
-    for seed in range(80):
-        P = three_groups(seed)
+
+    def check(P, k, size, seed):
+        if body == "ball":
+            tester_body, fits = BallBody(size), ball_fits(size)
+        else:
+            tester_body, fits = BoxBody(np.full(P.shape[1], size)), box_fits(size)
         v = k_g_tester(P, tester_body, k, c=c, delta=delta, seed=seed)
         oracle = sampled_tester_oracle(P, k + 1, rounds, "k-g-round", seed,
-                                       lambda S: coverable_oracle(S, 1.0, k, radius_of))
+                                       lambda S: coverable_oracle(S, k, fits))
         assert_same_verdict(P, v, oracle)
+        return v
+
+    seen = set()
+    for seed in range(80):
+        v = check(three_groups(seed), 2, 1.0, seed)
         seen |= chunk_positions(v.rounds_used) if not v.accepted else {"accept"}
     assert {"round 1", "round 2", "mid chunk", "accept"} <= seen
+    outcomes = set()
+    for k in (1, 2, 3, 8):
+        for seed in range(48):
+            P, scale = k_g_clouds(k, seed)
+            outcomes.add((k, check(P, k, scale, seed).outcome))
+    assert outcomes == {(k, o) for k in (1, 2, 3, 8) for o in ("accept", "reject")}
 
 
 # ---------------------------------------------------------------- k_g
@@ -291,7 +330,7 @@ def test_k_g_witness_reverifies():
     P = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
     v = k_g_tester(P, BallBody(1.0), 2, c=0.9, delta=0.5, seed=0)
     assert not v.accepted
-    # no partition of the witness into 2 unit balls exists; spot-check pairs
+    # no pair of the witness fits a unit ball, so no split into 2 unit balls exists
     w = v.witness
     assert all(
         not fits_in_translate(BallBody(1.0), w[[i, j]])
@@ -482,7 +521,7 @@ def test_promise_label_matches_oracles_on_repeated_points():
         k1, k2 = int(rng.integers(2, 4)), int(rng.integers(2, 5))
         eps, delta = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.5, 3.0))
         lbl = promise_label(P, k1, eps, k2, delta)
-        assert lbl.yes_holds == coverable_oracle(P, eps, k1, lambda Q: meb_oracle(Q)[1])
+        assert lbl.yes_holds == coverable_oracle(P, k1, lambda Q: meb_oracle(Q)[1] <= eps + 1e-12)
         assert lbl.no_holds == (scattered_oracle(P, delta) >= k2)
 
 
