@@ -12,6 +12,7 @@ import dataclasses
 import math
 import sys
 import time
+from itertools import chain
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .meb import badoiu_clarkson, elzinga_hearn_dual, exact_meb, hopp_reeve_meb,
 from .mkeb import exact_mkeb, outlier_meb_sample
 from .pointio import float_array, is_number_list, json_chunks, load_json, read_points, write_points
 from .seeding import derive_seed
-from .testers import k_g_tester, one_s_tester
+from .testers import _ROUND_BUDGET, _rounds, k_g_tester, one_s_tester
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -185,6 +186,11 @@ def _run_test_cluster(args) -> dict:
 
     if args.trials == 1:
         return one_trial(args.seed)
+    if args.mode != "outliers":  # a trial costs a round at least; the tester refuses rates outside (0, 1]
+        rate = min(args.eps, 1.0) ** (d + 1) if args.mode == "1s" else min(args.c, 1.0)
+        rounds = max(_rounds(rate, min(args.delta, 1.0)), 1)
+        if args.trials * rounds > _ROUND_BUDGET:
+            raise GuardError(f"{args.trials} trials of {rounds} rounds exceed the budget of {_ROUND_BUDGET}")
     trials = [one_trial(derive_seed(args.seed, "cli-trial", t)) for t in range(args.trials)]
     payload: dict = {"trials": trials}
     if args.mode in ("1s", "kg"):
@@ -426,12 +432,14 @@ def dispatch(argv) -> tuple[RunReport, int]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     report, code, output = _run(argv)
-    text = render_report(report)
+    chunks = json_chunks(vars(report))
+    # the first chunk encodes the whole report but its arrays: a failure writes nothing
+    text = chain([next(chunks)], chunks, ["\n"])
     if output and code != EXIT_USAGE:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
     return code
 
 

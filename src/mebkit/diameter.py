@@ -22,7 +22,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import GuardError
-from .geometry import as_point, as_points, geom_tol
+from .geometry import as_point, as_points, distances, geom_tol
 from .seeding import derive_rng
 
 STREAM_BLOCK = 4096  # points per sketch update in stream_2approx and stream_eps_2d
@@ -203,11 +203,12 @@ def diameter_doublesweep(P, seed: int = 0) -> DiameterResult:
         raise ValueError("need at least two points")
     value = -1.0
     pair = (0, 1)
+    diff, gaps = np.empty_like(P), np.empty(n)
     for run in range(_SWEEP_RESTARTS):
         current = int(derive_rng(seed, "doublesweep", run).integers(n))
         reached = -1.0
         while True:
-            gaps = np.linalg.norm(P - P[current], axis=1)
+            distances(P, P[current], diff, gaps)
             far = int(np.argmax(gaps))
             best = float(gaps[far])
             if best > value:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .geometry import as_points
+from .geometry import as_points, distances
 from .seeding import derive_rng
 
 KINDS = ("uniform-ball", "sphere-surface", "gaussian", "clustered", "clusterable", "far")
@@ -33,9 +33,9 @@ def regular_simplex(d: int, side: float = 1.0) -> np.ndarray:
 
 def _unit_vectors(rng, n, d):
     v = rng.standard_normal((n, d))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    norms = distances(v, 0.0, np.empty_like(v), np.empty(n))
     norms[norms == 0.0] = 1.0
-    return v / norms
+    return np.divide(v, norms[:, None], out=v)
 
 
 def _spread_anchors(rng, count, d, gap):
@@ -81,7 +81,7 @@ def gen_instance(kind: str, n: int, d: int, seed: int | None = None, **params):
         _require_length("radius", radius)
         dirs = _unit_vectors(rng, n, d)
         radii = radius * rng.uniform(0.0, 1.0, size=n) ** (1.0 / d)
-        points = dirs * radii[:, None]
+        points = np.multiply(dirs, radii[:, None], out=dirs)
     elif kind == "sphere-surface":
         radius = float(params.get("radius", 1.0))
         _require_length("radius", radius)

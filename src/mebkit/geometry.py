@@ -57,6 +57,15 @@ def bbox_frame(P) -> tuple[np.ndarray, np.ndarray, float]:
     return P - mid, mid, TOL_BASE * float(((hi - mid) - (lo - mid)).max())
 
 
+def distances(P, c, diff, out) -> np.ndarray:
+    """``np.linalg.norm(P - c, axis=1)``, to the bit, worked in the (n, d)
+    buffer ``diff`` and written to the n-vector ``out``: a loop that measures
+    from many centers allocates nothing per step."""
+    np.subtract(P, c, out=diff)
+    np.multiply(diff, diff, out=diff)
+    return np.sqrt(np.add.reduce(diff, axis=1, out=out), out=out)
+
+
 def as_point(p) -> np.ndarray:
     """Coerce to a finite 1-d float vector."""
     arr = np.asarray(p, dtype=float)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, IterationLimitError
-from .geometry import Ball, as_points, bbox_frame, circumballs, geom_tol
+from .errors import ConvergenceError, GuardError, IterationLimitError
+from .geometry import Ball, as_points, bbox_frame, circumballs, distances, geom_tol
 
 _PRUNE = 1e-10         # multipliers below this are treated as inactive
 
@@ -367,23 +367,27 @@ def badoiu_clarkson(P, k: int, seed: int | None = None):
     from the current center, ties broken by lowest index.  Returns the
     resulting solution (radius is the exact maximum distance, so the ball
     encloses the input by construction) and the visited core indices.  The
-    iteration runs in ``bbox_frame``.
+    iteration runs in ``bbox_frame``.  Steps that would cost more than 1e9
+    scalar operations in all (``k * n * d``) raise ``GuardError`` up front.
     """
     P, mid, _ = bbox_frame(as_points(P))
-    n, _ = P.shape
+    n, d = P.shape
     if k < 1:
         raise ValueError("k must be at least 1")
+    if k * n * d > 1e9:
+        raise GuardError(f"k * n * d = {k * n * d:.3g} scalar operations exceed the budget of 1e9; lower k")
     if seed is None:
         start = 0
     else:
         start = int(np.random.default_rng(seed).integers(n))
     c = P[start].copy()
     core = [start]
+    diff, dist = np.empty_like(P), np.empty(n)
     for i in range(2, k + 1):
-        far = int(np.argmax(np.linalg.norm(P - c, axis=1)))
+        far = int(np.argmax(distances(P, c, diff, dist)))
         c = c + (P[far] - c) / i
         core.append(far)
-    dist = np.linalg.norm(P - c, axis=1)
+    distances(P, c, diff, dist)
     far = int(np.argmax(dist))
     radius = float(dist[far])
     ball = Ball(c + mid, radius)

@@ -1,25 +1,26 @@
 """Point-set file I/O: CSV (one point per row) and JSON ({"points": [...]}).
 
 Files are parsed and written in blocks of rows, with no Python step per
-point.  A CSV parse splits the text into lines once, checks every line's
-comma count at once, and converts blocks of lines with Python's ``float``
-into one preallocated array, so every token reads to the same bits as
-``float(token)``.  A block holds about ``BLOCK_VALUES`` coordinates, so
-the Python strings and floats alive at once stay bounded whatever the
-width.  A JSON document's rows are checked as one array.  Only a file
-that fails these checks is walked line by line (row by row), and only to
-name its first bad line in a ``ParseError``.
+point, and a parse holds one window of the text as Python objects, never
+the whole file.  A CSV window's lines have their comma counts checked at
+once and its tokens converted with Python's ``float`` into one
+preallocated array, so every token reads to the same bits as
+``float(token)``.  A canonical JSON document is decoded a window of rows
+at a time; any other document, and any anomaly in a window, is decoded
+whole.  Only a file that fails these checks is walked line by line (row by
+row), and only to name its first bad line in a ``ParseError``.
 
 Written floats use shortest round-trip repr, so write_points followed by
 read_points reproduces the array bit-for-bit.  The same block formatter
 renders the numeric arrays of any JSON document (``json_chunks``): JSON
-point files and the CLI's reports.
+point files and the CLI's reports, which the CLI writes chunk by chunk.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from itertools import repeat
 
 import numpy as np
@@ -94,16 +95,12 @@ def _csv_error(text: str) -> ParseError:
     return ParseError(1, "no points found")
 
 
-def _block_rows(width: int) -> int:
-    return max(1, BLOCK_VALUES // width)
-
-
 def _format_rows(rows: np.ndarray, line: str):
     """Yield the text of a 2-d int or float array, ``line`` (one ``%r``
     field per column) once per row, a block of rows per ``%`` operation.
     ``%r`` of a Python int or float is its shortest round-trip repr, the
     text ``json.dumps`` writes for it too."""
-    per = _block_rows(rows.shape[1])
+    per = max(1, BLOCK_VALUES // rows.shape[1])
     for start in range(0, len(rows), per):
         block = rows[start:start + per]
         yield line * len(block) % tuple(block.ravel().tolist())
@@ -174,25 +171,37 @@ def json_chunks(doc):
     yield parts[-1]
 
 
+def _windows(text: str, end: str, start: int, stop: int):
+    """Yield ``text[start:stop]`` in pieces of about ``16 * BLOCK_VALUES``
+    characters (``BLOCK_VALUES`` coordinates' text), each cut just after an ``end``."""
+    while start < stop:
+        cut = text.find(end, start + 16 * BLOCK_VALUES, stop) + 1 or stop
+        yield text[start:cut]
+        start = cut
+
+
 def _parse_csv(text: str) -> np.ndarray:
-    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
-    n = len(lines)
-    if not n:
-        raise _csv_error(text)
-    commas = lines[0].count(",")
-    if list(map(str.count, lines, repeat(",", n))).count(commas) != n:
-        raise _csv_error(text)
-    width = commas + 1
-    arr = np.empty((n, width))
-    flat = arr.reshape(-1)  # a view: arr is contiguous
-    rows = _block_rows(width)
-    for start in range(0, n, rows):
-        tokens = ",".join(lines[start:start + rows]).split(",")
+    flat, filled = None, 0
+    for window in _windows(text, "\n", 0, len(text)):
+        lines = [s for s in map(str.strip, window.splitlines()) if s and s[0] != "#"]
+        if not lines:
+            continue
+        if flat is None:
+            commas = lines[0].count(",")
+            flat = np.empty((text.count("\n") + 1) * (commas + 1))
+        if list(map(str.count, lines, repeat(",", len(lines)))).count(commas) != len(lines):
+            raise _csv_error(text)
+        tokens = ",".join(lines).split(",")
+        if filled + len(tokens) > len(flat):  # lines broken at \r or another break than \n
+            flat = np.concatenate((flat, np.empty(len(flat) + len(tokens))))
         try:  # fromiter frees each Python float as soon as it is stored
-            values = np.fromiter(map(float, tokens), float, len(tokens))
+            flat[filled:filled + len(tokens)] = np.fromiter(map(float, tokens), float, len(tokens))
         except ValueError:
             raise _csv_error(text) from None
-        flat[start * width:start * width + len(tokens)] = values
+        filled += len(tokens)
+    if flat is None:
+        raise _csv_error(text)
+    arr = flat[:filled].reshape(-1, commas + 1)
     if not np.isfinite(arr).all():
         raise _csv_error(text)
     return arr
@@ -211,7 +220,36 @@ def _number_rows(pts: list) -> np.ndarray | None:
     return arr.astype(float, copy=False)
 
 
+def _json_windows(text: str) -> np.ndarray | None:
+    """The points of a canonical ``{"points": [rows]}`` document (no ``"``,
+    ``{``, ``true`` or ``false`` in the array), decoded a window of rows at a
+    time; None for any other document and at any anomaly."""
+    head = re.match(r'[ \t\n\r]*\{[ \t\n\r]*"points"[ \t\n\r]*:[ \t\n\r]*\[', text)
+    stop = text.rfind("]", 0, text.rfind("]")) + 1  # just after the last row
+    tail = re.fullmatch(r"[ \t\n\r]*\][ \t\n\r]*\}[ \t\n\r]*", text[stop:])
+    if head is None or tail is None or stop <= head.end() or any(
+            text.find(s, head.end(), stop) >= 0 for s in ('"', "{", "true", "false")):
+        return None
+    arr, filled = None, 0
+    for window in _windows(text, "]", head.end(), stop):
+        try:  # a later window starts at the comma after a row: an empty row stands in before it
+            rows = _number_rows(json.loads(("[[]" if filled else "[") + window + "]")[1 if filled else 0:])
+        except (ValueError, RecursionError):
+            return None
+        if rows is None or (arr is not None and rows.shape[1] != arr.shape[1]):
+            return None
+        if arr is None:  # every row holds one "]"
+            arr = np.empty((text.count("]", head.end(), stop), rows.shape[1]))
+        arr[filled:filled + len(rows)] = rows
+        filled += len(rows)
+    arr = arr[:filled]
+    return arr if np.isfinite(arr).all() else None
+
+
 def _parse_json(text: str) -> np.ndarray:
+    arr = _json_windows(text)
+    if arr is not None:
+        return arr
     doc = load_json(text)
     if not isinstance(doc, dict) or "points" not in doc:
         raise ParseError(1, 'expected an object with a "points" key')

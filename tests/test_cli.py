@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,27 @@ def test_test_cluster_round_budget_is_a_compute_error(tmp_path, capsys):
         assert "budget" in report["result"]["error"]["message"]
 
 
+FIVE = np.vstack([SQUARE, [[0.5, 0.25]]])
+
+
+@pytest.mark.parametrize("argv", [
+    ["meb", "--algo", "bc", "--k", "1000000000000"],
+    ["test-cluster", "--mode", "1s", "--trials", "1000000000"],
+    ["test-cluster", "--mode", "kg", "--trials", "1000000000"],
+], ids=["bc-steps", "1s-trials", "kg-trials"])
+def test_work_counts_over_budget_are_refused_up_front(tmp_path, capsys, argv):
+    # each ran past 20 s on five points before it was priced
+    path = tmp_path / "five.csv"
+    write_points(str(path), FIVE)
+    started = time.perf_counter()
+    code = main(argv + ["--input", str(path)])
+    assert time.perf_counter() - started < 1.0
+    report = json.loads(capsys.readouterr().out)  # exactly one JSON document
+    assert code == 3
+    assert report["result"]["error"]["kind"] == "computation"
+    assert "budget" in report["result"]["error"]["message"]
+
+
 def test_cli_start_up_and_meb_runs_never_import_scipy(square_csv):
     script = (
         "import json, sys\n"
@@ -365,6 +387,21 @@ def test_gen_inline_points(capsys):
     assert result["n"] == 8 and result["d"] == 3
     assert len(result["points"]) == 8
     assert all(len(row) == 3 for row in result["points"])
+
+
+def test_gen_inline_report_is_streamed(monkeypatch):
+    # joined into one string first, this report (5.1 MB) peaked at 11.6 MB traced
+    argv = ["gen", "--kind", "uniform-ball", "--n", "50000", "--d", "3", "--seed", "1"]
+    size = len(render_report(dispatch(argv)[0]))
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < size
 
 
 def test_gen_points_out_round_trip(tmp_path, capsys):

@@ -3,15 +3,17 @@ versions they replace: the same array bytes, or the same ParseError line
 and message, and byte-identical files and JSON text."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mebkit import pointio
 from mebkit.errors import ParseError
 from mebkit.pointio import (
-    BLOCK_VALUES, _json_default, _parse_csv, _parse_json, json_chunks, read_points, write_points,
+    BLOCK_VALUES, _json_default, _parse_csv, _parse_json, _windows, json_chunks, read_points, write_points,
 )
 from oracles import csv_parse_oracle, json_parse_oracle
 
@@ -98,6 +100,70 @@ def test_csv_parse_spans_blocks():
     assert outcome(_parse_csv, bad)[1] == len(lines) - 2
 
 
+def same(parse, oracle, text):
+    """The parse and its oracle agree: equal value bits, or the same ParseError."""
+    try:
+        want = oracle(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse(text)
+        assert (got.value.line, str(got.value)) == (exc.line, str(exc))
+        return
+    arr = parse(text)
+    assert arr.shape == want.shape
+    assert np.array_equal(arr.view(np.int64), want.view(np.int64))
+
+
+def cut_lines(text, end):
+    """The line numbers (from 0) that open the second and later parse windows."""
+    starts, start = [], 0
+    for window in _windows(text, end, 0, len(text)):
+        start += len(window)
+        starts.append(text.count("\n", 0, start))
+    return starts[:-1]
+
+
+def cloud_lines(rows=4000):
+    """Rows of a 3-d cloud as CSV lines: a text of more than three windows."""
+    P = np.random.default_rng(11).standard_normal((rows, 3))
+    return [",".join(map(repr, row)) for row in P.tolist()]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("around", [
+    ["# a comment", "#", "  # 1,2,3"],
+    ["", " ", "\t"],
+    ["# x,y", "", "1.5,2.5,-0.0", " # z"],
+], ids=["comments", "blanks", "mixed"])
+def test_csv_windows_cut_at_comments_blanks_and_crlf(newline, around):
+    lines = cloud_lines()
+    for _ in range(10):  # shorter lines move the cuts: replace until both sides of each are replaced
+        text = newline.join(lines) + newline
+        cuts = cut_lines(text, "\n")
+        if all(lines[cut] in around and lines[cut - 1] in around for cut in cuts):
+            break
+        for cut in cuts:
+            lines[cut - 3:cut + 3] = (around * 6)[:6]
+    assert len(cuts) >= 3 and all(lines[cut] in around and lines[cut - 1] in around for cut in cuts)
+    same(_parse_csv, csv_parse_oracle, text)
+
+
+@pytest.mark.parametrize("bad", ["1,x,2", "1,2", "1,2,3,4", "1,nan,2", "1,2,1e500", "1,,2"])
+def test_csv_bad_row_in_the_last_window(bad):
+    lines = cloud_lines()
+    lines[-5] = bad
+    text = "\n".join(lines) + "\n"
+    assert len(cut_lines(text, "\n")) >= 3
+    same(_parse_csv, csv_parse_oracle, text)
+
+
+def test_csv_lines_broken_at_other_than_newline():
+    # splitlines breaks at \r alone: more rows than newlines to size the array from
+    lines = cloud_lines(6000)
+    text = "\r".join(lines[:3000]) + "\n" + "\n".join(lines[3000:]) + "\n"
+    same(_parse_csv, csv_parse_oracle, text)
+
+
 # --- JSON -----------------------------------------------------------------
 
 JSON_DOCS = [
@@ -145,6 +211,84 @@ def test_json_parse_large_document():
     text = json.dumps({"points": P.tolist()})
     assert outcome(_parse_json, text) == outcome(json_parse_oracle, text)
     assert np.array_equal(_parse_json(text), P)
+
+
+CLOUD = np.random.default_rng(12).standard_normal((4000, 3))
+ROWS = CLOUD.tolist()
+
+
+def spoil(text, old, new):
+    """``text`` with its last occurrence of ``old`` replaced by ``new``."""
+    at = text.rindex(old)
+    return text[:at] + new + text[at + len(old):]
+
+
+LAST = repr(ROWS[-1][1])
+WINDOWED_DOCS = {
+    "compact": json.dumps({"points": ROWS}),
+    "indent-2": json.dumps({"points": ROWS}, indent=2),
+    "indent-tab-crlf": json.dumps({"points": ROWS}, indent="\t").replace("\n", "\r\n"),
+    "loose": json.dumps({"points": ROWS}, separators=(" ,\n\t ", " :  ")) + "\n\n",
+    "ints": json.dumps({"points": np.rint(CLOUD * 1e17).astype(np.int64).tolist()}),
+    "int-2^63": spoil(json.dumps({"points": ROWS}), LAST, str(2**63 + 2**11)),
+}
+FALLBACK_DOCS = {
+    "key-after": json.dumps({"points": ROWS, "units": "m"}),
+    "key-before": json.dumps({"name": "cloud", "points": ROWS}, sort_keys=True),
+    "true": spoil(json.dumps({"points": ROWS}), LAST, "true"),
+    "nan": spoil(json.dumps({"points": ROWS}), LAST, "NaN"),
+    "infinity": spoil(json.dumps({"points": ROWS}), LAST, "-Infinity"),
+    "int-2^64": spoil(json.dumps({"points": ROWS}), LAST, str(2**64)),
+    "int-beyond-float": spoil(json.dumps({"points": ROWS}), LAST, "1" + "0" * 400),
+    "trailing-comma": json.dumps({"points": ROWS})[:-2] + ",]}",
+    "nested": spoil(json.dumps({"points": ROWS}), LAST, f"[{LAST}]"),
+    "ragged": spoil(json.dumps({"points": ROWS}), ", " + LAST, ""),
+    "ragged-window": json.dumps({"points": ROWS[:3000] + [row[:2] for row in ROWS[3000:]]}),
+    "missing-comma": spoil(json.dumps({"points": ROWS}), "], [", "] ["),
+    "bad-token": spoil(json.dumps({"points": ROWS}), LAST, "1.5.2"),
+    "unclosed": json.dumps({"points": ROWS})[:-1],
+    "after-end": json.dumps({"points": ROWS}) + " x",
+    "vertical-tab": "\x0b" + json.dumps({"points": ROWS}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWED_DOCS) + sorted(FALLBACK_DOCS))
+def test_json_windows_match_the_row_walk(name, monkeypatch):
+    text = WINDOWED_DOCS.get(name) or FALLBACK_DOCS[name]
+    assert len(cut_lines(text, "]")) >= 3
+    whole, load = [], pointio.load_json
+    monkeypatch.setattr(pointio, "load_json", lambda t: whole.append(t) or load(t))
+    if name == "int-beyond-float":  # the oracle's own float conversion overflows here
+        with pytest.raises(ParseError, match="out of float range"):
+            _parse_json(text)
+    else:
+        same(_parse_json, json_parse_oracle, text)
+    # only a canonical document is decoded a window at a time
+    assert bool(whole) == (name in FALLBACK_DOCS)
+
+
+# --- memory ---------------------------------------------------------------
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_parse_memory_is_bounded_by_the_array(tmp_path, fmt):
+    # at 50,000 x 3 the whole-text parsers peaked at 7.8 MB (CSV) and 11.2 MB
+    # (JSON) above the text, about 6.5x and 9.4x the array
+    P = np.random.default_rng(13).standard_normal((50_000, 3))
+    path = tmp_path / f"cloud.{fmt}"
+    write_points(str(path), P)
+    text = path.read_text(encoding="utf-8")
+    peak, arr = traced_peak(_parse_csv if fmt == "csv" else _parse_json, text)
+    assert np.array_equal(arr.view(np.int64), P.view(np.int64))
+    assert peak < 4 * P.nbytes
 
 
 # --- writing --------------------------------------------------------------

@@ -767,3 +767,24 @@ def test_gen_report_bytes(case, capsys):
     assert main(GEN_CASES[case]) == 0
     text = capsys.readouterr().out
     assert re.sub(r'"timing_ms": [^,]+,', '"timing_ms": 0.0,', text) == GEN_EXPECTED[case]
+
+
+def zero_timing(text):
+    return re.sub(r'"timing_ms": [^,]+,', '"timing_ms": 0.0,', text)
+
+
+STREAM_GEN = ["gen", "--kind", "uniform-ball", "--n", "50000", "--d", "3", "--seed", "1"]
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + ["gen-50000"])
+def test_main_writes_the_rendered_report(case, inputs, tmp_path, capsys):
+    # main streams the report chunk by chunk; the bytes are render_report's
+    argv = STREAM_GEN if case == "gen-50000" else CASES[case][:-1] + [inputs[CASES[case][-1]]]
+    report, code = dispatch(argv)
+    expected = zero_timing(render_report(report))
+    assert main(argv) == code
+    assert zero_timing(capsys.readouterr().out) == expected
+    path = tmp_path / "report.json"
+    assert main(argv + ["--output", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    assert zero_timing(path.read_text(encoding="utf-8")) == expected
