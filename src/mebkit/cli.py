@@ -36,14 +36,15 @@ from .diameter import (
     stream_2approx,
     stream_eps_2d,
 )
-from .errors import ConvergenceError, DegenerateInputError, GuardError, IterationLimitError, ParseError
+from .errors import (ConvergenceError, DegenerateInputError, GuardError, IterationLimitError, ParseError,
+                     check_work)
 from .generators import KINDS, gen_instance
 from .geometry import BallBody, BoxBody, barycenter, geom_tol
 from .meb import badoiu_clarkson, elzinga_hearn_dual, exact_meb, hopp_reeve_meb, kt_residuals
-from .mkeb import exact_mkeb, outlier_meb_sample
+from .mkeb import exact_mkeb, outlier_meb_sample, outlier_sample_work
 from .pointio import float_array, is_number_list, json_chunks, load_json, read_points, write_points
 from .seeding import derive_seed
-from .testers import _ROUND_BUDGET, _rounds, k_g_tester, one_s_tester
+from .testers import k_g_tester, k_g_work, one_s_tester, one_s_work
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,13 +103,6 @@ def _load_points(args) -> np.ndarray:
     if args.input is None:
         raise _UsageError(f"{args.command}: --input is required")
     return read_points(args.input, args.format)
-
-
-def _body(args, d: int):
-    if args.body == "ball":
-        return BallBody(args.radius)
-    half = np.full(d, args.half_extent, dtype=float)
-    return BoxBody(half)
 
 
 # ---------------------------------------------------------------- handlers
@@ -173,7 +167,7 @@ def _run_diameter(args) -> dict:
 def _run_test_cluster(args) -> dict:
     P = _load_points(args)
     d = P.shape[1]
-    body = _body(args, d)
+    body = BallBody(args.radius) if args.body == "ball" else BoxBody(np.full(d, args.half_extent))
 
     def one_trial(trial_seed: int) -> dict:
         if args.mode == "1s":
@@ -186,11 +180,10 @@ def _run_test_cluster(args) -> dict:
 
     if args.trials == 1:
         return one_trial(args.seed)
-    if args.mode != "outliers":  # a trial costs a round at least; the tester refuses rates outside (0, 1]
-        rate = min(args.eps, 1.0) ** (d + 1) if args.mode == "1s" else min(args.c, 1.0)
-        rounds = max(_rounds(rate, min(args.delta, 1.0)), 1)
-        if args.trials * rounds > _ROUND_BUDGET:
-            raise GuardError(f"{args.trials} trials of {rounds} rounds exceed the budget of {_ROUND_BUDGET}")
+    trial_ops = (one_s_work(d, args.eps, args.delta) if args.mode == "1s" else
+                 k_g_work(d, args.k, args.c, args.delta) if args.mode == "kg" else
+                 outlier_sample_work(len(P), d, args.eps, args.delta))
+    check_work(args.trials * trial_ops, f"{args.trials} trials", "lower --trials")
     trials = [one_trial(derive_seed(args.seed, "cli-trial", t)) for t in range(args.trials)]
     payload: dict = {"trials": trials}
     if args.mode in ("1s", "kg"):

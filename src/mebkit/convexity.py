@@ -5,10 +5,9 @@ Everything here is deterministic and desk-scale exact, with bounded work.
 ``dist_to_hull`` finds the hull's nearest point with an active-set
 nonnegative least-squares solve.  ``nodim_caratheodory`` does not call
 it: a greedy step scores all n candidates with one batched Gram solve per
-subset of the chosen points, and a call whose last step would exceed
-``_NODIM_FACE_BUDGET`` face projections raises ``GuardError`` before any
-work.  ``caratheodory_reduce`` eliminates through windows of d+2 points,
-O(n d^3) work in (d+1) x (d+2) SVDs.
+subset of the chosen points; it and ``barycentric_circumradius`` price
+their subset enumerations up front (``check_work``).  ``caratheodory_reduce``
+eliminates through windows of d+2 points, O(n d^3) work in (d+1) x (d+2) SVDs.
 """
 
 from __future__ import annotations
@@ -19,13 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardError
+from .errors import STEP_OPS, check_work
 from .diameter import diameter_bruteforce
-from .geometry import as_point, as_points, geom_tol
+from .geometry import SUBSET_BATCH, as_point, as_points, bbox_frame, geom_tol
 from .meb import _nnls, exact_meb
-
-_BCIR_GUARD = 16  # subset enumeration ceiling for barycentric_circumradius
-_NODIM_FACE_BUDGET = 10_000_000  # face projections of nodim_caratheodory's last step
 
 
 @dataclass(frozen=True)
@@ -239,21 +235,24 @@ def barycentric_circumradius(points) -> float:
     over all subsets of size 2..d+1.
 
     Combined with the diameter bound this caps the exact enclosing radius:
-    rho <= min(barycentric_circumradius, jung_bound).  Guarded to n <= 16.
+    rho <= min(barycentric_circumradius, jung_bound).  Computed in
+    ``bbox_frame``, ``SUBSET_BATCH`` subsets at a time.  Work estimate
+    (``check_work``): sum_{s=2}^{d+1} C(n, s) s (d + 16).
     """
-    P = as_points(points)
+    P, _, _ = bbox_frame(as_points(points))
     n, d = P.shape
     if n < 2:
         raise ValueError("need at least two points")
-    if n > _BCIR_GUARD:
-        raise GuardError(f"subset enumeration is guarded to n <= {_BCIR_GUARD}, got n = {n}")
+    sizes = range(2, min(n, d + 1) + 1)
+    check_work(sum(math.comb(n, s) * s * (d + 16) for s in sizes), f"{n} points' subsets", "use fewer points")
     best = 0.0
-    for size in range(2, min(n, d + 1) + 1):
-        idx = np.array(list(itertools.combinations(range(n), size)))
-        sub = P[idx]
-        centers = sub.mean(axis=1)
-        radii = np.linalg.norm(sub - centers[:, None, :], axis=2).max(axis=1)
-        best = max(best, float(radii.max()))
+    for size in sizes:
+        flat = itertools.chain.from_iterable(itertools.combinations(range(n), size))
+        while (block := np.fromiter(itertools.islice(flat, SUBSET_BATCH * size), dtype=np.intp)).size:
+            sub = P[block.reshape(-1, size)]
+            centers = sub.mean(axis=1)
+            radii = np.linalg.norm(sub - centers[:, None, :], axis=2).max(axis=1)
+            best = max(best, float(radii.max()))
     return best
 
 
@@ -333,8 +332,8 @@ def nodim_caratheodory(points, a, r: int):
     distance with candidate i is the smaller of the previous ``achieved``
     and the distances of ``_face_distances``, clamped to 0 as in
     ``dist_to_hull``.  Ties within ``geom_tol`` go to the lower index.  The
-    last step projects onto n * sum_{k <= min(r-1, d)} C(r-1, k) faces;
-    above ``_NODIM_FACE_BUDGET`` the call raises ``GuardError`` up front.
+    steps batch n projections per subset, C(r, s) of size s - 1 in all, so
+    work estimate (``check_work``): sum_{s <= d+1} C(r, s) (STEP_OPS + n s (d + 40)).
 
     Returns (indices, achieved).
     """
@@ -345,10 +344,9 @@ def nodim_caratheodory(points, a, r: int):
         raise ValueError(f"dimension mismatch: point is {target.size}-d, points are {d}-d")
     if not 1 <= r <= n:
         raise ValueError(f"r must be in 1..{n}, got {r}")
-    faces = n * sum(math.comb(r - 1, k) for k in range(min(r - 1, d) + 1))
-    if faces > _NODIM_FACE_BUDGET:
-        raise GuardError(f"the last greedy step would project onto {faces} faces, "
-                         f"above the budget of {_NODIM_FACE_BUDGET}; lower r")
+    subsets = {s: math.comb(r, s) for s in range(1, min(r, d + 1) + 1)}
+    check_work(sum(m * (STEP_OPS + n * s * (d + 40)) for s, m in subsets.items()),
+               f"nodim_caratheodory's {n * sum(subsets.values())} face projections", "lower r")
     U = P - target
     # a power-of-two unit at most the largest |coordinate| rescales exactly
     # and keeps the squared lengths of the Gram systems inside the float range

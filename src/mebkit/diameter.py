@@ -21,7 +21,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import GuardError
+from .errors import GuardError, check_work
 from .geometry import as_point, as_points, distances, geom_tol
 from .seeding import derive_rng
 
@@ -89,12 +89,14 @@ def diameter_bruteforce(P) -> DiameterResult:
     later point (``_pair_norms``), with at most ``PAIR_BLOCK`` pairs (or one
     row) per block, so memory stays within a block.  Each block counts its
     pairs near the maximum so far; a block that a later one outgrew is
-    scanned again only when its own maximum is near the final one.
+    scanned again only when its own maximum is near the final one.  Work
+    estimate (``check_work``): n (n - 1) / 2 * d.
     """
     P = as_points(P)
-    n = len(P)
+    n, d = P.shape
     if n < 2:
         raise ValueError("need at least two points")
+    check_work(n * (n - 1) // 2 * d, f"the pair scan of {n} points", "use diameter_doublesweep")
     tol = geom_tol(P)
     rows = max(1, PAIR_BLOCK // n)
     blocks = [(lo, min(lo + rows, n - 1)) for lo in range(0, n - 1, rows)]

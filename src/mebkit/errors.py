@@ -1,4 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and its one work budget."""
+
+import math
+
+WORK_BUDGET = 1e9  # scalar operations; badoiu_clarkson runs about 1.1e8 a second
+STEP_OPS = 4_000   # price of one interpreter-level step: a tester round takes about 38 us
 
 
 class DegenerateInputError(ValueError):
@@ -14,7 +19,14 @@ class DegenerateInputError(ValueError):
 
 
 class GuardError(RuntimeError):
-    """A desk-scale enumeration or size guard was exceeded."""
+    """Work refused up front: an estimate over ``WORK_BUDGET``, or a size no estimate bounds."""
+
+
+def check_work(ops, what: str, hint: str) -> None:
+    """Raise ``GuardError`` unless the estimate ``ops`` is at most ``WORK_BUDGET`` (NaN too)."""
+    if not ops <= WORK_BUDGET:  # log10 takes ints past float range
+        raise GuardError(f"{what}: about 10^{math.log10(ops):.1f} scalar operations, over the "
+                         f"budget of {WORK_BUDGET:.3g}; {hint}")
 
 
 class ConvergenceError(RuntimeError):

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .errors import check_work
 from .geometry import as_points, distances
 from .seeding import derive_rng
 
@@ -40,7 +41,9 @@ def _unit_vectors(rng, n, d):
 
 def _spread_anchors(rng, count, d, gap):
     """Points with pairwise distances at least ``gap`` (rejection sampling).
-    A gap too large to sample at in float range is a ``ValueError``."""
+    A gap too large to sample at in float range is a ``ValueError``.  Work
+    estimate (``check_work``): 250 count^2, for its numpy call per check."""
+    check_work(250 * count * count, f"{count} anchors", "lower the anchor count")
     anchors = []
     radius = gap * max(2.0, count)
     attempts = 0
@@ -67,12 +70,13 @@ def gen_instance(kind: str, n: int, d: int, seed: int | None = None, **params):
 
     Kinds: uniform-ball, sphere-surface, gaussian, clustered(k, separation),
     clusterable(k1, eps), far(k2, delta).  The last two include certificates
-    in the labels dict.
+    in the labels dict.  Work estimate (``check_work``): 8 n d.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
+    check_work(8 * n * d, f"{n} x {d} coordinates", "lower n or d")
     rng = derive_rng(seed, f"gen:{kind}")
     labels: dict = {"kind": kind}
 

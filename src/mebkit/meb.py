@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, GuardError, IterationLimitError
+from .errors import ConvergenceError, IterationLimitError, check_work
 from .geometry import Ball, as_points, bbox_frame, circumballs, distances, geom_tol
 
 _PRUNE = 1e-10         # multipliers below this are treated as inactive
@@ -65,13 +65,7 @@ class KtResiduals:
 
     @property
     def worst(self) -> float:
-        return max(
-            self.multiplier_sum,
-            self.stationarity,
-            self.complementary_slackness,
-            self.negativity,
-            self.primal_infeasibility,
-        )
+        return max(vars(self).values())
 
 
 def _nnls(A, b) -> np.ndarray:
@@ -367,15 +361,13 @@ def badoiu_clarkson(P, k: int, seed: int | None = None):
     from the current center, ties broken by lowest index.  Returns the
     resulting solution (radius is the exact maximum distance, so the ball
     encloses the input by construction) and the visited core indices.  The
-    iteration runs in ``bbox_frame``.  Steps that would cost more than 1e9
-    scalar operations in all (``k * n * d``) raise ``GuardError`` up front.
+    iteration runs in ``bbox_frame``.  Work estimate (``check_work``): k * n * d.
     """
     P, mid, _ = bbox_frame(as_points(P))
     n, d = P.shape
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k * n * d > 1e9:
-        raise GuardError(f"k * n * d = {k * n * d:.3g} scalar operations exceed the budget of 1e9; lower k")
+    check_work(k * n * d, f"badoiu_clarkson's {k} steps", "lower k")
     if seed is None:
         start = 0
     else:

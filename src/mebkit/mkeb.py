@@ -4,18 +4,17 @@ r"""Minimum k-enclosing ball: cover at least k of n points with the smallest bal
 
 * Enumeration scores the circumball of every affinely independent subset of
   1..d+1 points (the optimum is the circumball of at most d+1 boundary points
-  of its covered subset): sum_{s <= d+1} C(n, s) candidates, cheap when n is
-  small whatever k is.
+  of its covered subset) against all n points: sum_{s <= d+1} C(n, s)
+  candidates, cheap when n is small whatever k is.
 * Support branching (Matousek, "On geometric optimization with few violated
   constraints", 1995) solves the enclosing ball of P \ R by the walk of
   ``meb`` for removed sets R grown one support point at a time: at most
   sum_{j <= z} (d+1)^j walks, cheap when z is small whatever n is.
 
-``exact_mkeb`` takes the path whose bound costs less, counting one walk as
-``NODE_CANDIDATES`` enumerated candidates (a measured exchange rate), and
-raises ``GuardError`` up front when even the cheaper bound exceeds
-``CANDIDATE_BUDGET`` candidates.  ``outlier_meb_sample`` is the sampled
-variant that tolerates an eps-fraction of outliers with confidence 1 - delta.
+``exact_mkeb`` prices both paths in scalar operations, runs the cheaper
+one, and refuses up front (``check_work``) when that one is over budget.
+``outlier_meb_sample`` is the sampled variant that tolerates an
+eps-fraction of outliers with confidence 1 - delta.
 """
 
 from __future__ import annotations
@@ -25,12 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardError
+from .errors import STEP_OPS, GuardError, check_work
 from .geometry import Ball, as_points, bbox_frame, subset_circumballs
 from .meb import _hard_cap, _walk, exact_meb
-
-CANDIDATE_BUDGET = 2_000_000  # guard: most enumerated candidates, or branch nodes at their rate
-NODE_CANDIDATES = 47          # one branch node costs about as much as 47 enumerated candidates
 
 
 @dataclass(frozen=True)
@@ -49,42 +45,35 @@ class MkebSolution:
 def _work_bounds(n: int, d: int, k: int) -> tuple[int, int]:
     """(candidates, walks): the most circumballs enumeration scores,
     sum_{s <= d+1} C(n, s), and the most walks support branching runs,
-    sum_{j <= z} (d+1)^j, for k of n points in d dimensions.  The walk sum
-    stops once it is over the budget, where its exact size no longer matters.
+    sum_{j <= z} (d+1)^j, for k of n points in d dimensions, z capped at 64:
+    past any budget, where its exact size no longer matters.
     """
     candidates = sum(math.comb(n, s) for s in range(1, min(n, d + 1) + 1))
-    walks, level = 0, 1
-    for _ in range(n - k + 1):
-        walks += level
-        if walks * NODE_CANDIDATES > CANDIDATE_BUDGET:
-            break
-        level *= d + 1
+    walks = ((d + 1) ** (min(n - k, 64) + 1) - 1) // d
     return candidates, walks
 
 
 def exact_mkeb(P, k: int) -> MkebSolution:
     """Smallest ball covering at least k points.
 
-    Ties are broken by (radius, lexicographic center), on either path.  The
-    path is chosen by ``_work_bounds``: support branching when its walk bound
-    times ``NODE_CANDIDATES`` is below the enumeration's candidate count,
-    else enumeration.  When the cheaper of the two exceeds
-    ``CANDIDATE_BUDGET`` candidates, ``GuardError`` is raised before any
-    work; such instances should use ``outlier_meb_sample``.  Both paths work
-    in ``bbox_frame`` and count a point as covered within its tolerance.
+    Ties are broken by (radius, lexicographic center), on either path.  By
+    ``_work_bounds``, enumeration costs candidates * n * d * (d+1) scalar
+    operations (a circumball and a scan of n points per candidate) and
+    branching walks * (6 STEP_OPS + (d+1) n d) (steps and scans of a walk,
+    fitted at 30..200,000 points); the cheaper path runs.  Work estimate
+    (``check_work``): its cost; larger instances should use
+    ``outlier_meb_sample``.  Both paths work in ``bbox_frame`` and count a
+    point as covered within its tolerance.
     """
     P, mid, tol = bbox_frame(as_points(P))
     n, d = P.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     candidates, walks = _work_bounds(n, d, k)
-    if min(candidates, walks * NODE_CANDIDATES) > CANDIDATE_BUDGET:
-        raise GuardError(
-            f"enumeration needs 10^{math.log10(candidates):.1f} candidates and branching up to "
-            f"{d + 1}^{n - k} walks, both over the budget of {CANDIDATE_BUDGET:.0e} candidates "
-            f"({NODE_CANDIDATES} per walk); use outlier_meb_sample for large instances"
-        )
-    path = _branch_mkeb if walks * NODE_CANDIDATES < candidates else _enumerate_mkeb
+    enumerate_ops, branch_ops = candidates * n * d * (d + 1), walks * (6 * STEP_OPS + (d + 1) * n * d)
+    check_work(min(enumerate_ops, branch_ops), f"the exact {k}-enclosing ball of {n} points",
+               "use outlier_meb_sample for large instances")
+    path = _branch_mkeb if branch_ops < enumerate_ops else _enumerate_mkeb
     radius, center = path(P, k, tol)
     covered = np.flatnonzero(np.linalg.norm(P - center, axis=1) <= radius + tol)
     return MkebSolution(Ball(center + mid, radius), covered, k)
@@ -178,6 +167,12 @@ def outlier_sample_size(d: int, eps: float, delta: float) -> int:
         raise GuardError(f"the sample size for d = {d}, eps = {eps}, delta = {delta} is beyond "
                          "float range; raise eps or delta")
     return max(1, math.ceil(need))
+
+
+def outlier_sample_work(n: int, d: int, eps: float, delta: float) -> int:
+    """Work estimate of one ``outlier_meb_sample`` call: 25 STEP_OPS + (40
+    min(m, n) + 5 n) d, for the walk over its sample and its passes over P."""
+    return 25 * STEP_OPS + (40 * min(outlier_sample_size(d, eps, delta), n) + 5 * n) * d
 
 
 def outlier_meb_sample(P, eps: float, delta: float, seed: int | None = None) -> MkebSolution:

@@ -13,8 +13,9 @@ and the first refused sample of the first chunk that has one is the witness.
 The growing chunks keep an early rejection as cheap as a round-by-round loop,
 and the verdict, ``rounds_used`` and witness are the ones that loop gives.
 The k-translate tester checks the pairs of each sample of a chunk in the same
-way: k+1 points split into at most k groups that fit iff some pair of them
-fits (see ``k_g_tester``).
+way, at most ``_PAIR_ROWS`` pairs per kernel call: k+1 points split into at
+most k groups that fit iff some pair of them fits (see ``k_g_tester``).
+Both testers price their rounds up front (``one_s_work``, ``k_g_work``).
 
 ``promise_label`` and ``scattered_points`` are the exact desk-scale deciders
 used to classify promise instances (clusterable vs pairwise-scattered).
@@ -28,8 +29,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import GuardError
-from .geometry import as_points, fits_in_translate, fits_in_translates, geom_tol, small_meb_radii
+from .errors import STEP_OPS, GuardError, check_work
+from .geometry import SMALL_MEB_MAX, as_points, fits_in_translates, geom_tol, small_meb_radii
 from .seeding import derive_rng
 
 ACCEPT = "accept"
@@ -38,8 +39,9 @@ REJECT = "reject"
 _SCATTER_EXACT_LIMIT = 60   # branch-and-bound ceiling for the public decider
 _PROMISE_GUARD = 200        # exact clustering guard for k1 >= 2
 _SCATTER_GUARD = 1_000      # most points promise_label builds the n x n x d gap array for
-_ROUND_BUDGET = 1_000_000   # most sampling rounds a tester runs before refusing the input
 _CHUNK_MAX = 256            # most rounds a tester checks in one batch
+_PAIR_ROWS = 16_384         # most sample pairs k_g_tester checks in one kernel call
+_LABELS = {(True, True): "BOTH", (True, False): "YES", (False, True): "NO", (False, False): "VIOLATES"}
 
 
 @dataclass(frozen=True)
@@ -72,24 +74,35 @@ class ScatteredSet:
         object.__setattr__(self, "indices", np.asarray(self.indices, dtype=int))
 
 
-def _check_unit(value, name):
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"{name} must lie in (0, 1], got {value}")
+def _check_unit(**values):
+    for name, value in values.items():
+        if not 0.0 < value <= 1.0:
+            raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
-def _rounds(rate: float, delta: float) -> int:
-    """ceil((1/rate) * ln(1/delta)) sampling rounds; delta = 1 gives zero
-    rounds (vacuous accept).  Raises ``GuardError`` when the count exceeds
-    ``_ROUND_BUDGET``, before any round runs."""
+def _rounds(rate: float, delta: float):
+    """ceil((1/rate) * ln(1/delta)) sampling rounds (inf past float range);
+    delta = 1 gives zero rounds (vacuous accept)."""
     if delta == 1.0:
         return 0
     need = (1.0 / rate) * math.log(1.0 / delta) if rate > 0.0 else math.inf
-    if need > _ROUND_BUDGET:
-        raise GuardError(
-            f"{need:.3g} sampling rounds exceed the budget of {_ROUND_BUDGET}; "
-            "raise eps, c or delta"
-        )
-    return math.ceil(need)
+    return math.ceil(need) if need < math.inf else need
+
+
+def one_s_work(d: int, eps: float, delta: float):
+    """``one_s_tester``'s work estimate: max(rounds, 1) (STEP_OPS + 2^min(d+1,
+    SMALL_MEB_MAX) (d+1)^2 d), for ``small_meb_radii``'s subsets of a round's
+    d+1 points.  Validates eps and delta."""
+    _check_unit(eps=eps, delta=delta)
+    round_ops = 2 ** min(d + 1, SMALL_MEB_MAX) * (d + 1) ** 2 * d
+    return max(_rounds(eps ** (d + 1), delta), 1) * (STEP_OPS + round_ops)
+
+
+def k_g_work(d: int, k: int, c: float, delta: float):
+    """``k_g_tester``'s work estimate: max(rounds, 1) (STEP_OPS + 40 d C(k+1, 2)),
+    for the batched kernel's check of a round's pairs.  Validates c and delta."""
+    _check_unit(c=c, delta=delta)
+    return max(_rounds(c, delta), 1) * (STEP_OPS + 40 * d * math.comb(k + 1, 2))
 
 
 def _sampled_test(P, size: int, rounds: int, tag: str, seed: int, fits) -> TestVerdict:
@@ -117,19 +130,17 @@ def one_s_tester(P, body, eps: float, delta: float, seed: int = 0) -> TestVerdic
     distinct points and rejects with that sample as witness if no translate
     contains it.  Inputs that fit a translate are always accepted.  When the
     input has fewer than d+1 points the check is run directly on the whole
-    set, deterministically.  More than ``_ROUND_BUDGET`` rounds raise
-    ``GuardError`` before the first one.
+    set, deterministically.  Work estimate (``check_work``): ``one_s_work``.
     """
     P = as_points(P)
     n, d = P.shape
-    _check_unit(eps, "eps")
-    _check_unit(delta, "delta")
+    ops = one_s_work(d, eps, delta)  # validates eps and delta, whatever n is
     if n < d + 1:
-        ok = fits_in_translate(body, P)
-        if ok:
+        if fits_in_translates(body, P[None])[0]:
             return TestVerdict(ACCEPT, None, None, 0, seed)
         return TestVerdict(REJECT, P.copy(), np.arange(n), 0, seed)
     rounds = _rounds(eps ** (d + 1), delta)
+    check_work(ops, f"one_s_tester's {rounds:.3g} sampling rounds", "raise eps or delta")
     return _sampled_test(P, d + 1, rounds, "one-s-round", seed, partial(fits_in_translates, body))
 
 
@@ -172,25 +183,25 @@ def k_g_tester(P, body, k: int, c: float = 0.01, delta: float = 0.1, seed: int =
     subset of a fitting group fits; conversely a fitting pair and k-1
     singletons are such a split.  So a rejected sample is k+1 pairwise-far
     points.  The witness-density constant ``c`` depends on the body shape
-    and is supplied by the caller.  More than ``_ROUND_BUDGET`` rounds raise
-    ``GuardError`` before the first one.
+    and is supplied by the caller.  Work estimate (``check_work``):
+    ``k_g_work``.
     """
     P = as_points(P)
     n, d = P.shape
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k > 8:
-        raise GuardError(f"the k-translate tester is guarded to k <= 8, got k = {k}")
     if n < k + 1:
         raise ValueError(f"need at least k+1 = {k + 1} points, got {n}")
-    _check_unit(c, "c")
-    _check_unit(delta, "delta")
+    ops = k_g_work(d, k, c, delta)
     rounds = _rounds(c, delta)
+    check_work(ops, f"k_g_tester's {rounds:.3g} sampling rounds", "raise c or delta")
     pairs = np.column_stack(np.triu_indices(k + 1, 1))
 
     def fits(samples) -> np.ndarray:
-        pair_fits = fits_in_translates(body, samples[:, pairs].reshape(-1, 2, d))
-        return pair_fits.reshape(len(samples), -1).any(axis=1)
+        step = max(1, _PAIR_ROWS // len(samples))  # pairs per kernel call
+        rows = (samples[:, pairs[lo:lo + step]].reshape(-1, 2, d) for lo in range(0, len(pairs), step))
+        pair_fits = [fits_in_translates(body, r).reshape(len(samples), -1) for r in rows]
+        return np.hstack(pair_fits).any(axis=1)
 
     return _sampled_test(P, k + 1, rounds, "k-g-round", seed, fits)
 
@@ -267,16 +278,6 @@ def scattered_points(P, delta: float) -> ScatteredSet:
     return ScatteredSet(len(chosen), sorted(chosen), False)
 
 
-def _label(yes: bool, no: bool) -> str:
-    if yes and no:
-        return "BOTH"
-    if yes:
-        return "YES"
-    if no:
-        return "NO"
-    return "VIOLATES"
-
-
 def promise_label(P, k1: int, eps: float, k2: int, delta: float) -> PromiseLabel:
     """Exact classification of a promise instance.
 
@@ -318,4 +319,4 @@ def promise_label(P, k1: int, eps: float, k2: int, delta: float) -> PromiseLabel
         no = True  # a single point is vacuously scattered
     else:
         no = len(_scattered(_compat_matrix(P, delta), k2)) >= k2
-    return PromiseLabel(yes, no, _label(yes, no))
+    return PromiseLabel(yes, no, _LABELS[yes, no])

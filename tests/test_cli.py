@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import mebkit
 from mebkit.cli import RunReport, dispatch, main, render_report
+from mebkit.errors import STEP_OPS
 from mebkit.generators import KINDS, gen_instance
 from mebkit.pointio import read_points, write_points
 
@@ -184,14 +185,16 @@ def test_test_cluster_trials_aggregate(tmp_path, capsys):
 
 
 def test_test_cluster_kg_guard(tmp_path, capsys):
-    P, _ = gen_instance("gaussian", 12, 2, seed=4)
+    P, _ = gen_instance("gaussian", 400, 2, seed=4)
     path = tmp_path / "pts.csv"
     write_points(str(path), P)
-    report, code = run_cli(
-        ["test-cluster", "--mode", "kg", "--k", "9", "--input", str(path)], capsys
-    )
+    report, code = run_cli(["test-cluster", "--mode", "kg", "--k", "9", "--input", str(path)], capsys)
+    assert code == 0  # k is priced, not capped at 8
+    # 231 rounds of C(400, 2) pairs: about 1.5e9 scalar operations
+    report, code = run_cli(["test-cluster", "--mode", "kg", "--k", "399", "--input", str(path)], capsys)
     assert code == 3
     assert report["result"]["error"]["kind"] == "computation"
+    assert "budget" in report["result"]["error"]["message"]
 
 
 def test_streameps_direction_budget_is_a_compute_error(square_csv, capsys):
@@ -224,7 +227,11 @@ FIVE = np.vstack([SQUARE, [[0.5, 0.25]]])
     ["meb", "--algo", "bc", "--k", "1000000000000"],
     ["test-cluster", "--mode", "1s", "--trials", "1000000000"],
     ["test-cluster", "--mode", "kg", "--trials", "1000000000"],
-], ids=["bc-steps", "1s-trials", "kg-trials"])
+    ["test-cluster", "--mode", "outliers", "--trials", "1000000000"],
+    ["gen", "--kind", "clustered", "--n", "5", "--d", "2", "--k", "1000000"],
+    ["gen", "--kind", "clusterable", "--n", "5", "--d", "2", "--k1", "1000000"],
+    ["gen", "--kind", "gaussian", "--n", str(10**12), "--d", "3"],
+], ids=["bc-steps", "1s-trials", "kg-trials", "outliers-trials", "gen-k", "gen-k1", "gen-n"])
 def test_work_counts_over_budget_are_refused_up_front(tmp_path, capsys, argv):
     # each ran past 20 s on five points before it was priced
     path = tmp_path / "five.csv"
@@ -369,13 +376,15 @@ def test_convexity_nodim(square_csv, capsys):
 
 
 def test_convexity_nodim_face_budget_is_a_compute_error(cloud_csv, capsys, monkeypatch):
-    # 30 points, r = 3 in 3-d: the last step projects onto 30 * (1 + 2 + 1) faces
-    monkeypatch.setattr("mebkit.convexity._NODIM_FACE_BUDGET", 119)
+    # 30 points, r = 3 in 3-d: 30 * (3 + 3 + 1) faces, priced at
+    # sum_s C(3, s) * (STEP_OPS + 30 * s * (3 + 40)) scalar operations
+    ops = sum(math.comb(3, s) * (STEP_OPS + 30 * s * 43) for s in (1, 2, 3))
+    monkeypatch.setattr("mebkit.errors.WORK_BUDGET", ops - 1)
     report, code = run_cli(["convexity", "nodim", "--r", "3", "--input", cloud_csv], capsys)
     assert code == 3
     assert report["result"]["error"]["kind"] == "computation"
-    assert "120 faces" in report["result"]["error"]["message"]
-    monkeypatch.setattr("mebkit.convexity._NODIM_FACE_BUDGET", 120)
+    assert "210 face projections" in report["result"]["error"]["message"]
+    monkeypatch.setattr("mebkit.errors.WORK_BUDGET", ops)
     report, code = run_cli(["convexity", "nodim", "--r", "3", "--input", cloud_csv], capsys)
     assert code == 0
 
@@ -594,11 +603,11 @@ def test_render_report_bytes_with_numpy_values():
 # parser or a library refuses: non-finite, negative, zero and malformed.
 # Each argv spoils at most one option with a BAD value, so that most calls
 # get past the parser.  Counts that set how much work a call asks for
-# (iterations, trials, instance size, anchor count) stay small: large ones
-# ask for proportionally long runs.
+# (iterations, trials, instance size, anchor count) are small or far over
+# the work budget, up to 2**63 - 1: the budget refuses those up front.
 FLOATS = ["0.25", "1", "3", "1e308"]
 COUNTS = ["1", "2", "3", "9", str(10**30)]
-WORK = ["1", "3"]
+WORK = ["1", "3", str(2**31), str(2**63 - 1)]
 BAD = ["nan", "inf", "-1", "0", "1.5", "x"]
 INPUTS = ["cloud.csv", "cloud.json", "line.csv", "one.csv", "boxes.json", "bad.csv", "bad.json",
           "missing.csv", "."]
@@ -671,7 +680,9 @@ def argvs(draw, root, command):
 @given(data=st.data())
 def test_dispatch_always_ends_in_one_strict_report(fuzz_dir, command, data):
     argv = data.draw(argvs(fuzz_dir, command))
+    started = time.perf_counter()
     report, code = dispatch(argv)
+    assert time.perf_counter() - started < 5.0
     assert code in (0, 1, 2, 3)
     doc = strict_json(render_report(report))
     assert sorted(doc) == ["command", "parameters", "result", "seed", "timing_ms", "tool_version"]

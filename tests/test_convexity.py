@@ -22,7 +22,7 @@ from mebkit.convexity import (
     nodim_caratheodory,
     radon_partition,
 )
-from mebkit.errors import GuardError
+from mebkit.errors import STEP_OPS, GuardError
 from mebkit.generators import gen_instance, regular_simplex
 from mebkit.geometry import geom_tol
 from mebkit.meb import exact_meb
@@ -356,8 +356,11 @@ def test_bcir_flat_triangle_beats_jung():
 
 
 def test_bcir_guard():
-    with pytest.raises(GuardError):
-        barycentric_circumradius(np.zeros((17, 2)))
+    assert barycentric_circumradius(np.zeros((17, 2))) == 0.0  # priced, no longer capped at 16 points
+    started = time.perf_counter()
+    with pytest.raises(GuardError, match="budget"):  # (C(700, 2) 2 + C(700, 3) 3) * 18 = 3.1e9
+        barycentric_circumradius(np.zeros((700, 2)))
+    assert time.perf_counter() - started < 1.0
 
 
 def test_radius_bound_chain():
@@ -463,10 +466,10 @@ def test_nodim_face_budget_refuses_before_any_projection(monkeypatch):
 
     monkeypatch.setattr(convexity, "_face_distances", forbidden)
     P = derive_rng(0, "nodim-budget").standard_normal((40, 5))
-    # 40 * sum_{k <= 5} C(39, k) = 26,717,120 faces in the last step
-    with pytest.raises(GuardError, match="26717120 faces"):
+    # 40 * sum_{s <= 6} C(40, s) = 183,939,120 faces over the 40 steps
+    with pytest.raises(GuardError, match="183939120 face projections"):
         nodim_caratheodory(P, P.mean(axis=0), 40)
-    monkeypatch.setattr(convexity, "_NODIM_FACE_BUDGET", 39)
+    monkeypatch.setattr("mebkit.errors.WORK_BUDGET", STEP_OPS + 40 * 45 - 1)
     with pytest.raises(GuardError):
         nodim_caratheodory(P, P.mean(axis=0), 1)  # one face per candidate
 

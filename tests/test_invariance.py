@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mebkit.convexity import caratheodory_reduce, dist_to_hull, make_combination, nodim_caratheodory
+from mebkit.convexity import (barycentric_circumradius, caratheodory_reduce, dist_to_hull, make_combination,
+                              nodim_caratheodory)
 from mebkit.diameter import diameter_bruteforce
 from mebkit.geometry import BallBody, BoxBody, bbox_frame, geom_tol
 from mebkit.meb import badoiu_clarkson, elzinga_hearn_dual, exact_meb, hopp_reeve_meb
@@ -105,6 +106,13 @@ def test_diameter_bruteforce(frame, n, d):
     for moved, reference, _ in pairs:
         got, want = diameter_bruteforce(moved), diameter_bruteforce(reference)
         assert (got.pair, got.pairs_at_max) == (want.pair, want.pairs_at_max)
+
+
+@given(frames, st.integers(3, 15), st.integers(1, 3))
+@example((0, 12.0, True, 8.0), 15, 3)
+def test_barycentric_circumradius(frame, n, d):
+    pairs, _ = moves(frame, n, d)
+    assert_length_transforms(barycentric_circumradius, pairs)
 
 
 @given(frames, st.integers(1, 10), st.integers(1, 4))

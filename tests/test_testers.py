@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from mebkit import meb, testers
-from mebkit.errors import GuardError
+from mebkit.errors import STEP_OPS, WORK_BUDGET, GuardError
 from mebkit.geometry import BallBody, BoxBody, fits_in_translate
 from mebkit.meb import exact_meb
 from mebkit.seeding import derive_rng
 from mebkit.testers import (
-    _ROUND_BUDGET,
     _rounds,
     k_g_tester,
+    k_g_work,
     one_s_tester,
+    one_s_work,
     promise_label,
     scattered_points,
 )
@@ -108,13 +109,19 @@ def no_rounds(monkeypatch):
     monkeypatch.setattr(testers, "derive_rng", forbidden)
 
 
-def test_round_budget_boundary():
-    assert _rounds(1e-5, 0.1) == math.ceil(1e5 * math.log(10.0)) <= _ROUND_BUDGET
-    with pytest.raises(GuardError, match="budget"):
-        _rounds(1e-7, 0.1)
-    with pytest.raises(GuardError):
-        _rounds(0.0, 0.5)  # an underflowed eps ** (d + 1)
+def test_round_budget_boundary(monkeypatch):
+    rounds = math.ceil(1e5 * math.log(10.0))
+    assert _rounds(1e-5, 0.1) == rounds
+    assert k_g_work(2, 2, 1e-5, 0.1) == rounds * (STEP_OPS + 3 * 40 * 2) <= WORK_BUDGET
+    assert k_g_work(2, 2, 1e-7, 0.1) > WORK_BUDGET
+    assert _rounds(0.0, 0.5) == math.inf  # an underflowed eps ** (d + 1)
     assert _rounds(0.0, 1.0) == 0  # delta = 1 needs no round at all
+    assert one_s_work(2, 0.5, 1.0) == STEP_OPS + 8 * 9 * 2  # a vacuous call is priced as one round
+    no_rounds(monkeypatch)
+    with pytest.raises(GuardError, match="budget"):
+        k_g_tester(two_clusters(), BallBody(1.0), 2, c=1e-7, delta=0.1)
+    with pytest.raises(GuardError):
+        one_s_tester(two_clusters(), BallBody(1.0), 1e-200, 0.5)  # eps ** 3 underflows
 
 
 def test_one_s_refuses_unbounded_rounds_up_front(monkeypatch):
@@ -318,12 +325,30 @@ def test_k_g_k1_matches_one_s_verdict_on_coverable():
 
 def test_k_g_guard_and_validation():
     P = two_clusters()
-    with pytest.raises(GuardError):
-        k_g_tester(P, BallBody(1.0), 9)
+    assert k_g_tester(P, BallBody(1.0), 9).rounds_used >= 1  # k is priced, not capped
+    # 23,026 rounds of C(60, 2) pairs are over the budget; of C(3, 2) pairs they are not
+    with pytest.raises(GuardError, match="budget"):
+        k_g_tester(P, BallBody(1.0), 59, c=1e-4)
+    assert k_g_work(2, 2, 1e-4, 0.1) <= WORK_BUDGET < k_g_work(2, 59, 1e-4, 0.1)
     with pytest.raises(ValueError):
         k_g_tester(P[:2], BallBody(1.0), 2)
     with pytest.raises(ValueError):
         k_g_tester(P, BallBody(1.0), 0)
+
+
+def test_k_g_pair_blocks_change_nothing(monkeypatch):
+    # kernel calls of a few pairs each give the verdict, rounds and witness of one call per chunk:
+    # 30 far grid points and 12 near the origin reject after a seed-dependent number of rounds
+    grid = np.array([[10.0 * i, 10.0 * j] for i in range(6) for j in range(5)])
+    P = np.vstack([grid, derive_rng(1, "pair-blocks").uniform(-0.05, 0.05, (12, 2))])
+    for k, seed in ((3, 2), (9, 0), (9, 5)):
+        whole = k_g_tester(P, BallBody(1.0), k, c=0.05, delta=0.1, seed=seed)
+        monkeypatch.setattr(testers, "_PAIR_ROWS", 5)
+        split = k_g_tester(P, BallBody(1.0), k, c=0.05, delta=0.1, seed=seed)
+        monkeypatch.undo()
+        assert whole.outcome == split.outcome == "reject"
+        assert split.rounds_used == whole.rounds_used
+        assert np.array_equal(split.witness_indices, whole.witness_indices)
 
 
 def test_k_g_witness_reverifies():
