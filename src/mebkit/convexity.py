@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import STEP_OPS, check_work
 from .diameter import diameter_bruteforce
-from .geometry import SUBSET_BATCH, as_point, as_points, bbox_frame, geom_tol
+from .geometry import _subset_blocks, as_point, as_points, bbox_frame, geom_tol
 from .meb import _nnls, exact_meb
 
 
@@ -236,7 +236,7 @@ def barycentric_circumradius(points) -> float:
 
     Combined with the diameter bound this caps the exact enclosing radius:
     rho <= min(barycentric_circumradius, jung_bound).  Computed in
-    ``bbox_frame``, ``SUBSET_BATCH`` subsets at a time.  Work estimate
+    ``bbox_frame``, over the index blocks of ``geometry._subset_blocks``.  Work estimate
     (``check_work``): sum_{s=2}^{d+1} C(n, s) s (d + 16).
     """
     P, _, _ = bbox_frame(as_points(points))
@@ -247,9 +247,8 @@ def barycentric_circumradius(points) -> float:
     check_work(sum(math.comb(n, s) * s * (d + 16) for s in sizes), f"{n} points' subsets", "use fewer points")
     best = 0.0
     for size in sizes:
-        flat = itertools.chain.from_iterable(itertools.combinations(range(n), size))
-        while (block := np.fromiter(itertools.islice(flat, SUBSET_BATCH * size), dtype=np.intp)).size:
-            sub = P[block.reshape(-1, size)]
+        for block in _subset_blocks(n, size):
+            sub = P[block]
             centers = sub.mean(axis=1)
             radii = np.linalg.norm(sub - centers[:, None, :], axis=2).max(axis=1)
             best = max(best, float(radii.max()))

@@ -17,6 +17,7 @@ their distance from the origin.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,20 +192,36 @@ def circumballs(S):
     return centers, radii, ok, coords
 
 
+def _subset_blocks(n: int, size: int):
+    """Yield the size-subsets of range(n), in order, as index arrays of at most ``SUBSET_BATCH`` rows."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), size))
+    while (block := np.fromiter(itertools.islice(flat, SUBSET_BATCH * size), dtype=np.intp)).size:
+        yield block.reshape(-1, size)
+
+
+def subset_circumballs_work(n: int, d: int) -> int:
+    """``subset_circumballs``' work estimate: sum_{s <= d+1} C(n, s) n d (d+1), a ball and row a subset."""
+    return sum(math.comb(n, s) for s in range(1, min(n, d + 1) + 1)) * n * d * (d + 1)
+
+
 def subset_circumballs(P):
-    """Yield (centers, radii) of the circumballs of every affinely independent
-    subset of P of size 1..d+1, in size-then-lexicographic order, at most
-    ``SUBSET_BATCH`` subsets per batch.
+    """Yield (centers, radii, dist) of the circumballs of every affinely
+    independent subset of P of size 1..d+1, in size-then-lexicographic
+    order, at most ``SUBSET_BATCH`` subsets per batch, with the (b, n) table
+    ``dist`` from each center to every point of P.
 
     Dependent subsets are skipped; their limiting balls come from smaller
     subsets, so the family stays complete for enclosing-ball searches.
     """
     n, d = P.shape
     for size in range(1, min(n, d + 1) + 1):
-        combos = itertools.combinations(range(n), size)
-        while block := list(itertools.islice(combos, SUBSET_BATCH)):
-            centers, radii, ok, _ = circumballs(P[np.array(block)])
-            yield centers[ok], radii[ok]
+        for block in _subset_blocks(n, size):
+            centers, radii, ok, _ = circumballs(P[block])
+            diff = P[None, :, :] - centers[ok, None, :]
+            diff *= diff  # squared in place: one (batch, n, d) array, same sums as a norm
+            dist = np.sqrt(diff.sum(axis=2))
+            del diff  # freed before the next batch is built, which lowers peak memory
+            yield centers[ok], radii[ok], dist
 
 
 def circumball(points) -> Ball:

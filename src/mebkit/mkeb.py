@@ -5,7 +5,8 @@ r"""Minimum k-enclosing ball: cover at least k of n points with the smallest bal
 * Enumeration scores the circumball of every affinely independent subset of
   1..d+1 points (the optimum is the circumball of at most d+1 boundary points
   of its covered subset) against all n points: sum_{s <= d+1} C(n, s)
-  candidates, cheap when n is small whatever k is.
+  candidates from ``geometry.subset_circumballs``, cheap when n is small
+  whatever k is; ``promise_label`` decides k-clusterability over them too.
 * Support branching (Matousek, "On geometric optimization with few violated
   constraints", 1995) solves the enclosing ball of P \ R by the walk of
   ``meb`` for removed sets R grown one support point at a time: at most
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import STEP_OPS, GuardError, check_work
-from .geometry import Ball, as_points, bbox_frame, subset_circumballs
+from .geometry import Ball, as_points, bbox_frame, subset_circumballs, subset_circumballs_work
 from .meb import _hard_cap, _walk, exact_meb
 
 
@@ -42,35 +43,23 @@ class MkebSolution:
         object.__setattr__(self, "k", int(self.k))
 
 
-def _work_bounds(n: int, d: int, k: int) -> tuple[int, int]:
-    """(candidates, walks): the most circumballs enumeration scores,
-    sum_{s <= d+1} C(n, s), and the most walks support branching runs,
-    sum_{j <= z} (d+1)^j, for k of n points in d dimensions, z capped at 64:
-    past any budget, where its exact size no longer matters.
-    """
-    candidates = sum(math.comb(n, s) for s in range(1, min(n, d + 1) + 1))
-    walks = ((d + 1) ** (min(n - k, 64) + 1) - 1) // d
-    return candidates, walks
-
-
 def exact_mkeb(P, k: int) -> MkebSolution:
     """Smallest ball covering at least k points.
 
-    Ties are broken by (radius, lexicographic center), on either path.  By
-    ``_work_bounds``, enumeration costs candidates * n * d * (d+1) scalar
-    operations (a circumball and a scan of n points per candidate) and
+    Ties are broken by (radius, lexicographic center), on either path.
+    Enumeration costs ``subset_circumballs_work`` scalar operations and
     branching walks * (6 STEP_OPS + (d+1) n d) (steps and scans of a walk,
-    fitted at 30..200,000 points); the cheaper path runs.  Work estimate
-    (``check_work``): its cost; larger instances should use
-    ``outlier_meb_sample``.  Both paths work in ``bbox_frame`` and count a
-    point as covered within its tolerance.
+    fitted at 30..200,000 points), for walks = sum_{j <= z} (d+1)^j, z capped
+    at 64; the cheaper path runs.  Work estimate (``check_work``): its cost;
+    larger instances should use ``outlier_meb_sample``.  Both paths work in
+    ``bbox_frame`` and count a point as covered within its tolerance.
     """
     P, mid, tol = bbox_frame(as_points(P))
     n, d = P.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    candidates, walks = _work_bounds(n, d, k)
-    enumerate_ops, branch_ops = candidates * n * d * (d + 1), walks * (6 * STEP_OPS + (d + 1) * n * d)
+    walks = ((d + 1) ** (min(n - k, 64) + 1) - 1) // d
+    enumerate_ops, branch_ops = subset_circumballs_work(n, d), walks * (6 * STEP_OPS + (d + 1) * n * d)
     check_work(min(enumerate_ops, branch_ops), f"the exact {k}-enclosing ball of {n} points",
                "use outlier_meb_sample for large instances")
     path = _branch_mkeb if branch_ops < enumerate_ops else _enumerate_mkeb
@@ -84,12 +73,8 @@ def _enumerate_mkeb(P, k: int, tol: float) -> tuple[float, np.ndarray]:
     of a subset of 1..d+1 points of the framed P that covers k points."""
     d = P.shape[1]
     best = None  # (radius, center-as-tuple)
-    for centers, radii in subset_circumballs(P):
-        diff = P[None, :, :] - centers[:, None, :]
-        diff *= diff  # squared in place: one (batch, n, d) array, same sums as a norm
-        counts = (np.sqrt(diff.sum(axis=2)) <= radii[:, None] + tol).sum(axis=1)
-        del diff  # freed before the next batch is built, which lowers peak memory
-        eligible = np.flatnonzero(counts >= k)
+    for centers, radii, dist in subset_circumballs(P):
+        eligible = np.flatnonzero((dist <= radii[:, None] + tol).sum(axis=1) >= k)
         if not len(eligible):
             continue
         rmin = radii[eligible].min()

@@ -17,8 +17,8 @@ way, at most ``_PAIR_ROWS`` pairs per kernel call: k+1 points split into at
 most k groups that fit iff some pair of them fits (see ``k_g_tester``).
 Both testers price their rounds up front (``one_s_work``, ``k_g_work``).
 
-``promise_label`` and ``scattered_points`` are the exact desk-scale deciders
-used to classify promise instances (clusterable vs pairwise-scattered).
+``promise_label`` and ``scattered_points`` decide promise instances exactly:
+clusterable over the balls of ``geometry.subset_circumballs``, and scattered.
 """
 
 from __future__ import annotations
@@ -30,14 +30,14 @@ from functools import partial
 import numpy as np
 
 from .errors import STEP_OPS, GuardError, check_work
-from .geometry import SMALL_MEB_MAX, as_points, fits_in_translates, geom_tol, small_meb_radii
+from .geometry import (SMALL_MEB_MAX, as_points, bbox_frame, fits_in_translates, geom_tol, small_meb_radii,
+                       subset_circumballs, subset_circumballs_work)
 from .seeding import derive_rng
 
 ACCEPT = "accept"
 REJECT = "reject"
 
 _SCATTER_EXACT_LIMIT = 60   # branch-and-bound ceiling for the public decider
-_PROMISE_GUARD = 200        # exact clustering guard for k1 >= 2
 _SCATTER_GUARD = 1_000      # most points promise_label builds the n x n x d gap array for
 _CHUNK_MAX = 256            # most rounds a tester checks in one batch
 _PAIR_ROWS = 16_384         # most sample pairs k_g_tester checks in one kernel call
@@ -142,35 +142,6 @@ def one_s_tester(P, body, eps: float, delta: float, seed: int = 0) -> TestVerdic
     rounds = _rounds(eps ** (d + 1), delta)
     check_work(ops, f"one_s_tester's {rounds:.3g} sampling rounds", "raise eps or delta")
     return _sampled_test(P, d + 1, rounds, "one-s-round", seed, partial(fits_in_translates, body))
-
-
-def _partition(order, k: int, fits) -> bool:
-    """Exhaustive search for a split of the items into <= k groups.
-
-    Items are placed in ``order``; each one tries every existing group that
-    ``fits(members, item)`` accepts, then a new group while fewer than k are
-    open.
-    """
-    groups: list[list[int]] = []
-
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
-        item = order[i]
-        for members in groups:
-            if fits(members, item):
-                members.append(item)
-                if place(i + 1):
-                    return True
-                members.pop()
-        if len(groups) < k:
-            groups.append([item])
-            if place(i + 1):
-                return True
-            groups.pop()
-        return False
-
-    return place(0)
 
 
 def k_g_tester(P, body, k: int, c: float = 0.01, delta: float = 0.1, seed: int = 0) -> TestVerdict:
@@ -278,12 +249,51 @@ def scattered_points(P, delta: float) -> ScatteredSet:
     return ScatteredSet(len(chosen), sorted(chosen), False)
 
 
+def _coverable(P, k1: int, eps: float, tol: float) -> bool:
+    """Whether the n > k1 points of P split into k1 groups of enclosing radius <= eps + tol.
+
+    A group fits iff it lies within eps + tol of its enclosing ball's center,
+    the circumcenter of at most d+1 of its points.  So the covers are the
+    points within eps + tol of each ``subset_circumballs`` center of radius
+    <= eps + tol, kept as bitsets when no other contains them, and a search
+    branches over the kept covers of the first point not yet covered, to
+    depth k1.  Work estimates (``check_work``), each before its phase:
+    ``subset_circumballs_work``; 8 u (c_u + n) for u distinct covers, up to
+    c_u on a point; STEP_OPS / 40 a node for sum_{j <= k1} c^j nodes, up to c kept on a point.
+    """
+    n, d = P.shape
+    what = f"exact {k1}-clustering of {n} points"
+    check_work(subset_circumballs_work(n, d), what, "use fewer points")
+    chunks = [np.packbits(dist[radii <= eps + tol] <= eps + tol, axis=1, bitorder="little")
+              for _, radii, dist in subset_circumballs(P)]
+    packed = np.unique(np.vstack(chunks), axis=0)
+    members = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+    check_work(8 * len(packed) * (int(members.sum(axis=0).max()) + n), what, "lower eps or use fewer points")
+    by_point: list[list[int]] = [[] for _ in range(n)]
+    for i in np.argsort(-members.sum(axis=1), kind="stable"):  # largest first: supersets come earlier
+        cover = int.from_bytes(packed[i].tobytes(), "little")
+        if all(cover | other != other for other in by_point[(cover & -cover).bit_length() - 1]):
+            for point in np.flatnonzero(members[i]):
+                by_point[point].append(cover)
+    c = max(map(len, by_point))
+    check_work(STEP_OPS // 40 * sum(c**j for j in range(k1 + 1)), what, "lower k1 or use fewer points")
+    stack = [((1 << n) - 1, k1)]  # (points not yet covered, covers left)
+    while stack:
+        free, left = stack.pop()
+        if not free:
+            return True
+        if left:
+            first = by_point[(free & -free).bit_length() - 1]
+            stack.extend((free & ~cover, left - 1) for cover in reversed(first))
+    return False
+
+
 def promise_label(P, k1: int, eps: float, k2: int, delta: float) -> PromiseLabel:
     """Exact classification of a promise instance.
 
     ``yes_holds``: the points split into k1 groups of enclosing radius <= eps
-    (decided by the exact enclosing ball for k1 = 1, by exhaustive clustering
-    with branch-and-bound pruning for k1 >= 2, guarded to n <= 200).
+    (decided by the exact enclosing ball for k1 = 1, and for k1 >= 2 by the
+    priced search of ``_coverable`` over ``subset_circumballs``, in ``bbox_frame``).
     ``no_holds``: at least k2 points are pairwise at least delta apart
     (decided exactly with an early-exit subset search over the n x n table
     of pairwise gaps, guarded to n <= 1000 when 2 <= k2 <= n).  The label
@@ -295,24 +305,13 @@ def promise_label(P, k1: int, eps: float, k2: int, delta: float) -> PromiseLabel
         raise ValueError("k1 and k2 must be at least 1")
     if not (0.0 < eps < math.inf and 0.0 < delta < math.inf):
         raise ValueError(f"eps and delta must be positive and finite, got {eps} and {delta}")
-    if k1 >= 2 and n > _PROMISE_GUARD:
-        raise GuardError(f"exact {k1}-clustering is guarded to n <= {_PROMISE_GUARD}, got n = {n}")
     if 2 <= k2 <= n and n > _SCATTER_GUARD:
         raise GuardError(f"the exact scattered-set check is guarded to n <= {_SCATTER_GUARD}, got n = {n}")
     tol = geom_tol(P, eps)
     if k1 == 1:
         yes = bool(small_meb_radii(P[None])[0] <= eps + tol)
-    elif k1 >= n:
-        yes = True  # singletons always fit
-    else:
-
-        def fits(members: list[int], i: int) -> bool:
-            if np.linalg.norm(P[members] - P[i], axis=1).max() > 2.0 * eps + tol:
-                return False  # two members further than a diameter apart
-            return small_meb_radii(P[members + [i]][None])[0] <= eps + tol
-
-        # a spread-out prefix makes the pruning bite early
-        yes = _partition([i for i, _ in _farthest_first(P)], k1, fits)
+    else:  # singletons always fit when k1 >= n
+        yes = k1 >= n or _coverable(bbox_frame(P)[0], k1, eps, tol)
     if k2 > n:
         no = False
     elif k2 == 1:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,9 +7,11 @@ from hypothesis import given, strategies as st
 
 from mebkit.errors import DegenerateInputError
 from mebkit.geometry import (
+    SUBSET_BATCH,
     Ball,
     BallBody,
     BoxBody,
+    _subset_blocks,
     as_points,
     barycenter,
     circumball,
@@ -17,6 +20,8 @@ from mebkit.geometry import (
     fits_in_translates,
     geom_tol,
     small_meb_radii,
+    subset_circumballs,
+    subset_circumballs_work,
 )
 from mebkit.meb import exact_meb
 
@@ -265,3 +270,27 @@ def test_fits_in_translates_validates_batches():
         fits_in_translates(BoxBody([1.0, 1.0]), np.zeros((2, 3, 3)))
     with pytest.raises(TypeError):
         fits_in_translates("ball", np.zeros((1, 2, 2)))
+
+
+@pytest.mark.parametrize("n, size", [(1, 1), (5, 2), (40, 3), (120, 2), (30, 4)])
+def test_subset_blocks_equal_the_listed_combinations(n, size):
+    # the blocks the list-built batches gave, to the bit: values, dtype and cut
+    combos = itertools.combinations(range(n), size)
+    want = []
+    while block := list(itertools.islice(combos, SUBSET_BATCH)):
+        want.append(np.array(block))
+    got = list(_subset_blocks(n, size))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_subset_circumballs_yields_distance_rows():
+    P = np.random.default_rng(4).standard_normal((9, 2))
+    count = 0
+    for centers, radii, dist in subset_circumballs(P):
+        assert dist.shape == (len(centers), len(P))
+        assert np.array_equal(dist, np.linalg.norm(P[None] - centers[:, None], axis=2))  # same sums as a norm
+        count += len(radii)
+    assert count == 9 + 36 + math.comb(9, 3)  # random points: every subset is independent
+    assert subset_circumballs_work(9, 2) == (9 + 36 + 84) * 9 * 2 * 3

@@ -19,7 +19,7 @@ from mebkit.diameter import diameter_bruteforce
 from mebkit.geometry import BallBody, BoxBody, bbox_frame, geom_tol
 from mebkit.meb import badoiu_clarkson, elzinga_hearn_dual, exact_meb, hopp_reeve_meb
 from mebkit.mkeb import exact_mkeb
-from mebkit.testers import k_g_tester, one_s_tester
+from mebkit.testers import k_g_tester, one_s_tester, promise_label
 
 REL = 1e-9
 
@@ -174,3 +174,18 @@ def test_k_g_tester_verdict(frame, k, d, shape, size):
 
     for moved, reference, unit in pairs:
         assert verdict(moved, abs(a)) == verdict(reference, abs(a) / unit)
+
+
+@given(frames, st.integers(3, 8), st.integers(1, 3), st.integers(2, 3), st.floats(0.3, 2.0), st.integers(2, 4),
+       st.floats(0.3, 3.0))
+@example((0, -12.0, False, 8.0), 8, 2, 2, 1.0, 3, 1.0)
+@example((0, 12.0, True, 8.0), 8, 3, 3, 0.8, 2, 2.0)
+def test_promise_label(frame, n, d, k1, eps, k2, delta):
+    # eps and delta are lengths, so they scale with the input
+    pairs, a = moves(frame, n, d)
+
+    def label(X, scale):
+        return promise_label(X, k1, eps * scale, k2, delta * scale)
+
+    for moved, reference, unit in pairs:
+        assert label(moved, abs(a)) == label(reference, abs(a) / unit)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from mebkit import mkeb
 from mebkit.errors import GuardError
 from mebkit.generators import gen_instance
-from mebkit.geometry import bbox_frame
+from mebkit.geometry import bbox_frame, subset_circumballs_work
 from mebkit.meb import exact_meb
 from mebkit.mkeb import exact_mkeb, outlier_meb_sample, outlier_sample_size
 from mebkit.seeding import derive_rng
@@ -132,7 +132,7 @@ def test_branching_and_enumeration_agree_with_the_oracle(seed, n, d, shape, move
 
 
 def test_work_bounds_choose_the_cheaper_path(monkeypatch):
-    assert mkeb._work_bounds(36, 3, 32) == (36 + 630 + 7140 + 58905, 1 + 4 + 16 + 64 + 256)
+    assert subset_circumballs_work(36, 3) == (36 + 630 + 7140 + 58905) * 36 * 3 * 4
     P, _ = gen_instance("uniform-ball", 36, 3, seed=1)
 
     def refuse(*args):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -460,9 +461,32 @@ def test_promise_k1_two_clusters():
 
 
 def test_promise_guard():
+    # 201 repeated points: sum_{s <= 3} C(201, s) candidate balls price the enumeration at 1.6e9
     P = np.zeros((201, 2))
-    with pytest.raises(GuardError):
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match="over the budget"):
         promise_label(P, 2, 1.0, 2, 1.0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_promise_search_is_priced_before_it_runs():
+    # 30 points 1 apart on a line, eps 0.5: every kept cover is a neighbouring
+    # pair, so c = 2 and sum_{j <= k1} 2^j nodes price the search
+    P = np.arange(30.0)[:, None]
+    assert promise_label(P, 15, 0.5, 1, 1.0).yes_holds  # 2^16 nodes: within the budget
+    assert not promise_label(P, 14, 0.5, 1, 1.0).yes_holds
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match="over the budget"):
+        promise_label(P, 25, 0.5, 1, 1.0)  # 2^26 nodes at STEP_OPS / 40 each
+    assert time.perf_counter() - start < 1.0
+
+
+def test_promise_decides_a_forty_point_cloud_quickly():
+    # a YES instance on which the first-fit partition search it replaced ran for 25 s
+    P = np.random.default_rng(2).uniform(-1.0, 1.0, (40, 2))
+    start = time.perf_counter()
+    assert promise_label(P, 3, 0.9, 2, 10.0).yes_holds
+    assert time.perf_counter() - start < 2.0
 
 
 def test_promise_scatter_guard_refuses_before_the_gap_table(monkeypatch):
@@ -525,26 +549,27 @@ def test_farthest_first_is_a_traversal():
             assert steps[k][1] <= steps[k - 1][1]  # each step takes the farthest point left
 
 
-def test_promise_label_places_every_point_once(monkeypatch):
-    orders = []
-    partition = testers._partition
-
-    def spy(order, k, fits):
-        orders.append(list(order))
-        return partition(order, k, fits)
-
-    monkeypatch.setattr(testers, "_partition", spy)
-    P = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
-    assert promise_label(P, 2, 0.5, 2, 1.0).label == "BOTH"
-    assert [sorted(order) for order in orders] == [[0, 1, 2, 3]]
+def promise_cloud(rng, shape, n, d):
+    """n points in d dimensions: repeated draws, a regular polygon (in the
+    first two axes, d >= 2) or an integer grid, where many groups tie at eps."""
+    if shape == "repeated":
+        base = rng.standard_normal((int(rng.integers(2, 6)), d)) * 2
+        return base[rng.integers(len(base), size=n)]
+    if shape == "polygon":
+        turn = 2 * np.pi * np.arange(n) / n
+        return np.column_stack([np.cos(turn), np.sin(turn), np.zeros((n, d - 2))])
+    return rng.integers(-2, 3, size=(n, d)).astype(float)
 
 
 def test_promise_label_matches_oracles_on_repeated_points():
-    for trial in range(20):
-        rng = derive_rng(trial, "promise-repeats")
-        P = repeated_cloud(rng, 8, int(rng.integers(2, 6)))
-        k1, k2 = int(rng.integers(2, 4)), int(rng.integers(2, 5))
-        eps, delta = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.5, 3.0))
+    for trial in range(60):
+        shape = ("repeated", "polygon", "grid")[trial % 3]
+        rng = derive_rng(trial, f"promise-{shape}")
+        d = int(rng.integers(2 if shape == "polygon" else 1, 4))
+        P = promise_cloud(rng, shape, int(rng.integers(3, 9)), d)
+        k1, k2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        eps = float(rng.choice([0.5, math.sqrt(0.5), 1.0, rng.uniform(0.3, 2.0)]))  # grid ties, then any
+        delta = float(rng.uniform(0.5, 3.0))
         lbl = promise_label(P, k1, eps, k2, delta)
         assert lbl.yes_holds == coverable_oracle(P, k1, lambda Q: meb_oracle(Q)[1] <= eps + 1e-12)
         assert lbl.no_holds == (scattered_oracle(P, delta) >= k2)

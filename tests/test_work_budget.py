@@ -2,6 +2,7 @@
 a priced routine, and it refuses before any work."""
 
 import ast
+import collections
 import math
 import pathlib
 
@@ -10,20 +11,22 @@ import pytest
 import mebkit
 from mebkit.errors import WORK_BUDGET, GuardError, check_work
 
-# (module, function) of the refusals that no up-front estimate replaces:
-# the sketch-block memory cap, a sample size past float range, and the
-# exponential searches of promise_label, which cannot be priced up front.
+# (module, function): number of ``raise GuardError`` sites, for the refusals
+# that no up-front estimate replaces: the sketch-block memory cap, a sample
+# size past float range, and promise_label's n x n gap table for the
+# scattered-set search (``_SCATTER_GUARD``), whose branch and bound has no
+# estimate.  promise_label's clustering side refuses through check_work.
 UNPRICED = {
-    ("errors", "check_work"),
-    ("diameter", "direction_count"),
-    ("mkeb", "outlier_sample_size"),
-    ("testers", "promise_label"),
+    ("errors", "check_work"): 1,
+    ("diameter", "direction_count"): 1,
+    ("mkeb", "outlier_sample_size"): 1,
+    ("testers", "promise_label"): 1,
 }
 
 
 def guard_sites():
-    """(module, enclosing function) of every ``raise GuardError`` in the package."""
-    sites = set()
+    """Number of ``raise GuardError`` sites per (module, enclosing function) of the package."""
+    sites = collections.Counter()
     for path in sorted(pathlib.Path(mebkit.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for func in ast.walk(tree):
@@ -33,7 +36,7 @@ def guard_sites():
                 if isinstance(node, ast.Raise) and node.exc is not None:
                     call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                     if isinstance(call, ast.Name) and call.id == "GuardError":
-                        sites.add((path.stem, func.name))
+                        sites[path.stem, func.name] += 1
     return sites
 
 
