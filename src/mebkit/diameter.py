@@ -282,8 +282,11 @@ class DirectionalSketch:
 
     Every direction is within pi/(2m) of a grid direction, so the widest
     projected extent under-reports the diameter by at most the factor
-    cos(pi/(2m)) >= 1/(1+eps).  Sketches with the same grid merge by taking
-    per-direction extremes.
+    cos(pi/(2m)) >= 1/(1+eps).  Extremes are projected relative to the
+    first streamed point, the sketch's ``origin``, so rounding follows the
+    spread of the stream and not its distance from the origin.  Sketches
+    with the same grid merge by taking per-direction extremes, the other
+    sketch's shifted by its origin's offset projected on the grid.
     """
 
     def __init__(self, eps: float):
@@ -293,15 +296,21 @@ class DirectionalSketch:
         self.directions = np.column_stack([np.cos(angles), np.sin(angles)])
         self.lo = np.full(self.m, np.inf)
         self.hi = np.full(self.m, -np.inf)
+        self.origin = None
         self.count = 0
+
+    def _project(self, R):
+        # two explicit products per direction, not a matmul: the same
+        # rounding for every block size
+        return R[:, :1] * self.directions[:, 0] + R[:, 1:] * self.directions[:, 1]
 
     def extend(self, block):
         B = as_points(block)
         if B.shape[1] != 2:
             raise ValueError("directional sketch is planar only")
-        # two explicit products per direction, not a matmul: the same
-        # rounding for every block size
-        proj = B[:, :1] * self.directions[:, 0] + B[:, 1:] * self.directions[:, 1]
+        if self.origin is None:
+            self.origin = B[0].copy()
+        proj = self._project(B - self.origin)
         np.minimum(self.lo, proj.min(axis=0), out=self.lo)
         np.maximum(self.hi, proj.max(axis=0), out=self.hi)
         self.count += len(B)
@@ -319,8 +328,12 @@ class DirectionalSketch:
         if not isinstance(other, DirectionalSketch) or other.m != self.m:
             raise TypeError("can only merge directional sketches over the same grid")
         merged = DirectionalSketch(self.eps)
-        merged.lo = np.minimum(self.lo, other.lo)
-        merged.hi = np.maximum(self.hi, other.hi)
+        merged.origin = other.origin if self.origin is None else self.origin
+        for sketch in (self, other):
+            if sketch.origin is not None:
+                shift = self._project((sketch.origin - merged.origin)[None])[0]
+                np.minimum(merged.lo, sketch.lo + shift, out=merged.lo)
+                np.maximum(merged.hi, sketch.hi + shift, out=merged.hi)
         merged.count = self.count + other.count
         return merged
 

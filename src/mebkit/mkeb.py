@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import STEP_OPS, GuardError, check_work
+from .errors import STEP_OPS, GuardError, IterationLimitError, check_work
 from .geometry import Ball, as_points, bbox_frame, subset_circumballs, subset_circumballs_work
 from .meb import _hard_cap, _walk, exact_meb
 
@@ -52,7 +52,10 @@ def exact_mkeb(P, k: int) -> MkebSolution:
     fitted at 30..200,000 points), for walks = sum_{j <= z} (d+1)^j, z capped
     at 64; the cheaper path runs.  Work estimate (``check_work``): its cost;
     larger instances should use ``outlier_meb_sample``.  Both paths work in
-    ``bbox_frame`` and count a point as covered within its tolerance.
+    ``bbox_frame`` and count a point as covered within its tolerance.  A
+    walk of the branching path past its solve cap raises
+    ``IterationLimitError`` carrying the least ball visited so far, else the
+    capped walk's current enclosing ball, with the points it covers.
     """
     P, mid, tol = bbox_frame(as_points(P))
     n, d = P.shape
@@ -63,9 +66,15 @@ def exact_mkeb(P, k: int) -> MkebSolution:
     check_work(min(enumerate_ops, branch_ops), f"the exact {k}-enclosing ball of {n} points",
                "use outlier_meb_sample for large instances")
     path = _branch_mkeb if branch_ops < enumerate_ops else _enumerate_mkeb
-    radius, center = path(P, k, tol)
-    covered = np.flatnonzero(np.linalg.norm(P - center, axis=1) <= radius + tol)
-    return MkebSolution(Ball(center + mid, radius), covered, k)
+
+    def solution(radius, center) -> MkebSolution:
+        covered = np.flatnonzero(np.linalg.norm(P - center, axis=1) <= radius + tol)
+        return MkebSolution(Ball(center + mid, radius), covered, k)
+
+    try:
+        return solution(*path(P, k, tol))
+    except IterationLimitError as err:
+        raise IterationLimitError(str(err), best=solution(*err.best)) from None
 
 
 def _enumerate_mkeb(P, k: int, tol: float) -> tuple[float, np.ndarray]:
@@ -124,7 +133,13 @@ def _branch_mkeb(P, k: int, tol: float) -> tuple[float, np.ndarray]:
             keep[list(removed)] = False
             rows = np.flatnonzero(keep)
             X = P[rows]
-            center, T, _, _ = _walk(X, tol, _hard_cap(len(X), d))
+            try:
+                center, T, _, _ = _walk(X, tol, _hard_cap(len(X), d))
+            except IterationLimitError as err:
+                if best is None:  # the capped walk's ball, enclosing P \ R
+                    diff = X - err.best[0]
+                    best = (math.sqrt(float(np.einsum("ij,ij->i", diff, diff).max())), tuple(err.best[0]))
+                raise IterationLimitError(str(err), best=(best[0], np.array(best[1]))) from None
             diff = X[T] - center
             cand = (math.sqrt(float(np.einsum("ij,ij->i", diff, diff).max())), tuple(center))
             if best is None or cand < best:

@@ -18,27 +18,30 @@ most k groups that fit iff some pair of them fits (see ``k_g_tester``).
 Both testers price their rounds up front (``one_s_work``, ``k_g_work``).
 
 ``promise_label`` and ``scattered_points`` decide promise instances exactly:
-clusterable over the balls of ``geometry.subset_circumballs``, and scattered.
+clusterable over the balls of ``geometry.subset_circumballs``, and scattered
+by one bitset search for mutually far points (``_far_set``).  Both exact
+deciders keep their sets as bitsets and refuse through ``check_work``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .errors import STEP_OPS, GuardError, check_work
-from .geometry import (SMALL_MEB_MAX, as_points, bbox_frame, fits_in_translates, geom_tol, small_meb_radii,
-                       subset_circumballs, subset_circumballs_work)
+from . import errors
+from .errors import STEP_OPS, check_work
+from .geometry import (SMALL_MEB_MAX, as_points, bbox_frame, distances, fits_in_translates, geom_tol,
+                       small_meb_radii, subset_circumballs, subset_circumballs_work)
 from .seeding import derive_rng
 
 ACCEPT = "accept"
 REJECT = "reject"
 
 _SCATTER_EXACT_LIMIT = 60   # branch-and-bound ceiling for the public decider
-_SCATTER_GUARD = 1_000      # most points promise_label builds the n x n x d gap array for
 _CHUNK_MAX = 256            # most rounds a tester checks in one batch
 _PAIR_ROWS = 16_384         # most sample pairs k_g_tester checks in one kernel call
 _LABELS = {(True, True): "BOTH", (True, False): "YES", (False, True): "NO", (False, False): "VIOLATES"}
@@ -90,11 +93,13 @@ def _rounds(rate: float, delta: float):
 
 
 def one_s_work(d: int, eps: float, delta: float):
-    """``one_s_tester``'s work estimate: max(rounds, 1) (STEP_OPS + 2^min(d+1,
-    SMALL_MEB_MAX) (d+1)^2 d), for ``small_meb_radii``'s subsets of a round's
-    d+1 points.  Validates eps and delta."""
+    """``one_s_tester``'s work estimate: max(rounds, 1) (STEP_OPS + a round's
+    check).  The check is 2^(d+1) (d+1)^2 d for ``small_meb_radii``'s subsets
+    of a round's d+1 points when d+1 <= SMALL_MEB_MAX, and otherwise one
+    ``exact_meb`` walk, (5 + 3 (d+1) / 4) STEP_OPS: a call, and up to (d+1) / 4
+    solves.  Validates eps and delta."""
     _check_unit(eps=eps, delta=delta)
-    round_ops = 2 ** min(d + 1, SMALL_MEB_MAX) * (d + 1) ** 2 * d
+    round_ops = 2 ** (d + 1) * (d + 1) ** 2 * d if d + 1 <= SMALL_MEB_MAX else (20 + 3 * (d + 1)) * STEP_OPS // 4
     return max(_rounds(eps ** (d + 1), delta), 1) * (STEP_OPS + round_ops)
 
 
@@ -191,55 +196,61 @@ def _farthest_first(P):
         gap = float(dist[i])
 
 
-def _scattered(ok, target: int | None = None) -> list[int]:
-    """Largest subset of mutually compatible items (branch and bound).
+def _far_rows(P, delta: float) -> list[int]:
+    """Per point, the bitset of the points at least delta - geom_tol(P, delta)
+    away from it, one ``distances`` row at a time.  Work estimate
+    (``check_work``): n^2 d."""
+    n, d = P.shape
+    check_work(n * n * d, f"the far rows of {n} points", "use fewer points")
+    cut = delta - geom_tol(P, delta)
+    diff, out = np.empty_like(P), np.empty(n)
+    return [int.from_bytes(np.packbits(distances(P, p, diff, out) >= cut, bitorder="little").tobytes(), "little")
+            for p in P]
 
-    With a target, the search stops at the first subset of that size and
-    prunes branches that cannot reach it, so a shorter result means that no
-    such subset exists.
-    """
-    floor = 0 if target is None else target - 1
-    best: list[int] = []
 
-    def grow(candidates: list[int], chosen: list[int]) -> bool:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if target is not None and len(best) >= target:
-            return True
-        for pos, v in enumerate(candidates):
-            if len(chosen) + len(candidates) - pos <= max(len(best), floor):
-                return False
-            chosen.append(v)
-            if grow([u for u in candidates[pos + 1:] if ok[v, u]], chosen):
-                return True
+def _far_set(far: list[int], need: int, meter) -> list[int] | None:
+    """The first ``need`` mutually far points in depth-first index order, or
+    None: a branch stops once its candidates are fewer than it still needs.
+    No usable bound on the nodes is known up front, so ``check_work`` meters
+    them at STEP_OPS / 40 each, counted by ``meter`` over the caller's searches."""
+    price, what = STEP_OPS // 40, f"the search for {need} mutually far points of {len(far)}"
+    limit = errors.WORK_BUDGET / price
+    stack, chosen, left = [(1 << len(far)) - 1], [], need  # the untried candidates of each depth, deepest last
+    while left:
+        cand = stack.pop()
+        if cand.bit_count() < left:
+            if not chosen:
+                return None
             chosen.pop()
-        return False
-
-    grow(list(range(ok.shape[0])), [])
-    return best
-
-
-def _compat_matrix(P, delta: float) -> np.ndarray:
-    gap = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
-    ok = gap >= delta - geom_tol(P, delta)
-    np.fill_diagonal(ok, False)
-    return ok
+            left += 1
+            continue
+        if (nodes := next(meter)) > limit:
+            check_work(nodes * price, what, "raise delta or use fewer points")
+        low = cand & -cand
+        cand ^= low
+        chosen.append(low.bit_length() - 1)
+        stack += (cand, cand & far[chosen[-1]])
+        left -= 1
+    return chosen
 
 
 def scattered_points(P, delta: float) -> ScatteredSet:
     """Largest subset with pairwise distances at least delta.
 
-    Exact by branch and bound for n <= 60; beyond that, a greedy
-    farthest-first pass gives a lower bound flagged with ``exact=False``.
+    Exact for n <= 60: ``_far_set`` is asked for 1, 2, ... points until it
+    finds none, and the last set found is returned (``_far_rows`` and
+    ``_far_set`` state the work).  Beyond that, a greedy farthest-first
+    pass gives a lower bound flagged with ``exact=False``.
     """
     P = as_points(P)
     n = len(P)
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     if n <= _SCATTER_EXACT_LIMIT:
-        chosen = _scattered(_compat_matrix(P, delta))
-        return ScatteredSet(len(chosen), sorted(chosen), True)
+        far, meter, chosen = _far_rows(P, delta), itertools.count(1), []
+        while (found := _far_set(far, len(chosen) + 1, meter)) is not None:
+            chosen = found
+        return ScatteredSet(len(chosen), chosen, True)
     tol = geom_tol(P, delta)
     chosen = []
     for i, gap in _farthest_first(P):
@@ -295,9 +306,9 @@ def promise_label(P, k1: int, eps: float, k2: int, delta: float) -> PromiseLabel
     (decided by the exact enclosing ball for k1 = 1, and for k1 >= 2 by the
     priced search of ``_coverable`` over ``subset_circumballs``, in ``bbox_frame``).
     ``no_holds``: at least k2 points are pairwise at least delta apart
-    (decided exactly with an early-exit subset search over the n x n table
-    of pairwise gaps, guarded to n <= 1000 when 2 <= k2 <= n).  The label
-    is BOTH when both sides hold and VIOLATES when neither does.
+    (decided for 2 <= k2 <= n by ``_far_set`` over the ``_far_rows``, which
+    are priced at n^2 d before either side runs; the search is metered).
+    The label is BOTH when both sides hold and VIOLATES when neither does.
     """
     P = as_points(P)
     n = len(P)
@@ -305,17 +316,12 @@ def promise_label(P, k1: int, eps: float, k2: int, delta: float) -> PromiseLabel
         raise ValueError("k1 and k2 must be at least 1")
     if not (0.0 < eps < math.inf and 0.0 < delta < math.inf):
         raise ValueError(f"eps and delta must be positive and finite, got {eps} and {delta}")
-    if 2 <= k2 <= n and n > _SCATTER_GUARD:
-        raise GuardError(f"the exact scattered-set check is guarded to n <= {_SCATTER_GUARD}, got n = {n}")
+    far = _far_rows(P, delta) if 2 <= k2 <= n else None
     tol = geom_tol(P, eps)
     if k1 == 1:
         yes = bool(small_meb_radii(P[None])[0] <= eps + tol)
     else:  # singletons always fit when k1 >= n
         yes = k1 >= n or _coverable(bbox_frame(P)[0], k1, eps, tol)
-    if k2 > n:
-        no = False
-    elif k2 == 1:
-        no = True  # a single point is vacuously scattered
-    else:
-        no = len(_scattered(_compat_matrix(P, delta), k2)) >= k2
+    # a single point is vacuously scattered, and more than n points are not
+    no = k2 == 1 if far is None else _far_set(far, k2, itertools.count(1)) is not None
     return PromiseLabel(yes, no, _LABELS[yes, no])

@@ -239,6 +239,16 @@ def test_directional_sketch_merge_matches_whole():
     assert merged.estimate == pytest.approx(whole_sk.estimate, rel=1e-12)
 
 
+def test_directional_sketch_merge_with_an_empty_sketch():
+    P = derive_rng(7, "dmerge-empty").standard_normal((20, 2)) + 1e6
+    _, full = stream_eps_2d(P, 0.1)
+    for merged in (full.merge(DirectionalSketch(0.1)), DirectionalSketch(0.1).merge(full)):
+        assert np.array_equal(merged.origin, P[0])
+        assert np.array_equal(merged.lo, full.lo) and np.array_equal(merged.hi, full.hi)
+        assert merged.count == 20
+    assert DirectionalSketch(0.1).merge(DirectionalSketch(0.1)).origin is None
+
+
 def test_directional_sketch_incompatible_grids():
     _, a = stream_eps_2d(SQUARE, 0.3)
     _, b = stream_eps_2d(SQUARE, 0.05)
@@ -311,7 +321,10 @@ def test_directional_merge_of_block_fed_halves():
     left = _fed_in_blocks(DirectionalSketch(0.02), P[:2_345], 100)
     right = _fed_in_blocks(DirectionalSketch(0.02), P[2_345:], 999)
     merged = left.merge(right)
-    assert merged.estimate == whole.estimate
+    # the right half's extremes are shifted into the left half's frame, one
+    # rounding each: the whole stream's estimate to a few ulps
+    assert np.array_equal(merged.origin, whole.origin)
+    assert merged.estimate == pytest.approx(whole.estimate, rel=1e-15)
     assert merged.count == whole.count == len(P)
 
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, strategies as st
 
 from mebkit.convexity import (barycentric_circumradius, caratheodory_reduce, dist_to_hull, make_combination,
                               nodim_caratheodory)
-from mebkit.diameter import diameter_bruteforce
+from mebkit.diameter import diameter_bruteforce, stream_eps_2d
 from mebkit.geometry import BallBody, BoxBody, bbox_frame, geom_tol
 from mebkit.meb import badoiu_clarkson, elzinga_hearn_dual, exact_meb, hopp_reeve_meb
 from mebkit.mkeb import exact_mkeb
@@ -106,6 +106,20 @@ def test_diameter_bruteforce(frame, n, d):
     for moved, reference, _ in pairs:
         got, want = diameter_bruteforce(moved), diameter_bruteforce(reference)
         assert (got.pair, got.pairs_at_max) == (want.pair, want.pairs_at_max)
+
+
+@given(frames, st.integers(2, 30), st.sampled_from([0.5, 0.01]))
+@example((742042212, -10.059566094663797, False, 7.906097132059129), 6, 0.01)  # 8e-9 off in raw coordinates
+def test_stream_eps_2d(frame, n, eps):
+    pairs, _ = moves(frame, n, 2)
+    assert_length_transforms(lambda X: stream_eps_2d(X, eps)[0], pairs)
+
+    def merged_halves(X):  # two sketches with two origins, merged
+        _, left = stream_eps_2d(X[:n // 2], eps)
+        _, right = stream_eps_2d(X[n // 2:], eps)
+        return left.merge(right).estimate
+
+    assert_length_transforms(merged_halves, pairs)
 
 
 @given(frames, st.integers(3, 15), st.integers(1, 3))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mebkit import mkeb
-from mebkit.errors import GuardError
+from mebkit.errors import GuardError, IterationLimitError
 from mebkit.generators import gen_instance
 from mebkit.geometry import bbox_frame, subset_circumballs_work
 from mebkit.meb import exact_meb
@@ -98,6 +98,27 @@ def test_budget_guard_mentions_sampler():
     P = np.zeros((300, 2))
     with pytest.raises(GuardError, match="outlier_meb_sample"):
         exact_mkeb(P, 10)
+
+
+@pytest.mark.parametrize("first_walk_capped", [True, False])
+def test_capped_walk_carries_a_solution_in_the_callers_frame(monkeypatch, first_walk_capped):
+    # 20 points far from the origin with z = 1 branch.  With every walk capped
+    # at one solve, no ball is visited and the capped walk's own ball, which
+    # covers every point, is carried; with only the 19-point walks capped,
+    # the full set's ball is.
+    P = derive_rng(3, "mkeb-cap").standard_normal((20, 2)) + 1e3
+    monkeypatch.setattr(mkeb, "_hard_cap", lambda n, d: 1 if first_walk_capped or n < 20 else 10 * n * (d + 1))
+    with pytest.raises(IterationLimitError) as err:
+        exact_mkeb(P, 19)
+    best = err.value.best
+    assert isinstance(best, mkeb.MkebSolution) and best.k == 19
+    assert np.array_equal(best.covered, np.arange(20))
+    reach = np.linalg.norm(P - best.ball.center, axis=1).max()
+    assert best.ball.radius == pytest.approx(reach, rel=1e-9)
+    if not first_walk_capped:
+        meb = exact_meb(P).ball
+        assert best.ball.radius == pytest.approx(meb.radius, rel=1e-9)
+        assert np.allclose(best.ball.center, meb.center, rtol=0.0, atol=1e-9)
 
 
 def mkeb_cloud(seed, n, d, shape, move):

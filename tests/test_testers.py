@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from mebkit import meb, testers
+from mebkit import errors, meb, testers
 from mebkit.errors import STEP_OPS, WORK_BUDGET, GuardError
 from mebkit.geometry import BallBody, BoxBody, fits_in_translate
 from mebkit.meb import exact_meb
@@ -123,6 +123,13 @@ def test_round_budget_boundary(monkeypatch):
         k_g_tester(two_clusters(), BallBody(1.0), 2, c=1e-7, delta=0.1)
     with pytest.raises(GuardError):
         one_s_tester(two_clusters(), BallBody(1.0), 1e-200, 0.5)  # eps ** 3 underflows
+
+
+def test_one_s_prices_rows_past_the_subset_kernel_as_one_walk():
+    # d+1 <= SMALL_MEB_MAX keeps the subset price; a larger row is one exact_meb walk
+    assert one_s_work(7, 0.5, 1.0) == STEP_OPS + 2**8 * 8**2 * 7
+    assert one_s_work(8, 0.5, 1.0) == STEP_OPS + (20 + 3 * 9) * STEP_OPS // 4
+    assert one_s_work(8, 0.38, 0.1) <= WORK_BUDGET < one_s_work(8, 0.35, 0.1)  # README's rows
 
 
 def test_one_s_refuses_unbounded_rounds_up_front(monkeypatch):
@@ -489,17 +496,38 @@ def test_promise_decides_a_forty_point_cloud_quickly():
     assert time.perf_counter() - start < 2.0
 
 
-def test_promise_scatter_guard_refuses_before_the_gap_table(monkeypatch):
-    monkeypatch.setattr(testers, "_SCATTER_GUARD", 5)
-
+def test_promise_far_rows_are_priced_before_any_distance_row(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("the n x n gap table was built")
+        raise AssertionError("a distance row was computed")
 
-    monkeypatch.setattr(testers, "_compat_matrix", forbidden)
+    monkeypatch.setattr(testers, "distances", forbidden)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 6 * 6 * 2 - 1)  # one under n^2 d
     P = derive_rng(0, "scatter-guard").standard_normal((6, 2))
-    with pytest.raises(GuardError, match="n <= 5"):
+    with pytest.raises(GuardError, match="far rows of 6 points: .* over the budget"):
         promise_label(P, 1, 1.0, 2, 0.5)
-    assert promise_label(P, 1, 1.0, 1, 0.5).no_holds  # k2 = 1 needs no table
+    assert promise_label(P, 1, 1.0, 1, 0.5).no_holds  # k2 = 1 needs no rows
+
+
+def test_promise_far_set_search_is_metered(monkeypatch):
+    # no up-front bound prices this search: it ran past 60 s unmetered
+    P = np.random.default_rng(0).uniform(-1.0, 1.0, (120, 2))
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1e7)  # 10^5 nodes at STEP_OPS / 40 each
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match=r"17 mutually far points of 120: about 10\^7.0 .* over the budget"):
+        promise_label(P, 1, 10.0, 17, 0.5)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_scattered_searches_share_one_meter(monkeypatch):
+    # 9 points 1 apart on a line, delta 2: the searches for 1..6 points take
+    # 1 + 2 + 3 + 4 + 5 + 15 = 30 nodes, and the budget holds all of them
+    P = np.arange(9.0)[:, None]
+    assert scattered_points(P, 2.0).indices.tolist() == [0, 2, 4, 6, 8]
+    monkeypatch.setattr(errors, "WORK_BUDGET", 30 * (STEP_OPS // 40))
+    assert scattered_points(P, 2.0).count == 5
+    monkeypatch.setattr(errors, "WORK_BUDGET", 29 * (STEP_OPS // 40))  # over it in the last, 15-node search
+    with pytest.raises(GuardError, match="6 mutually far points of 9"):
+        scattered_points(P, 2.0)
 
 
 def test_promise_degenerate_counts():

@@ -12,15 +12,13 @@ import mebkit
 from mebkit.errors import WORK_BUDGET, GuardError, check_work
 
 # (module, function): number of ``raise GuardError`` sites, for the refusals
-# that no up-front estimate replaces: the sketch-block memory cap, a sample
-# size past float range, and promise_label's n x n gap table for the
-# scattered-set search (``_SCATTER_GUARD``), whose branch and bound has no
-# estimate.  promise_label's clustering side refuses through check_work.
+# that no up-front estimate replaces: the sketch-block memory cap and a sample
+# size past float range.  Both sides of promise_label refuse through
+# check_work; its far-set search is metered as it runs.
 UNPRICED = {
     ("errors", "check_work"): 1,
     ("diameter", "direction_count"): 1,
     ("mkeb", "outlier_sample_size"): 1,
-    ("testers", "promise_label"): 1,
 }
 
 
