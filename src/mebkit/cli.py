@@ -16,35 +16,17 @@ from itertools import chain
 
 import numpy as np
 
+# Every call loads these modules: argument parsing needs generators.KINDS, and
+# reading and reporting need pointio, which loads geometry.  Each handler
+# imports the solver modules it runs (convexity, diameter, meb, mkeb, testers)
+# in its own body, so a call loads no other solver module.
 from . import __version__
-from .convexity import (
-    AABox,
-    dist_to_hull,
-    barycentric_circumradius,
-    caratheodory_reduce,
-    fractional_helly_beta,
-    helly_check_boxes,
-    _jung_bound,
-    make_combination,
-    nodim_caratheodory,
-    radon_partition,
-)
-from .diameter import (
-    diameter_bruteforce,
-    diameter_calipers_2d,
-    diameter_doublesweep,
-    stream_2approx,
-    stream_eps_2d,
-)
 from .errors import (ConvergenceError, DegenerateInputError, GuardError, IterationLimitError, ParseError,
                      check_work)
 from .generators import KINDS, gen_instance
 from .geometry import BallBody, BoxBody, barycenter, geom_tol
-from .meb import badoiu_clarkson, elzinga_hearn_dual, exact_meb, hopp_reeve_meb, kt_residuals
-from .mkeb import exact_mkeb, outlier_meb_sample, outlier_sample_work
 from .pointio import float_array, is_number_list, json_chunks, load_json, read_points, write_points
 from .seeding import derive_seed
-from .testers import k_g_tester, k_g_work, one_s_tester, one_s_work
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,6 +90,8 @@ def _load_points(args) -> np.ndarray:
 # ---------------------------------------------------------------- handlers
 
 def _run_meb(args) -> dict:
+    from .meb import badoiu_clarkson, elzinga_hearn_dual, exact_meb, hopp_reeve_meb, kt_residuals
+
     P = _load_points(args)
     if args.algo == "exact":
         sol = exact_meb(P)
@@ -129,6 +113,8 @@ def _run_meb(args) -> dict:
 
 
 def _run_mkeb(args) -> dict:
+    from .mkeb import exact_mkeb, outlier_meb_sample
+
     P = _load_points(args)
     n = len(P)
     if args.sample:
@@ -144,6 +130,9 @@ def _run_mkeb(args) -> dict:
 
 
 def _run_diameter(args) -> dict:
+    from .diameter import (diameter_bruteforce, diameter_calipers_2d, diameter_doublesweep, stream_2approx,
+                           stream_eps_2d)
+
     P = _load_points(args)
     if args.algo == "brute":
         res = diameter_bruteforce(P)
@@ -165,6 +154,11 @@ def _run_diameter(args) -> dict:
 
 
 def _run_test_cluster(args) -> dict:
+    if args.mode == "outliers":
+        from .mkeb import outlier_meb_sample, outlier_sample_work
+    else:
+        from .testers import k_g_tester, k_g_work, one_s_tester, one_s_work
+
     P = _load_points(args)
     d = P.shape[1]
     body = BallBody(args.radius) if args.body == "ball" else BoxBody(np.full(d, args.half_extent))
@@ -180,7 +174,7 @@ def _run_test_cluster(args) -> dict:
 
     if args.trials == 1:
         return one_trial(args.seed)
-    trial_ops = (one_s_work(d, args.eps, args.delta) if args.mode == "1s" else
+    trial_ops = (one_s_work(body, d, args.eps, args.delta) if args.mode == "1s" else
                  k_g_work(d, args.k, args.c, args.delta) if args.mode == "kg" else
                  outlier_sample_work(len(P), d, args.eps, args.delta))
     check_work(args.trials * trial_ops, f"{args.trials} trials", "lower --trials")
@@ -192,6 +186,9 @@ def _run_test_cluster(args) -> dict:
 
 
 def _run_bounds(args) -> dict:
+    from .convexity import _jung_bound, barycentric_circumradius, fractional_helly_beta
+    from .meb import exact_meb
+
     if args.which == "fractional-helly":
         if args.alpha is None:
             raise _UsageError("bounds fractional-helly: --alpha is required")
@@ -220,6 +217,8 @@ def _run_bounds(args) -> dict:
 
 
 def _read_boxes(args) -> list[AABox]:
+    from .convexity import AABox
+
     if args.input is None:
         raise _UsageError("convexity helly-boxes: --input is required")
     with open(args.input, "r", encoding="utf-8") as fh:
@@ -235,6 +234,11 @@ def _read_boxes(args) -> list[AABox]:
 
 
 def _run_convexity(args) -> dict:
+    from .convexity import (caratheodory_reduce, dist_to_hull, helly_check_boxes, make_combination,
+                            nodim_caratheodory, radon_partition)
+    from .diameter import diameter_bruteforce
+    from .meb import exact_meb
+
     if args.which == "helly-boxes":
         return dataclasses.asdict(helly_check_boxes(_read_boxes(args)))
     P = _load_points(args)

@@ -59,12 +59,14 @@ def bbox_frame(P) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def distances(P, c, diff, out) -> np.ndarray:
-    """``np.linalg.norm(P - c, axis=1)``, to the bit, worked in the (n, d)
+    """``np.linalg.norm(P - c, axis=-1)``, to the bit, worked in the (n, d)
     buffer ``diff`` and written to the n-vector ``out``: a loop that measures
-    from many centers allocates nothing per step."""
+    from many centers allocates nothing per step.  A (b, 1, d) block of
+    centers gives a (b, n) table in (b, n, d) and (b, n) buffers, each row
+    the one its center gives alone."""
     np.subtract(P, c, out=diff)
     np.multiply(diff, diff, out=diff)
-    return np.sqrt(np.add.reduce(diff, axis=1, out=out), out=out)
+    return np.sqrt(np.add.reduce(diff, axis=-1, out=out), out=out)
 
 
 def as_point(p) -> np.ndarray:

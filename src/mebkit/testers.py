@@ -34,8 +34,8 @@ import numpy as np
 
 from . import errors
 from .errors import STEP_OPS, check_work
-from .geometry import (SMALL_MEB_MAX, as_points, bbox_frame, distances, fits_in_translates, geom_tol,
-                       small_meb_radii, subset_circumballs, subset_circumballs_work)
+from .geometry import (SMALL_MEB_MAX, BoxBody, as_points, bbox_frame, distances, fits_in_translates,
+                       geom_tol, small_meb_radii, subset_circumballs, subset_circumballs_work)
 from .seeding import derive_rng
 
 ACCEPT = "accept"
@@ -44,6 +44,7 @@ REJECT = "reject"
 _SCATTER_EXACT_LIMIT = 60   # branch-and-bound ceiling for the public decider
 _CHUNK_MAX = 256            # most rounds a tester checks in one batch
 _PAIR_ROWS = 16_384         # most sample pairs k_g_tester checks in one kernel call
+_FAR_VALUES = 1 << 16       # most coordinate differences _far_rows holds at once
 _LABELS = {(True, True): "BOTH", (True, False): "YES", (False, True): "NO", (False, False): "VIOLATES"}
 
 
@@ -92,14 +93,20 @@ def _rounds(rate: float, delta: float):
     return math.ceil(need) if need < math.inf else need
 
 
-def one_s_work(d: int, eps: float, delta: float):
-    """``one_s_tester``'s work estimate: max(rounds, 1) (STEP_OPS + a round's
-    check).  The check is 2^(d+1) (d+1)^2 d for ``small_meb_radii``'s subsets
-    of a round's d+1 points when d+1 <= SMALL_MEB_MAX, and otherwise one
-    ``exact_meb`` walk, (5 + 3 (d+1) / 4) STEP_OPS: a call, and up to (d+1) / 4
-    solves.  Validates eps and delta."""
+def one_s_work(body, d: int, eps: float, delta: float):
+    """``one_s_tester``'s work estimate for ``body``: max(rounds, 1) (STEP_OPS
+    + a round's check).  A box checks a round's d+1 points by one extent
+    comparison, (d+1) d.  A ball checks them by 2^(d+1) (d+1)^2 d for
+    ``small_meb_radii``'s subsets when d+1 <= SMALL_MEB_MAX, and otherwise by
+    one ``exact_meb`` walk, (5 + 3 (d+1) / 4) STEP_OPS: a call, and up to
+    (d+1) / 4 solves.  Validates eps and delta."""
     _check_unit(eps=eps, delta=delta)
-    round_ops = 2 ** (d + 1) * (d + 1) ** 2 * d if d + 1 <= SMALL_MEB_MAX else (20 + 3 * (d + 1)) * STEP_OPS // 4
+    if isinstance(body, BoxBody):
+        round_ops = (d + 1) * d
+    elif d + 1 <= SMALL_MEB_MAX:
+        round_ops = 2 ** (d + 1) * (d + 1) ** 2 * d
+    else:
+        round_ops = (20 + 3 * (d + 1)) * STEP_OPS // 4
     return max(_rounds(eps ** (d + 1), delta), 1) * (STEP_OPS + round_ops)
 
 
@@ -139,7 +146,7 @@ def one_s_tester(P, body, eps: float, delta: float, seed: int = 0) -> TestVerdic
     """
     P = as_points(P)
     n, d = P.shape
-    ops = one_s_work(d, eps, delta)  # validates eps and delta, whatever n is
+    ops = one_s_work(body, d, eps, delta)  # validates eps and delta, whatever n is
     if n < d + 1:
         if fits_in_translates(body, P[None])[0]:
             return TestVerdict(ACCEPT, None, None, 0, seed)
@@ -198,14 +205,18 @@ def _farthest_first(P):
 
 def _far_rows(P, delta: float) -> list[int]:
     """Per point, the bitset of the points at least delta - geom_tol(P, delta)
-    away from it, one ``distances`` row at a time.  Work estimate
-    (``check_work``): n^2 d."""
+    away from it, one ``distances`` table and one ``np.packbits`` per block
+    of about ``_FAR_VALUES`` coordinates.  Work estimate (``check_work``): n^2 d."""
     n, d = P.shape
     check_work(n * n * d, f"the far rows of {n} points", "use fewer points")
     cut = delta - geom_tol(P, delta)
-    diff, out = np.empty_like(P), np.empty(n)
-    return [int.from_bytes(np.packbits(distances(P, p, diff, out) >= cut, bitorder="little").tobytes(), "little")
-            for p in P]
+    b = max(1, _FAR_VALUES // (n * d))  # points a block
+    diff, out, rows = np.empty((b, n, d)), np.empty((b, n)), []
+    for lo in range(0, n, b):
+        m = min(b, n - lo)
+        far = np.packbits(distances(P, P[lo:lo + m, None], diff[:m], out[:m]) >= cut, axis=1, bitorder="little")
+        rows += [int.from_bytes(row.tobytes(), "little") for row in far]
+    return rows
 
 
 def _far_set(far: list[int], need: int, meter) -> list[int] | None:

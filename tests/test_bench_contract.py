@@ -8,15 +8,18 @@ bench files are read, never edited.
 """
 
 import ast
+import collections
 import dataclasses
 import importlib
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
-from mebkit import testers
+from mebkit import cli, testers
 from mebkit.meb import MebSolution
+from mebkit.pointio import write_points
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -50,3 +53,19 @@ def test_bench_imports_from_mebkit_exist(path):
             module = importlib.import_module(node.module)
             for alias in node.names:
                 assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
+
+
+def test_traced_spans_reach_the_handlers_imports(tmp_path):
+    # each handler imports its solvers when it runs, and must get the wrapped ones
+    tracing = load_tracing()
+    path = str(tmp_path / "cloud.csv")
+    write_points(path, np.random.default_rng(0).standard_normal((12, 3)))
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        for argv in (["meb", "--input", path], ["bounds", "variant", "--input", path]):
+            report, code = cli.dispatch(argv)
+            assert code == 0, report.result
+    spans = collections.Counter(span[0] for span in tracer.spans)
+    expected = {"cli.dispatch": 2, "meb.exact_meb": 2, "diameter.diameter_bruteforce": 1,
+                "convexity.barycentric_circumradius": 1}
+    assert {name: spans[name] for name in expected} == expected

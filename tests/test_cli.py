@@ -246,16 +246,17 @@ def test_work_counts_over_budget_are_refused_up_front(tmp_path, capsys, argv):
 
 
 def test_cli_start_up_and_meb_runs_never_import_scipy(square_csv):
+    # and load only the mebkit modules they run: a solver module loads with its handler
     script = (
         "import json, sys\n"
         "import mebkit.cli as cli\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-        "seen = [scipy_modules()]\n"
+        "def loaded(package):\n"
+        "    return sorted(m for m in sys.modules if m == package or m.startswith(package + '.'))\n"
+        "seen = [[loaded('scipy'), loaded('mebkit')]]\n"
         "for argv in (['meb', '--input', sys.argv[1]], ['meb', '--algo', 'hr', '--input', sys.argv[1]]):\n"
         "    report, code = cli.dispatch(argv)\n"
         "    assert code == 0, report.result\n"
-        "    seen.append(scipy_modules())\n"
+        "    seen.append([loaded('scipy'), loaded('mebkit')])\n"
         "print(json.dumps(seen))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(mebkit.__file__)))
@@ -263,7 +264,13 @@ def test_cli_start_up_and_meb_runs_never_import_scipy(square_csv):
     proc = subprocess.run([sys.executable, "-c", script, square_csv], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], [], []]
+    seen = json.loads(proc.stdout)
+    assert [scipy for scipy, _ in seen] == [[], [], []]
+    solvers = {f"mebkit.{name}" for name in ("convexity", "diameter", "meb", "mkeb", "testers")}
+    start_up, *after_meb = (set(mebkit_modules) for _, mebkit_modules in seen)
+    assert "mebkit.cli" in start_up and not start_up & solvers
+    for modules in after_meb:
+        assert modules & solvers == {"mebkit.meb"}
 
 
 def test_bounds_jung(square_csv, capsys):
@@ -287,12 +294,13 @@ def test_bounds_variant(square_csv, capsys):
 @pytest.mark.parametrize("which", ["jung", "variant"])
 def test_bounds_solves_the_meb_once(which, square_csv, capsys, monkeypatch):
     calls = []
+    exact = mebkit.meb.exact_meb  # the handler imports exact_meb from its home module when it runs
 
     def counted(P):
         calls.append(len(P))
-        return mebkit.meb.exact_meb(P)
+        return exact(P)
 
-    monkeypatch.setattr("mebkit.cli.exact_meb", counted)
+    monkeypatch.setattr("mebkit.meb.exact_meb", counted)
     monkeypatch.setattr("mebkit.convexity.exact_meb", counted)
     report, code = run_cli(["bounds", which, "--input", square_csv], capsys)
     assert code == 0

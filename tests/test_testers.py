@@ -6,7 +6,7 @@ import pytest
 
 from mebkit import errors, meb, testers
 from mebkit.errors import STEP_OPS, WORK_BUDGET, GuardError
-from mebkit.geometry import BallBody, BoxBody, fits_in_translate
+from mebkit.geometry import BallBody, BoxBody, distances, fits_in_translate, geom_tol
 from mebkit.meb import exact_meb
 from mebkit.seeding import derive_rng
 from mebkit.testers import (
@@ -117,7 +117,7 @@ def test_round_budget_boundary(monkeypatch):
     assert k_g_work(2, 2, 1e-7, 0.1) > WORK_BUDGET
     assert _rounds(0.0, 0.5) == math.inf  # an underflowed eps ** (d + 1)
     assert _rounds(0.0, 1.0) == 0  # delta = 1 needs no round at all
-    assert one_s_work(2, 0.5, 1.0) == STEP_OPS + 8 * 9 * 2  # a vacuous call is priced as one round
+    assert one_s_work(BallBody(1.0), 2, 0.5, 1.0) == STEP_OPS + 8 * 9 * 2  # a vacuous call is priced as one round
     no_rounds(monkeypatch)
     with pytest.raises(GuardError, match="budget"):
         k_g_tester(two_clusters(), BallBody(1.0), 2, c=1e-7, delta=0.1)
@@ -127,9 +127,26 @@ def test_round_budget_boundary(monkeypatch):
 
 def test_one_s_prices_rows_past_the_subset_kernel_as_one_walk():
     # d+1 <= SMALL_MEB_MAX keeps the subset price; a larger row is one exact_meb walk
-    assert one_s_work(7, 0.5, 1.0) == STEP_OPS + 2**8 * 8**2 * 7
-    assert one_s_work(8, 0.5, 1.0) == STEP_OPS + (20 + 3 * 9) * STEP_OPS // 4
-    assert one_s_work(8, 0.38, 0.1) <= WORK_BUDGET < one_s_work(8, 0.35, 0.1)  # README's rows
+    ball = BallBody(1.0)
+    assert one_s_work(ball, 7, 0.5, 1.0) == STEP_OPS + 2**8 * 8**2 * 7
+    assert one_s_work(ball, 8, 0.5, 1.0) == STEP_OPS + (20 + 3 * 9) * STEP_OPS // 4
+    assert one_s_work(ball, 8, 0.38, 0.1) <= WORK_BUDGET < one_s_work(ball, 8, 0.35, 0.1)  # README's rows
+
+
+@pytest.mark.parametrize("d", [3, 8, 11])
+def test_one_s_prices_a_box_round_as_one_extent_comparison(d):
+    box = BoxBody(np.ones(d))
+    assert one_s_work(box, d, 0.5, 1.0) == STEP_OPS + (d + 1) * d
+    assert one_s_work(box, d, 0.5, 1.0) < one_s_work(BallBody(1.0), d, 0.5, 1.0)
+
+
+def test_one_s_box_calls_past_the_ball_price_run():
+    # 2.9e4 rounds: over the budget as ball rounds, a tenth of it as box rounds
+    P = derive_rng(0, "box-d8").uniform(-3.0, 3.0, (500, 8))
+    with pytest.raises(GuardError, match="sampling rounds"):
+        one_s_tester(P, BallBody(1.0), 0.35, 0.1)
+    verdict = one_s_tester(P, BoxBody(np.ones(8)), 0.35, 0.1)
+    assert not verdict.accepted and verdict.rounds_used == 1
 
 
 def test_one_s_refuses_unbounded_rounds_up_front(monkeypatch):
@@ -494,6 +511,20 @@ def test_promise_decides_a_forty_point_cloud_quickly():
     start = time.perf_counter()
     assert promise_label(P, 3, 0.9, 2, 10.0).yes_holds
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("values", [1, 7, 64, 1 << 16])  # one point a block, ragged blocks, one block
+def test_far_row_blocks_equal_the_row_by_row_bits(monkeypatch, values):
+    monkeypatch.setattr(testers, "_FAR_VALUES", values)
+    for seed in range(12):
+        rng = derive_rng(seed, "far-rows")
+        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 11))
+        P = rng.standard_normal((n, d)) + rng.uniform(-1.0, 1.0, d) * 10.0 ** rng.integers(0, 9)
+        delta = float(rng.uniform(0.2, 3.0))
+        cut = delta - geom_tol(P, delta)
+        rows = [int(sum(1 << j for j in np.flatnonzero(distances(P, p, np.empty_like(P), np.empty(n)) >= cut)))
+                for p in P]
+        assert testers._far_rows(P, delta) == rows
 
 
 def test_promise_far_rows_are_priced_before_any_distance_row(monkeypatch):
