@@ -186,8 +186,7 @@ def _run_test_cluster(args) -> dict:
 
 
 def _run_bounds(args) -> dict:
-    from .convexity import _jung_bound, barycentric_circumradius, fractional_helly_beta
-    from .meb import exact_meb
+    from .convexity import barycentric_circumradius, fractional_helly_beta, jung_bound
 
     if args.which == "fractional-helly":
         if args.alpha is None:
@@ -197,9 +196,11 @@ def _run_bounds(args) -> dict:
         else:
             d = _load_points(args).shape[1]
         return {"alpha": args.alpha, "d": d, "beta": fractional_helly_beta(d, args.alpha)}
+    from .meb import exact_meb
+
     P = _load_points(args)
     r = exact_meb(P).ball.radius
-    bound, tight = _jung_bound(P, r)
+    bound, tight = jung_bound(P, r)
     if args.which == "jung":
         limit = bound
         payload = {"jung_bound": bound, "tight": tight}
@@ -236,8 +237,6 @@ def _read_boxes(args) -> list[AABox]:
 def _run_convexity(args) -> dict:
     from .convexity import (caratheodory_reduce, dist_to_hull, helly_check_boxes, make_combination,
                             nodim_caratheodory, radon_partition)
-    from .diameter import diameter_bruteforce
-    from .meb import exact_meb
 
     if args.which == "helly-boxes":
         return dataclasses.asdict(helly_check_boxes(_read_boxes(args)))
@@ -255,6 +254,9 @@ def _run_convexity(args) -> dict:
             "support_size": len(reduced.indices),
         }
     # nodim
+    from .diameter import diameter_bruteforce
+    from .meb import exact_meb
+
     a = barycenter(P)
     chosen, achieved = nodim_caratheodory(P, a, args.r)
     diam = diameter_bruteforce(P).value if n <= 2048 else 2.0 * exact_meb(P).ball.radius

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import STEP_OPS, check_work
-from .diameter import diameter_bruteforce
 from .geometry import _subset_blocks, as_point, as_points, bbox_frame, geom_tol
-from .meb import _nnls, exact_meb
 
 
 @dataclass(frozen=True)
@@ -209,25 +207,25 @@ def fractional_helly_beta(d: int, alpha: float) -> float:
     return 1.0 - (1.0 - alpha) ** (1.0 / (d + 1))
 
 
-def jung_bound(points):
+def jung_bound(points, radius=None):
     """Circumradius bound sqrt(d / (2(d+1))) times the diameter.
 
     Returns (bound, tight) where ``tight`` reports whether the exact
     enclosing radius attains the bound within tolerance, as the regular
-    d-simplex does.
+    d-simplex does.  ``radius`` is that radius when the caller has it;
+    otherwise ``exact_meb`` solves it.
     """
+    from .diameter import diameter_bruteforce
+    from .meb import exact_meb
+
     P = as_points(points)
-    return _jung_bound(P, exact_meb(P).ball.radius)
-
-
-def _jung_bound(P, rho):
-    """``jung_bound`` of P given its exact enclosing radius ``rho``."""
     n, d = P.shape
     if n < 2:
         raise ValueError("need at least two points")
-    diam = diameter_bruteforce(P).value
-    bound = math.sqrt(d / (2.0 * (d + 1))) * diam
-    return bound, bool(abs(bound - rho) <= geom_tol(P))
+    if radius is None:
+        radius = exact_meb(P).ball.radius
+    bound = math.sqrt(d / (2.0 * (d + 1))) * diameter_bruteforce(P).value
+    return bound, bool(abs(bound - radius) <= geom_tol(P))
 
 
 def barycentric_circumradius(points) -> float:
@@ -268,6 +266,8 @@ def dist_to_hull(a, points) -> float:
     within 1e-12 of zero, relative to the farthest hull point, counts as
     inside and gets 0.
     """
+    from .meb import _nnls
+
     Q = as_points(points)
     x0 = as_point(a)
     if Q.shape[1] != x0.size:

@@ -3,7 +3,7 @@
 import math
 
 WORK_BUDGET = 1e9  # scalar operations; badoiu_clarkson runs about 1.1e8 a second
-STEP_OPS = 4_000   # price of one interpreter-level step: a tester round takes about 38 us
+STEP_OPS = 4_000   # price of one interpreter-level step: a batched tester round takes 1-20 us
 
 
 class DegenerateInputError(ValueError):

@@ -164,7 +164,7 @@ def _hits(X, sq, T, c, t, rt, tol):
     return np.divide(-gap, rate, out=np.full(len(X), np.inf), where=blocks), rate
 
 
-def _walk(X, tol, cap):
+def _walk(X, tol, cap, start=None):
     """Exact minimum enclosing ball of X by the walk of Fischer, Gärtner and
     Kutz (ESA 2003).  Returns ``(center, T, coords, solves)``.
 
@@ -183,16 +183,15 @@ def _walk(X, tol, cap):
     leg.  At t the walk returns when every affine coordinate of t in T is
     nonnegative, and otherwise drops the point with the most negative one.
 
-    Starts at X[0] with its farthest point as T.  ``t`` and its coordinates
-    come from ``circumballs``; ``solves`` counts its calls, and the call that
+    Starts at X[0] with its farthest point as T, or warm from ``start`` =
+    (c, T): a center whose ball encloses X with the rows T on its boundary,
+    affinely independent, such as a parent ball's center and support less a
+    removed point.  An empty T starts cold.  ``t`` and its coordinates come
+    from ``circumballs``; ``solves`` counts its calls, and the call that
     exceeds ``cap`` raises ``IterationLimitError`` whose ``best`` is the
     walk's state ``(c, T, coords, solves)``.
     """
     sq = np.einsum("ij,ij->i", X, X)
-    c = X[0]
-    D = X - c
-    T = [int(np.einsum("ij,ij->i", D, D).argmax())]
-    t, rt, lam = X[T[0]], 0.0, np.ones(1)
     solves = 0
     late = False  # the last point to join reached the boundary after a tied one
 
@@ -203,6 +202,15 @@ def _walk(X, tol, cap):
         if solves > cap:
             raise IterationLimitError(f"no convergence within the {cap}-solve cap", best=(c, T, lam, solves))
         return centers[0], float(radii[0]), bool(ok[0]), coords[0]
+
+    if start is not None and len(start[1]):
+        c, T, lam = start[0], [int(i) for i in start[1]], None  # lam comes with the first solve
+        t, rt, _, lam = solve(T)
+    else:
+        c = X[0]
+        D = X - c
+        T = [int(np.einsum("ij,ij->i", D, D).argmax())]
+        t, rt, lam = X[T[0]], 0.0, np.ones(1)
 
     while True:
         v = t - c

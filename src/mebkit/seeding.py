@@ -2,8 +2,9 @@
 
 A single master seed drives all randomness.  Component streams are derived
 by seeding numpy's ``SeedSequence`` with the tuple
-``(master_seed, crc32(tag), *indices)``, so per-component and per-round
+``(master_seed, crc32(tag), *indices)``, so per-component and per-trial
 generators are independent, reproducible, and safe to create in any order.
+A tester trial reads all of its rounds from one such stream.
 """
 
 from __future__ import annotations

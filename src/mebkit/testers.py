@@ -6,9 +6,10 @@ whole set.  Coverable inputs are never rejected; far-from-coverable inputs are
 rejected with probability at least 1 - delta.  Rejections always carry a
 re-checkable witness sample.
 
-Round r draws its sample from its own stream (seed, tag, r), but rounds are
-tested in chunks of 1, 2, 4, ... up to ``_CHUNK_MAX`` rounds: one call of the
-batched kernel ``geometry.fits_in_translates`` checks every sample of a chunk,
+A trial draws every round's sample from one stream (seed, tag), round r
+from its r-th block of draws, and tests the rounds in chunks of 1, 2, 4, ...
+up to ``_CHUNK_MAX`` rounds: a chunk's samples come from a few array draws,
+one call of the batched kernel ``geometry.fits_in_translates`` checks them,
 and the first refused sample of the first chunk that has one is the witness.
 The growing chunks keep an early rejection as cheap as a round-by-round loop,
 and the verdict, ``rounds_used`` and witness are the ones that loop gives.
@@ -118,15 +119,22 @@ def k_g_work(d: int, k: int, c: float, delta: float):
 
 
 def _sampled_test(P, size: int, rounds: int, tag: str, seed: int, fits) -> TestVerdict:
-    """Up to ``rounds`` rounds, each drawing ``size`` distinct points from the
-    stream (seed, tag, round).  ``fits`` maps a (b, size, d) batch of samples
-    to a bool per sample; it sees chunks of 1, 2, 4, ... rounds, at most
-    ``_CHUNK_MAX``, and the first sample it refuses is the witness."""
+    """Up to ``rounds`` rounds, each drawing ``size`` distinct points.  One
+    stream (seed, tag) serves the trial: round r reads its r-th block of
+    ``size`` draws, uniform on [0, n - size + 1), ..., [0, n), and keeps them
+    by Floyd's algorithm (a draw already taken becomes its bound - 1).
+    ``fits`` maps a (b, size, d) batch of samples to a bool per sample; it
+    sees chunks of 1, 2, 4, ... rounds, at most ``_CHUNK_MAX``, and the first
+    sample it refuses is the witness."""
+    rng = derive_rng(seed, tag)
+    bounds = np.arange(len(P) - size + 1, len(P) + 1)
     start, chunk = 0, 1
     while start < rounds:
         stop = min(start + chunk, rounds)
-        idx = np.array([np.sort(derive_rng(seed, tag, rnd).choice(len(P), size, replace=False))
-                        for rnd in range(start, stop)])
+        idx = rng.integers(0, bounds, size=(stop - start, size))
+        for j in range(1, size):  # one column of every round at a time
+            idx[(idx[:, :j] == idx[:, j:j + 1]).any(axis=1), j] = bounds[j] - 1
+        idx.sort(axis=1)
         refused = np.flatnonzero(~fits(P[idx]))
         if refused.size:
             j = int(refused[0])

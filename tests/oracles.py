@@ -287,10 +287,18 @@ def json_parse_oracle(text):
 
 def sampled_tester_oracle(P, size, rounds, tag, seed, fits):
     """(outcome, rounds used, witness indices) of a sampled tester run one
-    round at a time: round r draws ``size`` distinct points from the stream
-    (seed, tag, r), and the first sample that ``fits`` refuses ends the run."""
+    round at a time from one stream (seed, tag): each round takes ``size``
+    scalar draws, uniform below n - size + 1, ..., n, and keeps them by
+    Floyd's algorithm (a draw already taken becomes its bound - 1); the first
+    sample that ``fits`` refuses ends the run."""
+    n = len(P)
+    rng = derive_rng(seed, tag)
     for rnd in range(rounds):
-        idx = np.sort(derive_rng(seed, tag, rnd).choice(len(P), size, replace=False))
+        chosen = []
+        for bound in range(n - size + 1, n + 1):
+            draw = int(rng.integers(bound))
+            chosen.append(bound - 1 if draw in chosen else draw)
+        idx = np.sort(chosen)
         if not fits(P[idx]):
             return "reject", rnd + 1, idx
     return "accept", rounds, None

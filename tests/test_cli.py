@@ -301,7 +301,6 @@ def test_bounds_solves_the_meb_once(which, square_csv, capsys, monkeypatch):
         return exact(P)
 
     monkeypatch.setattr("mebkit.meb.exact_meb", counted)
-    monkeypatch.setattr("mebkit.convexity.exact_meb", counted)
     report, code = run_cli(["bounds", which, "--input", square_csv], capsys)
     assert code == 0
     assert calls == [4]

@@ -177,6 +177,33 @@ def test_few_outliers_in_a_large_cloud_take_few_walks():
     assert elapsed < 1.0
 
 
+def test_warm_walks_give_the_cold_answer(monkeypatch):
+    # the same branching with every walk started cold, and the starts it is given
+    starts, walk = [], mkeb._walk
+
+    def cold_or_warm(X, tol, cap, start=None):
+        starts.append(start)
+        return walk(X, tol, cap, start if warm else None)
+
+    monkeypatch.setattr(mkeb, "_walk", cold_or_warm)
+    clouds = [(mkeb_cloud(seed, 3, 1, "lattice", "none"), k) for seed in range(12) for k in (1, 2, 3)]
+    clouds += [(mkeb_cloud(seed, n, d, shape, move), n - z)
+               for seed, (n, d, z) in enumerate([(8, 1, 3), (10, 2, 4), (10, 3, 3), (30, 2, 4), (36, 3, 4)])
+               for shape in ("random", "lattice", "collinear", "duplicated")
+               for move in ("none", "shifted")]
+    for P, k in clouds:
+        framed, _, tol = bbox_frame(P)
+        answers = []
+        for warm in (False, True):
+            r, center = mkeb._branch_mkeb(framed, k, tol)
+            answers.append((r, int((np.linalg.norm(framed - center, axis=1) <= r + tol).sum())))
+        (r_cold, covered_cold), (r_warm, covered_warm) = answers
+        assert abs(r_warm - r_cold) <= 1e-12 * r_cold
+        assert covered_warm == covered_cold >= k
+    started = [start for start in starts if start is not None]
+    assert any(len(T) == 0 for _, T in started) and any(len(T) > 0 for _, T in started)
+
+
 def test_sample_size_formula():
     # eps = 1, delta = 1/e, d = 2 -> m = ceil(3 * 1 * 1) = 3
     assert outlier_sample_size(2, 1.0, 1 / math.e) == 3

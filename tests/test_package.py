@@ -60,3 +60,26 @@ def test_import_loads_no_submodule_and_a_name_loads_its_home_alone():
         ["mebkit.seeding"],
         ["mebkit.errors", "mebkit.geometry", "mebkit.meb", "mebkit.seeding"],
     ]
+
+
+def test_closed_form_and_caratheodory_calls_load_no_solver_module(tmp_path):
+    # convexity imports the diameter and meb solvers inside the routines that run them
+    path = tmp_path / "cloud.csv"
+    path.write_text("0,0\n1,0\n0,1\n0.25,0.25\n", encoding="utf-8")
+    script = (
+        "import json, sys\n"
+        "from mebkit import cli\n"
+        "argv = [['bounds', 'fractional-helly', '--alpha', '0.5', '--d', '3'],\n"
+        "        ['convexity', 'caratheodory', '--input', sys.argv[1]]]\n"
+        "for args in argv:\n"
+        "    report, code = cli.dispatch(args)\n"
+        "    assert code == 0, report.result\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('mebkit.'))))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mebkit.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "mebkit.convexity" in loaded
+    assert not loaded & {"mebkit.diameter", "mebkit.meb"}

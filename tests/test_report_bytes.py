@@ -99,7 +99,7 @@ EXPECTED = {
   },
   "result": {
     "outcome": "reject",
-    "rounds_used": 4,
+    "rounds_used": 7,
     "seed": 5,
     "witness": [
       [
@@ -245,7 +245,7 @@ EXPECTED = {
   },
   "result": {
     "outcome": "reject",
-    "rounds_used": 4,
+    "rounds_used": 7,
     "seed": 5,
     "witness": [
       [
@@ -440,7 +440,7 @@ EXPECTED = {
     "trials": [
       {
         "outcome": "reject",
-        "rounds_used": 4,
+        "rounds_used": 2,
         "seed": 1831472134309618078,
         "witness": [
           [
@@ -448,27 +448,27 @@ EXPECTED = {
             0.0
           ],
           [
-            6.5,
-            0.5
+            6.0,
+            0.0
           ],
           [
-            0.5,
-            6.5
+            0.0,
+            6.0
           ]
         ],
         "witness_indices": [
           1,
-          3,
-          5
+          2,
+          4
         ]
       },
       {
         "outcome": "reject",
-        "rounds_used": 2,
+        "rounds_used": 3,
         "seed": 3734546797732971597,
         "witness": [
           [
-            0.5,
+            0.0,
             0.0
           ],
           [
@@ -476,14 +476,14 @@ EXPECTED = {
             0.5
           ],
           [
-            0.5,
-            6.5
+            0.0,
+            6.0
           ]
         ],
         "witness_indices": [
-          1,
+          0,
           3,
-          5
+          4
         ]
       }
     ]

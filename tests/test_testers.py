@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -240,6 +241,72 @@ def test_one_s_batches_match_round_loop_past_the_largest_chunk():
     v = one_s_tester(P, BallBody(1.0), eps, delta, seed=4)
     assert_same_verdict(P, v, sampled_tester_oracle(P, 3, rounds, "one-s-round", 4, ball_fits(1.0)))
     assert rounds > 2 * testers._CHUNK_MAX
+
+
+@pytest.mark.parametrize("mode", ["1s", "kg"])
+def test_verdicts_do_not_depend_on_the_chunk_size(monkeypatch, mode):
+    def run(seed):
+        if mode == "1s":
+            v = one_s_tester(cloud_with_strays(seed), BallBody(1.0), 0.5, 0.1, seed=seed)
+        else:
+            v = k_g_tester(three_groups(seed), BallBody(1.0), 2, c=0.1, delta=0.1, seed=seed)
+        return v.outcome, v.rounds_used, None if v.witness_indices is None else v.witness_indices.tolist()
+
+    verdicts = {}
+    for chunk_max in (1, 3, 256):
+        monkeypatch.setattr(testers, "_CHUNK_MAX", chunk_max)
+        verdicts[chunk_max] = [run(seed) for seed in range(24)]
+    assert verdicts[1] == verdicts[3] == verdicts[256]
+    assert {outcome for outcome, _, _ in verdicts[1]} == {"accept", "reject"}
+
+
+def drawn_samples(n, size, rounds, seed=0):
+    """The index rows ``_sampled_test`` draws for ``rounds`` accepting rounds."""
+    rows = []
+
+    def fits(samples):
+        rows.extend(samples[:, :, 0].astype(int).tolist())
+        return np.ones(len(samples), dtype=bool)
+
+    P = np.arange(n, dtype=float)[:, None]  # each point's coordinate is its index
+    assert testers._sampled_test(P, size, rounds, "sample-check", seed, fits).accepted
+    return rows
+
+
+@pytest.mark.parametrize("n, size", [(6, 3), (5, 5), (1000, 4), (2, 1)])
+def test_every_sample_is_distinct_and_sorted(n, size):
+    rows = drawn_samples(n, size, 600)
+    assert len(rows) == 600
+    assert all(len(row) == size and all(a < b for a, b in zip(row, row[1:])) for row in rows)
+    assert all(0 <= row[0] and row[-1] < n for row in rows)
+
+
+def test_samples_are_uniform_over_the_subsets():
+    # chi-square over the C(6, 3) = 20 subsets, 19 degrees of freedom: 43.8 is its 0.999 quantile
+    rows = drawn_samples(6, 3, 4000, seed=7)
+    counts = {subset: 0 for subset in itertools.combinations(range(6), 3)}
+    for row in rows:
+        counts[tuple(row)] += 1
+    expected = len(rows) / len(counts)
+    chi2 = sum((count - expected) ** 2 / expected for count in counts.values())
+    assert chi2 < 43.8
+
+
+def test_a_trial_derives_one_stream(monkeypatch):
+    # one generator serves every round of a trial, not one per round
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return derive_rng(*args)
+
+    monkeypatch.setattr(testers, "derive_rng", counted)
+    P = clusterable_cloud()
+    v = one_s_tester(P, BallBody(1.0), 0.3, 0.1, seed=3)
+    assert v.accepted and v.rounds_used == 86 and calls == [(3, "one-s-round")]
+    calls.clear()
+    v = k_g_tester(two_clusters(), BallBody(1.0), 2, c=0.05, delta=0.1, seed=4)
+    assert v.accepted and v.rounds_used == 47 and calls == [(4, "k-g-round")]
 
 
 def three_groups(seed):
