@@ -22,11 +22,10 @@ from itertools import islice
 import numpy as np
 
 from .errors import GuardError, check_work
-from .geometry import as_point, as_points, distances, geom_tol
+from .geometry import PAIR_BLOCK, as_point, as_points, distances, geom_tol, pair_distances
 from .seeding import derive_rng
 
 STREAM_BLOCK = 4096  # points per sketch update in stream_2approx and stream_eps_2d
-PAIR_BLOCK = 1 << 16  # most pairs per block of diameter_bruteforce
 _SWEEP_RESTARTS = 3  # seeded starts of diameter_doublesweep
 
 
@@ -38,47 +37,6 @@ class DiameterResult:
     pairs_at_max: int
 
 
-def _pair_norms(C, lo: int, hi: int) -> np.ndarray:
-    """|P[j] - P[i]| for rows i in lo..hi-1 and columns j in lo+1..n-1 of the
-    points P whose coordinates are the rows of ``C`` (P's transpose), as
-    ``np.linalg.norm`` of each difference gives it, to the bit; j <= i reads
-    -inf.
-
-    ``norm`` adds a difference's d squares by numpy's pairwise summation: in
-    order below 8 terms, in 8 interleaved partial sums up to 128, and in two
-    halves (the first a multiple of 8) above.  Summing whole coordinates in
-    that order gives the same sums without a (rows, n, d) array.
-    """
-    d, n = C.shape
-
-    def square(k):
-        diff = C[k, lo + 1:] - C[k, lo:hi, None]
-        diff *= diff
-        return diff
-
-    def total(a, b):  # the squares of coordinates a..b-1
-        if b - a > 128:
-            half = (b - a) // 2
-            half -= half % 8
-            return total(a, a + half) + total(a + half, b)
-        if b - a < 8:
-            acc, rest = square(a), range(a + 1, b)
-        else:
-            s = [square(k) for k in range(a, a + 8)]  # the 8 interleaved partial sums
-            tail = b - (b - a) % 8
-            for k in range(a + 8, tail):
-                s[(k - a) % 8] += square(k)
-            acc = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
-            rest = range(tail, b)
-        for k in rest:
-            acc += square(k)
-        return acc
-
-    D = np.sqrt(total(0, d))
-    D[np.tril_indices(hi - lo, -1, n - lo - 1)] = -np.inf
-    return D
-
-
 def diameter_bruteforce(P) -> DiameterResult:
     """Largest pairwise distance by scanning all pairs.
 
@@ -86,11 +44,11 @@ def diameter_bruteforce(P) -> DiameterResult:
     within tolerance of the maximum (in the plane that count never exceeds n,
     the classical bound on how often a maximum distance can repeat).  The
     pairs are scanned in blocks of consecutive rows, each row against every
-    later point (``_pair_norms``), with at most ``PAIR_BLOCK`` pairs (or one
-    row) per block, so memory stays within a block.  Each block counts its
-    pairs near the maximum so far; a block that a later one outgrew is
-    scanned again only when its own maximum is near the final one.  Work
-    estimate (``check_work``): n (n - 1) / 2 * d.
+    later point (``pair_distances``, with j <= i read as -inf), with at most
+    ``PAIR_BLOCK`` pairs (or one row) per block, so memory stays within a
+    block.  Each block counts its pairs near the maximum so far; a block that
+    a later one outgrew is scanned again only when its own maximum is near
+    the final one.  Work estimate (``check_work``): n (n - 1) / 2 * d.
     """
     P = as_points(P)
     n, d = P.shape
@@ -101,9 +59,15 @@ def diameter_bruteforce(P) -> DiameterResult:
     rows = max(1, PAIR_BLOCK // n)
     blocks = [(lo, min(lo + rows, n - 1)) for lo in range(0, n - 1, rows)]
     C = np.ascontiguousarray(P.T)  # one coordinate per row: each coordinate pass reads memory in order
+
+    def later_pairs(lo, hi):
+        D = pair_distances(C, lo, hi, lo + 1)
+        D[np.tril_indices(hi - lo, -1, n - lo - 1)] = -np.inf
+        return D
+
     value, pair, scanned = -1.0, (0, 1), []
     for lo, hi in blocks:
-        D = _pair_norms(C, lo, hi)
+        D = later_pairs(lo, hi)
         i, j = divmod(int(np.argmax(D)), D.shape[1])  # row-major: the lowest row, then column
         if D[i, j] > value:
             value, pair = float(D[i, j]), (lo + i, lo + 1 + j)
@@ -113,7 +77,7 @@ def diameter_bruteforce(P) -> DiameterResult:
         if seen == value:
             at_max += count
         elif top >= value - tol:
-            at_max += int(np.count_nonzero(_pair_norms(C, lo, hi) >= value - tol))
+            at_max += int(np.count_nonzero(later_pairs(lo, hi) >= value - tol))
     return DiameterResult(value, pair, True, at_max)
 
 

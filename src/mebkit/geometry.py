@@ -28,6 +28,7 @@ TOL_BASE = 1e-9      # comparison slack per unit of spread
 PIVOT_EPS = 1e-12    # smallest unit-edge Gram eigenvalue of an affinely independent subset
 SUBSET_BATCH = 2048  # subsets per circumballs batch in subset_circumballs and small_meb_radii
 SMALL_MEB_MAX = 8    # most points per row that small_meb_radii enumerates; larger rows use exact_meb
+PAIR_BLOCK = 1 << 16  # most pairs per pair_distances block in diameter_bruteforce and the far rows
 
 
 def geom_tol(P, *lengths) -> float:
@@ -59,14 +60,51 @@ def bbox_frame(P) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def distances(P, c, diff, out) -> np.ndarray:
-    """``np.linalg.norm(P - c, axis=-1)``, to the bit, worked in the (n, d)
-    buffer ``diff`` and written to the n-vector ``out``: a loop that measures
-    from many centers allocates nothing per step.  A (b, 1, d) block of
-    centers gives a (b, n) table in (b, n, d) and (b, n) buffers, each row
-    the one its center gives alone."""
+    """The one center-to-point kernel: ``np.linalg.norm(P - c, axis=-1)``, to
+    the bit, worked in the (n, d) buffer ``diff`` and written to the n-vector
+    ``out``, so a loop that measures from many centers can reuse them.  A
+    (b, 1, d) block of centers, such as the ``subset_circumballs`` balls a
+    caller keeps, gives a (b, n) table in (b, n, d) and (b, n) buffers, each
+    row the one its center gives alone; pairs of points go through
+    ``pair_distances``."""
     np.subtract(P, c, out=diff)
     np.multiply(diff, diff, out=diff)
     return np.sqrt(np.add.reduce(diff, axis=-1, out=out), out=out)
+
+
+def pair_distances(C, lo: int, hi: int, first: int) -> np.ndarray:
+    """|P[j] - P[i]| for rows i in lo..hi-1 and columns j in first..n-1 of
+    the points P whose coordinates are the rows of ``C`` (P's transpose), as
+    ``np.linalg.norm`` of each difference gives it, to the bit.  ``norm``
+    adds a difference's d squares by numpy's pairwise summation: in order
+    below 8 terms, in 8 interleaved partial sums up to 128, and in two halves
+    (the first a multiple of 8) above.  Summing whole coordinates in that
+    order gives the same sums without a (rows, n, d) array."""
+
+    def square(k):
+        diff = C[k, first:] - C[k, lo:hi, None]
+        diff *= diff
+        return diff
+
+    def total(a, b):  # the squares of coordinates a..b-1
+        if b - a > 128:
+            half = (b - a) // 2
+            half -= half % 8
+            return total(a, a + half) + total(a + half, b)
+        if b - a < 8:
+            acc, rest = square(a), range(a + 1, b)
+        else:
+            s = [square(k) for k in range(a, a + 8)]  # the 8 interleaved partial sums
+            tail = b - (b - a) % 8
+            for k in range(a + 8, tail):
+                s[(k - a) % 8] += square(k)
+            acc = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+            rest = range(tail, b)
+        for k in rest:
+            acc += square(k)
+        return acc
+
+    return np.sqrt(total(0, len(C)))
 
 
 def as_point(p) -> np.ndarray:
@@ -207,10 +245,10 @@ def subset_circumballs_work(n: int, d: int) -> int:
 
 
 def subset_circumballs(P):
-    """Yield (centers, radii, dist) of the circumballs of every affinely
+    """Yield (centers, radii) of the circumballs of every affinely
     independent subset of P of size 1..d+1, in size-then-lexicographic
-    order, at most ``SUBSET_BATCH`` subsets per batch, with the (b, n) table
-    ``dist`` from each center to every point of P.
+    order, at most ``SUBSET_BATCH`` subsets per batch.  A caller measures
+    the balls it keeps against the points with ``distances``.
 
     Dependent subsets are skipped; their limiting balls come from smaller
     subsets, so the family stays complete for enclosing-ball searches.
@@ -219,11 +257,7 @@ def subset_circumballs(P):
     for size in range(1, min(n, d + 1) + 1):
         for block in _subset_blocks(n, size):
             centers, radii, ok, _ = circumballs(P[block])
-            diff = P[None, :, :] - centers[ok, None, :]
-            diff *= diff  # squared in place: one (batch, n, d) array, same sums as a norm
-            dist = np.sqrt(diff.sum(axis=2))
-            del diff  # freed before the next batch is built, which lowers peak memory
-            yield centers[ok], radii[ok], dist
+            yield centers[ok], radii[ok]
 
 
 def circumball(points) -> Ball:

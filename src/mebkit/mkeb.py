@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import STEP_OPS, GuardError, IterationLimitError, check_work
-from .geometry import Ball, as_points, bbox_frame, subset_circumballs, subset_circumballs_work
+from .geometry import Ball, as_points, bbox_frame, distances, subset_circumballs, subset_circumballs_work
 from .meb import _hard_cap, _walk, exact_meb
 
 
@@ -84,9 +84,10 @@ def exact_mkeb(P, k: int) -> MkebSolution:
 def _enumerate_mkeb(P, k: int, tol: float) -> tuple[float, np.ndarray]:
     """(radius, center) of the least (radius, lexicographic center) circumball
     of a subset of 1..d+1 points of the framed P that covers k points."""
-    d = P.shape[1]
+    n, d = P.shape
     best = None  # (radius, center-as-tuple)
-    for centers, radii, dist in subset_circumballs(P):
+    for centers, radii in subset_circumballs(P):
+        dist = distances(P, centers[:, None], np.empty((len(centers), n, d)), np.empty((len(centers), n)))
         eligible = np.flatnonzero((dist <= radii[:, None] + tol).sum(axis=1) >= k)
         if not len(eligible):
             continue

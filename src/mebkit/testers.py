@@ -21,7 +21,8 @@ Both testers price their rounds up front (``one_s_work``, ``k_g_work``).
 ``promise_label`` and ``scattered_points`` decide promise instances exactly:
 clusterable over the balls of ``geometry.subset_circumballs``, and scattered
 by one bitset search for mutually far points (``_far_set``).  Both exact
-deciders keep their sets as bitsets and refuse through ``check_work``.
+searches keep their sets as bitsets and count their nodes on one meter a
+call (``_count_node``), which refuses through ``check_work``.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import numpy as np
 
 from . import errors
 from .errors import STEP_OPS, check_work
-from .geometry import (SMALL_MEB_MAX, BoxBody, as_points, bbox_frame, distances, fits_in_translates,
-                       geom_tol, small_meb_radii, subset_circumballs, subset_circumballs_work)
+from .geometry import (PAIR_BLOCK, SMALL_MEB_MAX, BoxBody, as_points, bbox_frame, distances, fits_in_translates,
+                       geom_tol, pair_distances, small_meb_radii, subset_circumballs, subset_circumballs_work)
 from .seeding import derive_rng
 
 ACCEPT = "accept"
@@ -45,7 +46,6 @@ REJECT = "reject"
 _SCATTER_EXACT_LIMIT = 60   # branch-and-bound ceiling for the public decider
 _CHUNK_MAX = 256            # most rounds a tester checks in one batch
 _PAIR_ROWS = 16_384         # most sample pairs k_g_tester checks in one kernel call
-_FAR_VALUES = 1 << 16       # most coordinate differences _far_rows holds at once
 _LABELS = {(True, True): "BOTH", (True, False): "YES", (False, True): "NO", (False, False): "VIOLATES"}
 
 
@@ -213,27 +213,30 @@ def _farthest_first(P):
 
 def _far_rows(P, delta: float) -> list[int]:
     """Per point, the bitset of the points at least delta - geom_tol(P, delta)
-    away from it, one ``distances`` table and one ``np.packbits`` per block
-    of about ``_FAR_VALUES`` coordinates.  Work estimate (``check_work``): n^2 d."""
+    away from it, one ``pair_distances`` block and one ``np.packbits`` per
+    ``PAIR_BLOCK`` pairs (or one row).  Work estimate (``check_work``): n^2 d."""
     n, d = P.shape
     check_work(n * n * d, f"the far rows of {n} points", "use fewer points")
-    cut = delta - geom_tol(P, delta)
-    b = max(1, _FAR_VALUES // (n * d))  # points a block
-    diff, out, rows = np.empty((b, n, d)), np.empty((b, n)), []
-    for lo in range(0, n, b):
-        m = min(b, n - lo)
-        far = np.packbits(distances(P, P[lo:lo + m, None], diff[:m], out[:m]) >= cut, axis=1, bitorder="little")
+    cut, step, rows = delta - geom_tol(P, delta), max(1, PAIR_BLOCK // n), []
+    C = np.ascontiguousarray(P.T)
+    for lo in range(0, n, step):
+        far = np.packbits(pair_distances(C, lo, min(lo + step, n), 0) >= cut, axis=1, bitorder="little")
         rows += [int.from_bytes(row.tobytes(), "little") for row in far]
     return rows
+
+
+def _count_node(meter, what: str, hint: str) -> None:
+    """Count a node at STEP_OPS / 40 on ``meter``, the ``itertools.count(1)`` of a call's searches, and past
+    ``WORK_BUDGET`` refuse through ``check_work``: no usable bound on the nodes is known up front."""
+    if (nodes := next(meter)) * (STEP_OPS // 40) > errors.WORK_BUDGET:
+        check_work(nodes * (STEP_OPS // 40), what, hint)
 
 
 def _far_set(far: list[int], need: int, meter) -> list[int] | None:
     """The first ``need`` mutually far points in depth-first index order, or
     None: a branch stops once its candidates are fewer than it still needs.
-    No usable bound on the nodes is known up front, so ``check_work`` meters
-    them at STEP_OPS / 40 each, counted by ``meter`` over the caller's searches."""
-    price, what = STEP_OPS // 40, f"the search for {need} mutually far points of {len(far)}"
-    limit = errors.WORK_BUDGET / price
+    Each point chosen is a node (``_count_node``) on the caller's ``meter``."""
+    what = f"the search for {need} mutually far points of {len(far)}"
     stack, chosen, left = [(1 << len(far)) - 1], [], need  # the untried candidates of each depth, deepest last
     while left:
         cand = stack.pop()
@@ -243,8 +246,7 @@ def _far_set(far: list[int], need: int, meter) -> list[int] | None:
             chosen.pop()
             left += 1
             continue
-        if (nodes := next(meter)) > limit:
-            check_work(nodes * price, what, "raise delta or use fewer points")
+        _count_node(meter, what, "raise delta or use fewer points")
         low = cand & -cand
         cand ^= low
         chosen.append(low.bit_length() - 1)
@@ -257,9 +259,9 @@ def scattered_points(P, delta: float) -> ScatteredSet:
     """Largest subset with pairwise distances at least delta.
 
     Exact for n <= 60: ``_far_set`` is asked for 1, 2, ... points until it
-    finds none, and the last set found is returned (``_far_rows`` and
-    ``_far_set`` state the work).  Beyond that, a greedy farthest-first
-    pass gives a lower bound flagged with ``exact=False``.
+    finds none, and the last set found is returned (``_far_rows`` states the
+    work, and the searches share one meter).  Beyond that, a greedy
+    farthest-first pass gives a lower bound flagged with ``exact=False``.
     """
     P = as_points(P)
     n = len(P)
@@ -279,7 +281,7 @@ def scattered_points(P, delta: float) -> ScatteredSet:
     return ScatteredSet(len(chosen), sorted(chosen), False)
 
 
-def _coverable(P, k1: int, eps: float, tol: float) -> bool:
+def _coverable(P, k1: int, eps: float, tol: float, meter) -> bool:
     """Whether the n > k1 points of P split into k1 groups of enclosing radius <= eps + tol.
 
     A group fits iff it lies within eps + tol of its enclosing ball's center,
@@ -289,14 +291,14 @@ def _coverable(P, k1: int, eps: float, tol: float) -> bool:
     branches over the kept covers of the first point not yet covered, to
     depth k1.  Work estimates (``check_work``), each before its phase:
     ``subset_circumballs_work``; 8 u (c_u + n) for u distinct covers, up to
-    c_u on a point; STEP_OPS / 40 a node for sum_{j <= k1} c^j nodes, up to c kept on a point.
+    c_u on a point.  Each state it branches from is a node on ``meter``.
     """
     n, d = P.shape
     what = f"exact {k1}-clustering of {n} points"
     check_work(subset_circumballs_work(n, d), what, "use fewer points")
-    chunks = [np.packbits(dist[radii <= eps + tol] <= eps + tol, axis=1, bitorder="little")
-              for _, radii, dist in subset_circumballs(P)]
-    packed = np.unique(np.vstack(chunks), axis=0)
+    kept = (centers[radii <= eps + tol, None] for centers, radii in subset_circumballs(P))
+    near = (distances(P, c, np.empty((len(c), n, d)), np.empty((len(c), n))) <= eps + tol for c in kept)
+    packed = np.unique(np.vstack([np.packbits(r, axis=1, bitorder="little") for r in near]), axis=0)
     members = np.unpackbits(packed, axis=1, count=n, bitorder="little")
     check_work(8 * len(packed) * (int(members.sum(axis=0).max()) + n), what, "lower eps or use fewer points")
     by_point: list[list[int]] = [[] for _ in range(n)]
@@ -305,14 +307,13 @@ def _coverable(P, k1: int, eps: float, tol: float) -> bool:
         if all(cover | other != other for other in by_point[(cover & -cover).bit_length() - 1]):
             for point in np.flatnonzero(members[i]):
                 by_point[point].append(cover)
-    c = max(map(len, by_point))
-    check_work(STEP_OPS // 40 * sum(c**j for j in range(k1 + 1)), what, "lower k1 or use fewer points")
     stack = [((1 << n) - 1, k1)]  # (points not yet covered, covers left)
     while stack:
         free, left = stack.pop()
         if not free:
             return True
         if left:
+            _count_node(meter, what, "lower k1 or use fewer points")
             first = by_point[(free & -free).bit_length() - 1]
             stack.extend((free & ~cover, left - 1) for cover in reversed(first))
     return False
@@ -323,11 +324,11 @@ def promise_label(P, k1: int, eps: float, k2: int, delta: float) -> PromiseLabel
 
     ``yes_holds``: the points split into k1 groups of enclosing radius <= eps
     (decided by the exact enclosing ball for k1 = 1, and for k1 >= 2 by the
-    priced search of ``_coverable`` over ``subset_circumballs``, in ``bbox_frame``).
+    search of ``_coverable`` over ``subset_circumballs``, in ``bbox_frame``).
     ``no_holds``: at least k2 points are pairwise at least delta apart
     (decided for 2 <= k2 <= n by ``_far_set`` over the ``_far_rows``, which
-    are priced at n^2 d before either side runs; the search is metered).
-    The label is BOTH when both sides hold and VIOLATES when neither does.
+    are priced at n^2 d before either side runs; both searches count their
+    nodes on one meter).  BOTH: both sides hold; VIOLATES: neither does.
     """
     P = as_points(P)
     n = len(P)
@@ -335,12 +336,12 @@ def promise_label(P, k1: int, eps: float, k2: int, delta: float) -> PromiseLabel
         raise ValueError("k1 and k2 must be at least 1")
     if not (0.0 < eps < math.inf and 0.0 < delta < math.inf):
         raise ValueError(f"eps and delta must be positive and finite, got {eps} and {delta}")
-    far = _far_rows(P, delta) if 2 <= k2 <= n else None
+    far, meter = _far_rows(P, delta) if 2 <= k2 <= n else None, itertools.count(1)
     tol = geom_tol(P, eps)
     if k1 == 1:
         yes = bool(small_meb_radii(P[None])[0] <= eps + tol)
     else:  # singletons always fit when k1 >= n
-        yes = k1 >= n or _coverable(bbox_frame(P)[0], k1, eps, tol)
+        yes = k1 >= n or _coverable(bbox_frame(P)[0], k1, eps, tol, meter)
     # a single point is vacuously scattered, and more than n points are not
-    no = k2 == 1 if far is None else _far_set(far, k2, itertools.count(1)) is not None
+    no = k2 == 1 if far is None else _far_set(far, k2, meter) is not None
     return PromiseLabel(yes, no, _LABELS[yes, no])

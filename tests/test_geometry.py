@@ -16,6 +16,7 @@ from mebkit.geometry import (
     barycenter,
     circumball,
     circumballs,
+    distances,
     fits_in_translate,
     fits_in_translates,
     geom_tol,
@@ -285,12 +286,15 @@ def test_subset_blocks_equal_the_listed_combinations(n, size):
         assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
-def test_subset_circumballs_yields_distance_rows():
+def test_subset_circumballs_yields_centers_and_radii():
     P = np.random.default_rng(4).standard_normal((9, 2))
+    subsets = iter([s for size in (1, 2, 3) for s in itertools.combinations(range(9), size)])
     count = 0
-    for centers, radii, dist in subset_circumballs(P):
-        assert dist.shape == (len(centers), len(P))
-        assert np.array_equal(dist, np.linalg.norm(P[None] - centers[:, None], axis=2))  # same sums as a norm
+    for centers, radii in subset_circumballs(P):
+        for center, radius in zip(centers, radii):  # random points: every subset is independent
+            assert np.allclose(np.linalg.norm(P[list(next(subsets))] - center, axis=1), radius)
+        rows = distances(P, centers[:, None], np.empty((len(centers), 9, 2)), np.empty((len(centers), 9)))
+        assert np.array_equal(rows, np.linalg.norm(P[None] - centers[:, None], axis=2))  # a caller's rows
         count += len(radii)
-    assert count == 9 + 36 + math.comb(9, 3)  # random points: every subset is independent
+    assert count == 9 + 36 + math.comb(9, 3) and next(subsets, None) is None
     assert subset_circumballs_work(9, 2) == (9 + 36 + 84) * 9 * 2 * 3

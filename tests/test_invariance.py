@@ -19,7 +19,7 @@ from mebkit.diameter import diameter_bruteforce, stream_eps_2d
 from mebkit.geometry import BallBody, BoxBody, bbox_frame, geom_tol
 from mebkit.meb import badoiu_clarkson, elzinga_hearn_dual, exact_meb, hopp_reeve_meb
 from mebkit.mkeb import exact_mkeb
-from mebkit.testers import k_g_tester, one_s_tester, promise_label
+from mebkit.testers import k_g_tester, one_s_tester, promise_label, scattered_points
 
 REL = 1e-9
 
@@ -203,3 +203,18 @@ def test_promise_label(frame, n, d, k1, eps, k2, delta):
 
     for moved, reference, unit in pairs:
         assert label(moved, abs(a)) == label(reference, abs(a) / unit)
+
+
+@given(frames, st.integers(2, 30), st.integers(1, 3), st.floats(0.3, 3.0))
+@example((0, -12.0, False, 8.0), 30, 2, 1.0)
+@example((0, 12.0, True, 8.0), 30, 3, 2.0)
+def test_scattered_points(frame, n, d, delta):
+    # delta is a length, so it scales with the input
+    pairs, a = moves(frame, n, d)
+
+    def scattered(X, scale):
+        got = scattered_points(X, delta * scale)
+        return got.count, got.indices.tolist()
+
+    for moved, reference, unit in pairs:
+        assert scattered(moved, abs(a)) == scattered(reference, abs(a) / unit)

@@ -7,7 +7,7 @@ import pytest
 
 from mebkit import errors, meb, testers
 from mebkit.errors import STEP_OPS, WORK_BUDGET, GuardError
-from mebkit.geometry import BallBody, BoxBody, distances, fits_in_translate, geom_tol
+from mebkit.geometry import BallBody, BoxBody, fits_in_translate, geom_tol
 from mebkit.meb import exact_meb
 from mebkit.seeding import derive_rng
 from mebkit.testers import (
@@ -560,16 +560,33 @@ def test_promise_guard():
     assert time.perf_counter() - start < 1.0
 
 
-def test_promise_search_is_priced_before_it_runs():
+def test_promise_cover_search_is_metered(monkeypatch):
     # 30 points 1 apart on a line, eps 0.5: every kept cover is a neighbouring
-    # pair, so c = 2 and sum_{j <= k1} 2^j nodes price the search
+    # pair, so each node branches at most two ways
     P = np.arange(30.0)[:, None]
-    assert promise_label(P, 15, 0.5, 1, 1.0).yes_holds  # 2^16 nodes: within the budget
+    assert promise_label(P, 15, 0.5, 1, 1.0).yes_holds
+    assert not promise_label(P, 14, 0.5, 1, 1.0).yes_holds  # all 8,192 nodes
+    assert promise_label(P, 25, 0.5, 1, 1.0).yes_holds  # 25 nodes, where sum_{j <= 25} 2^j would be refused
+    monkeypatch.setattr(errors, "WORK_BUDGET", 8_192 * (STEP_OPS // 40))
     assert not promise_label(P, 14, 0.5, 1, 1.0).yes_holds
+    monkeypatch.setattr(errors, "WORK_BUDGET", 8_191 * (STEP_OPS // 40))
     start = time.perf_counter()
-    with pytest.raises(GuardError, match="over the budget"):
-        promise_label(P, 25, 0.5, 1, 1.0)  # 2^26 nodes at STEP_OPS / 40 each
+    with pytest.raises(GuardError, match="exact 14-clustering of 30 points: .* over the budget"):
+        promise_label(P, 14, 0.5, 1, 1.0)
     assert time.perf_counter() - start < 1.0
+
+
+def test_promise_sides_share_one_meter(monkeypatch):
+    # 30 points 1 apart on a line: the cover search for k1 = 14 at eps 0.5
+    # takes 8,192 nodes, and the search for 15 points 2 apart takes 15
+    P = np.arange(30.0)[:, None]
+    monkeypatch.setattr(errors, "WORK_BUDGET", 8_207 * (STEP_OPS // 40))
+    assert promise_label(P, 14, 0.5, 15, 2.0).label == "NO"
+    monkeypatch.setattr(errors, "WORK_BUDGET", 8_206 * (STEP_OPS // 40))
+    assert promise_label(P, 14, 0.5, 1, 2.0).label == "NO"  # each side alone fits
+    assert promise_label(P, 1, 0.5, 15, 2.0).label == "NO"
+    with pytest.raises(GuardError, match="15 mutually far points of 30"):
+        promise_label(P, 14, 0.5, 15, 2.0)
 
 
 def test_promise_decides_a_forty_point_cloud_quickly():
@@ -580,17 +597,17 @@ def test_promise_decides_a_forty_point_cloud_quickly():
     assert time.perf_counter() - start < 2.0
 
 
-@pytest.mark.parametrize("values", [1, 7, 64, 1 << 16])  # one point a block, ragged blocks, one block
-def test_far_row_blocks_equal_the_row_by_row_bits(monkeypatch, values):
-    monkeypatch.setattr(testers, "_FAR_VALUES", values)
+@pytest.mark.parametrize("pairs", [1, 7, 64, 1 << 16])  # one point a block, ragged blocks, one block
+def test_far_row_blocks_equal_the_row_by_row_bits(monkeypatch, pairs):
+    monkeypatch.setattr(testers, "PAIR_BLOCK", pairs)
     for seed in range(12):
         rng = derive_rng(seed, "far-rows")
-        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 11))
+        # numpy adds fewer than 8 squares in order, up to 128 in 8 partial sums, and more in two halves
+        n, d = int(rng.integers(2, 40)), int(rng.integers(*((1, 9), (9, 129), (129, 300))[seed % 3]))
         P = rng.standard_normal((n, d)) + rng.uniform(-1.0, 1.0, d) * 10.0 ** rng.integers(0, 9)
-        delta = float(rng.uniform(0.2, 3.0))
+        delta = float(rng.uniform(0.2, 3.0)) * math.sqrt(d)
         cut = delta - geom_tol(P, delta)
-        rows = [int(sum(1 << j for j in np.flatnonzero(distances(P, p, np.empty_like(P), np.empty(n)) >= cut)))
-                for p in P]
+        rows = [int(sum(1 << j for j in np.flatnonzero(np.linalg.norm(P - p, axis=1) >= cut))) for p in P]
         assert testers._far_rows(P, delta) == rows
 
 
@@ -598,7 +615,7 @@ def test_promise_far_rows_are_priced_before_any_distance_row(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a distance row was computed")
 
-    monkeypatch.setattr(testers, "distances", forbidden)
+    monkeypatch.setattr(testers, "pair_distances", forbidden)
     monkeypatch.setattr(errors, "WORK_BUDGET", 6 * 6 * 2 - 1)  # one under n^2 d
     P = derive_rng(0, "scatter-guard").standard_normal((6, 2))
     with pytest.raises(GuardError, match="far rows of 6 points: .* over the budget"):

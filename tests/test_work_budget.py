@@ -13,8 +13,9 @@ from mebkit.errors import WORK_BUDGET, GuardError, check_work
 
 # (module, function): number of ``raise GuardError`` sites, for the refusals
 # that no up-front estimate replaces: the sketch-block memory cap and a sample
-# size past float range.  Both sides of promise_label refuse through
-# check_work; its far-set search is metered as it runs.
+# size past float range.  Both exact promise searches, the cover search and
+# the far-set search, are metered as they run by testers._count_node, which
+# refuses through check_work.
 UNPRICED = {
     ("errors", "check_work"): 1,
     ("diameter", "direction_count"): 1,
@@ -40,6 +41,35 @@ def guard_sites():
 
 def test_guard_errors_are_raised_only_through_check_work():
     assert guard_sites() == UNPRICED
+
+
+def budget_reads():
+    """(module, innermost enclosing function) of every read or import of
+    ``WORK_BUDGET`` in the package."""
+    reads = set()
+
+    def visit(node, module, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            name = node.name if isinstance(node, ast.alias) else None
+        if name == "WORK_BUDGET":
+            reads.add((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(pathlib.Path(mebkit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return reads
+
+
+def test_work_budget_is_read_only_by_check_work_and_the_node_meter():
+    # a search that grows its own limit would read the budget itself
+    assert budget_reads() == {("errors", "check_work"), ("testers", "_count_node")}
 
 
 @pytest.mark.parametrize("ops", [WORK_BUDGET + 1, 10**400, math.inf, math.nan])
