@@ -291,7 +291,7 @@ def _coverable(P, k1: int, eps: float, tol: float, meter) -> bool:
     branches over the kept covers of the first point not yet covered, to
     depth k1.  Work estimates (``check_work``), each before its phase:
     ``subset_circumballs_work``; 8 u (c_u + n) for u distinct covers, up to
-    c_u on a point.  Each state it branches from is a node on ``meter``.
+    c_u on a point.  Each state it pops is a node on ``meter``.
     """
     n, d = P.shape
     what = f"exact {k1}-clustering of {n} points"
@@ -310,10 +310,10 @@ def _coverable(P, k1: int, eps: float, tol: float, meter) -> bool:
     stack = [((1 << n) - 1, k1)]  # (points not yet covered, covers left)
     while stack:
         free, left = stack.pop()
+        _count_node(meter, what, "lower k1 or use fewer points")
         if not free:
             return True
         if left:
-            _count_node(meter, what, "lower k1 or use fewer points")
             first = by_point[(free & -free).bit_length() - 1]
             stack.extend((free & ~cover, left - 1) for cover in reversed(first))
     return False

@@ -7,7 +7,7 @@ import pytest
 
 from mebkit import errors, meb, testers
 from mebkit.errors import STEP_OPS, WORK_BUDGET, GuardError
-from mebkit.geometry import BallBody, BoxBody, fits_in_translate, geom_tol
+from mebkit.geometry import BallBody, BoxBody, bbox_frame, fits_in_translate, geom_tol
 from mebkit.meb import exact_meb
 from mebkit.seeding import derive_rng
 from mebkit.testers import (
@@ -562,27 +562,38 @@ def test_promise_guard():
 
 def test_promise_cover_search_is_metered(monkeypatch):
     # 30 points 1 apart on a line, eps 0.5: every kept cover is a neighbouring
-    # pair, so each node branches at most two ways
+    # pair, so each state branches at most two ways; every state popped is a node
     P = np.arange(30.0)[:, None]
     assert promise_label(P, 15, 0.5, 1, 1.0).yes_holds
-    assert not promise_label(P, 14, 0.5, 1, 1.0).yes_holds  # all 8,192 nodes
-    assert promise_label(P, 25, 0.5, 1, 1.0).yes_holds  # 25 nodes, where sum_{j <= 25} 2^j would be refused
-    monkeypatch.setattr(errors, "WORK_BUDGET", 8_192 * (STEP_OPS // 40))
+    assert not promise_label(P, 14, 0.5, 1, 1.0).yes_holds  # all 16,384 nodes
+    assert promise_label(P, 25, 0.5, 1, 1.0).yes_holds  # 27 nodes, where sum_{j <= 25} 2^j would be refused
+    monkeypatch.setattr(errors, "WORK_BUDGET", 16_384 * (STEP_OPS // 40))
     assert not promise_label(P, 14, 0.5, 1, 1.0).yes_holds
-    monkeypatch.setattr(errors, "WORK_BUDGET", 8_191 * (STEP_OPS // 40))
+    monkeypatch.setattr(errors, "WORK_BUDGET", 16_383 * (STEP_OPS // 40))
     start = time.perf_counter()
     with pytest.raises(GuardError, match="exact 14-clustering of 30 points: .* over the budget"):
         promise_label(P, 14, 0.5, 1, 1.0)
     assert time.perf_counter() - start < 1.0
 
 
+def test_promise_cover_search_meters_the_states_each_node_pushes():
+    # up to 46 kept covers on one point: the states a node pushes are counted
+    # as they are popped, so the work a node stays the same as c grows.  The
+    # meter starts so that the search's 3,951st node is the budget's last.
+    P = np.random.default_rng(2).uniform(-1.0, 1.0, (40, 2))
+    frame, tol, last = bbox_frame(P)[0], geom_tol(P, 0.7), int(WORK_BUDGET) // (STEP_OPS // 40)
+    assert not testers._coverable(frame, 3, 0.7, tol, itertools.count(last - 3_950))
+    with pytest.raises(GuardError, match="exact 3-clustering of 40 points: .* over the budget"):
+        testers._coverable(frame, 3, 0.7, tol, itertools.count(last - 3_949))
+
+
 def test_promise_sides_share_one_meter(monkeypatch):
     # 30 points 1 apart on a line: the cover search for k1 = 14 at eps 0.5
-    # takes 8,192 nodes, and the search for 15 points 2 apart takes 15
+    # takes 16,384 nodes, and the search for 15 points 2 apart takes 15
     P = np.arange(30.0)[:, None]
-    monkeypatch.setattr(errors, "WORK_BUDGET", 8_207 * (STEP_OPS // 40))
+    monkeypatch.setattr(errors, "WORK_BUDGET", 16_399 * (STEP_OPS // 40))
     assert promise_label(P, 14, 0.5, 15, 2.0).label == "NO"
-    monkeypatch.setattr(errors, "WORK_BUDGET", 8_206 * (STEP_OPS // 40))
+    monkeypatch.setattr(errors, "WORK_BUDGET", 16_398 * (STEP_OPS // 40))
     assert promise_label(P, 14, 0.5, 1, 2.0).label == "NO"  # each side alone fits
     assert promise_label(P, 1, 0.5, 15, 2.0).label == "NO"
     with pytest.raises(GuardError, match="15 mutually far points of 30"):
