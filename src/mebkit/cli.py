@@ -255,8 +255,9 @@ def _run_convexity(args) -> dict:
         }
     # nodim
     from .diameter import diameter_bruteforce
-    from .meb import exact_meb
 
+    if n > 2048:  # only there is the diameter bounded by the enclosing ball
+        from .meb import exact_meb
     a = barycenter(P)
     chosen, achieved = nodim_caratheodory(P, a, args.r)
     diam = diameter_bruteforce(P).value if n <= 2048 else 2.0 * exact_meb(P).ball.radius

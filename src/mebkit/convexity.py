@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import STEP_OPS, check_work
+from .errors import STEP_OPS, ConvergenceError, check_work
 from .geometry import _subset_blocks, as_point, as_points, bbox_frame, geom_tol
 
 
@@ -245,7 +245,7 @@ def barycentric_circumradius(points) -> float:
     check_work(sum(math.comb(n, s) * s * (d + 16) for s in sizes), f"{n} points' subsets", "use fewer points")
     best = 0.0
     for size in sizes:
-        for block in _subset_blocks(n, size):
+        for block in _subset_blocks(n, size, d):
             sub = P[block]
             centers = sub.mean(axis=1)
             radii = np.linalg.norm(sub - centers[:, None, :], axis=2).max(axis=1)
@@ -253,12 +253,66 @@ def barycentric_circumradius(points) -> float:
     return best
 
 
+def _nnls(A, b) -> np.ndarray:
+    """argmin |Ax - b| over x >= 0 (Lawson & Hanson, 1974, ch. 23).
+
+    When A has full column rank and its least-squares solution is
+    nonnegative, that solution is the unique optimum.  Otherwise the
+    active-set loop runs: the free column with the largest gradient entry
+    joins the passive set (or is skipped when it depends numerically on it),
+    and a passive solve that leaves the feasible region is cut back along the
+    segment from the current iterate until a passive variable reaches zero
+    and leaves.  Cut steps are capped at 3n, as in scipy's ``nnls``.
+    """
+    m, n = A.shape
+    x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    if rank == n and x.min() >= 0.0:
+        return x
+    tol = 10.0 * max(m, n) * np.finfo(float).eps
+
+    def solve(passive):
+        s = np.zeros(n)
+        s[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+        return s
+
+    def gradient(r):
+        # row by row, so that equal columns get bit-equal entries and the
+        # lowest index wins their tie
+        return (A * r[:, None]).sum(axis=0)
+
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    w = gradient(b)
+    cuts = 0
+    while True:
+        free = np.where(passive, -np.inf, w)
+        k = int(np.argmax(free))
+        if free[k] <= tol:
+            return x
+        passive[k] = True
+        s = solve(passive)
+        if s[k] <= 0.0:  # column k adds nothing the passive columns lack
+            passive[k] = False
+            w[k] = -np.inf
+            continue
+        while (cut := passive & (s <= 0.0)).any():
+            cuts += 1
+            if cuts > 3 * n:
+                raise ConvergenceError(f"NNLS needed more than {3 * n} cut steps")
+            alpha = np.min(x[cut] / (x[cut] - s[cut]))
+            x += alpha * (s - x)
+            passive &= x > tol
+            s = solve(passive)
+        x = s
+        w = gradient(b - A @ x)
+
+
 def dist_to_hull(a, points) -> float:
     """Euclidean distance from a point to the convex hull of a point set.
 
     Let U = Q - a, s its largest absolute entry and V = U^T / s.  The
     nonnegative least-squares solution u of min |V u|^2 + (sum(u) - 1)^2
-    (``meb._nnls``) gives the distance s |V u| / sum(u).  Writing u = t w
+    (``_nnls``) gives the distance s |V u| / sum(u).  Writing u = t w
     with w on the unit simplex, the objective is t^2 |V w|^2 + (t - 1)^2,
     whose minimum over t is |V w|^2 / (1 + |V w|^2); that increases with
     |V w|, so w is the weight vector of the hull's nearest point (Lawson &
@@ -266,8 +320,6 @@ def dist_to_hull(a, points) -> float:
     within 1e-12 of zero, relative to the farthest hull point, counts as
     inside and gets 0.
     """
-    from .meb import _nnls
-
     Q = as_points(points)
     x0 = as_point(a)
     if Q.shape[1] != x0.size:

@@ -6,7 +6,8 @@ so only antipodal hull pairs need checking).  ``diameter_doublesweep`` is a
 fast certified lower bound.  The streaming sketches hold at most one
 block of the stream: each takes a block of points in one array pass
 (``extend``), and ``update`` is its one-point case, so a sketch fed point
-by point and one fed in blocks of any size agree exactly.  The anchored
+by point and one fed in blocks of any size agree exactly; ``_feed`` and
+the pair scan size their blocks from ``geometry.BLOCK``.  The anchored
 sketch guarantees E <= diam <= 2E, and the directional-grid sketch
 guarantees E <= diam <= (1+eps)E with the grid resolution chosen from
 eps.  Exact diameter computation in the plane costs at least n log n in
@@ -21,11 +22,12 @@ from itertools import islice
 
 import numpy as np
 
+from . import geometry
 from .errors import GuardError, check_work
-from .geometry import PAIR_BLOCK, as_point, as_points, distances, geom_tol, pair_distances
+from .geometry import as_point, as_points, distances, geom_tol, pair_distances
 from .seeding import derive_rng
 
-STREAM_BLOCK = 4096  # points per sketch update in stream_2approx and stream_eps_2d
+MAX_DIRECTIONS = 4096  # most grid directions direction_count admits: more are refused
 _SWEEP_RESTARTS = 3  # seeded starts of diameter_doublesweep
 
 
@@ -44,8 +46,8 @@ def diameter_bruteforce(P) -> DiameterResult:
     within tolerance of the maximum (in the plane that count never exceeds n,
     the classical bound on how often a maximum distance can repeat).  The
     pairs are scanned in blocks of consecutive rows, each row against every
-    later point (``pair_distances``, with j <= i read as -inf), with at most
-    ``PAIR_BLOCK`` pairs (or one row) per block, so memory stays within a
+    later point (``pair_distances``, with j <= i read as -inf), with
+    max(1, BLOCK // n) rows of n values per block, so memory stays within a
     block.  Each block counts its pairs near the maximum so far; a block that
     a later one outgrew is scanned again only when its own maximum is near
     the final one.  Work estimate (``check_work``): n (n - 1) / 2 * d.
@@ -56,7 +58,7 @@ def diameter_bruteforce(P) -> DiameterResult:
         raise ValueError("need at least two points")
     check_work(n * (n - 1) // 2 * d, f"the pair scan of {n} points", "use diameter_doublesweep")
     tol = geom_tol(P)
-    rows = max(1, PAIR_BLOCK // n)
+    rows = max(1, geometry.BLOCK // n)
     blocks = [(lo, min(lo + rows, n - 1)) for lo in range(0, n - 1, rows)]
     C = np.ascontiguousarray(P.T)  # one coordinate per row: each coordinate pass reads memory in order
 
@@ -204,7 +206,7 @@ class TwoApproxSketch:
     def extend(self, block):
         B = as_points(block)
         if self.anchor is None:
-            self.anchor = B[0].copy()
+            self.anchor, self.width = B[0].copy(), B.shape[1]  # width: a point's values in B - anchor
         elif B.shape[1] != self.anchor.size:
             raise ValueError("stream changed dimension")
         self.max_dist = max(self.max_dist, float(np.linalg.norm(B - self.anchor, axis=1).max()))
@@ -223,21 +225,20 @@ class TwoApproxSketch:
 def direction_count(eps: float) -> int:
     """Smallest m with cos(pi / (2m)) >= 1 / (1 + eps): the closed form
     ceil(pi / (2 acos(1 / (1 + eps)))), moved by one where rounding puts it
-    beside that test.  More than ``STREAM_BLOCK`` directions (eps below about
-    7.4e-8) raise ``GuardError``, so a block's projection holds at most
-    ``STREAM_BLOCK`` squared values."""
+    beside that test.  More than ``MAX_DIRECTIONS`` directions (eps below
+    about 7.35e-8) raise ``GuardError``, a grid no sketch is built for."""
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     target = 1.0 / (1.0 + eps)
     angle = math.acos(target)  # zero where 1 + eps rounds to one
-    too_many = angle * (STREAM_BLOCK + 1) < math.pi / 2.0  # refused below, without dividing by zero
-    m = STREAM_BLOCK + 1 if too_many else math.ceil(math.pi / (2.0 * angle))
+    too_many = angle * (MAX_DIRECTIONS + 1) < math.pi / 2.0  # refused below, without dividing by zero
+    m = MAX_DIRECTIONS + 1 if too_many else math.ceil(math.pi / (2.0 * angle))
     if m > 1 and math.cos(math.pi / (2.0 * (m - 1))) >= target:
         m -= 1
     elif math.cos(math.pi / (2.0 * m)) < target:
         m += 1
-    if m > STREAM_BLOCK:
-        raise GuardError(f"eps = {eps} needs more than {STREAM_BLOCK} sketch directions; raise eps")
+    if m > MAX_DIRECTIONS:
+        raise GuardError(f"eps = {eps} needs more than {MAX_DIRECTIONS} sketch directions; raise eps")
     return m
 
 
@@ -262,6 +263,7 @@ class DirectionalSketch:
         self.hi = np.full(self.m, -np.inf)
         self.origin = None
         self.count = 0
+        self.width = self.m  # a point's projections in a block's (b, m) table
 
     def _project(self, R):
         # two explicit products per direction, not a matmul: the same
@@ -304,24 +306,26 @@ class DirectionalSketch:
 
 def _feed(sketch, stream):
     """Feed ``stream`` to ``sketch`` a block at a time: row slices of an
-    (n, d) array, chunks of ``STREAM_BLOCK`` points of any other iterable.
+    (n, d) array, chunks of any other iterable.  The first block is one
+    point, which fixes the sketch's ``width``, the values one point adds to
+    its block temporary; each later block is max(1, BLOCK // width) points.
 
     ``extend`` changes no state when it refuses a block, so a refused block
     is fed point by point: the error is the one a point-by-point stream
     raises, at the same point.
     """
-    if isinstance(stream, np.ndarray) and stream.ndim == 2:
-        blocks = (stream[s:s + STREAM_BLOCK] for s in range(0, len(stream), STREAM_BLOCK))
-    else:
-        points = iter(stream)
-        blocks = iter(lambda: list(islice(points, STREAM_BLOCK)), [])
-    for block in blocks:
+    array, points, start = isinstance(stream, np.ndarray) and stream.ndim == 2, iter(stream), 0
+    while True:
+        size = max(1, geometry.BLOCK // sketch.width) if sketch.count else 1
+        block = stream[start:start + size] if array else list(islice(points, size))
+        start += size
+        if not len(block):
+            return sketch
         try:
             sketch.extend(block)
         except (TypeError, ValueError):
             for point in block:
                 sketch.update(point)
-    return sketch
 
 
 def stream_2approx(stream):

@@ -26,9 +26,9 @@ from .errors import DegenerateInputError
 
 TOL_BASE = 1e-9      # comparison slack per unit of spread
 PIVOT_EPS = 1e-12    # smallest unit-edge Gram eigenvalue of an affinely independent subset
-SUBSET_BATCH = 2048  # subsets per circumballs batch in subset_circumballs and small_meb_radii
 SMALL_MEB_MAX = 8    # most points per row that small_meb_radii enumerates; larger rows use exact_meb
-PAIR_BLOCK = 1 << 16  # most pairs per pair_distances block in diameter_bruteforce and the far rows
+# float64 values per batched temporary (128 KiB): a batched loop takes max(1, BLOCK // width)
+BLOCK = 1 << 14      # items a block, width being the values one item adds; one item alone may pass it
 
 
 def geom_tol(P, *lengths) -> float:
@@ -232,10 +232,11 @@ def circumballs(S):
     return centers, radii, ok, coords
 
 
-def _subset_blocks(n: int, size: int):
-    """Yield the size-subsets of range(n), in order, as index arrays of at most ``SUBSET_BATCH`` rows."""
+def _subset_blocks(n: int, size: int, d: int):
+    """Yield the size-subsets of range(n), in order, as index arrays of
+    max(1, BLOCK // (size d)) rows, a block of subsets of d-dimensional points."""
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), size))
-    while (block := np.fromiter(itertools.islice(flat, SUBSET_BATCH * size), dtype=np.intp)).size:
+    while (block := np.fromiter(itertools.islice(flat, max(1, BLOCK // (size * d)) * size), dtype=np.intp)).size:
         yield block.reshape(-1, size)
 
 
@@ -247,7 +248,7 @@ def subset_circumballs_work(n: int, d: int) -> int:
 def subset_circumballs(P):
     """Yield (centers, radii) of the circumballs of every affinely
     independent subset of P of size 1..d+1, in size-then-lexicographic
-    order, at most ``SUBSET_BATCH`` subsets per batch.  A caller measures
+    order, in the batches of ``_subset_blocks``.  A caller measures
     the balls it keeps against the points with ``distances``.
 
     Dependent subsets are skipped; their limiting balls come from smaller
@@ -255,7 +256,7 @@ def subset_circumballs(P):
     """
     n, d = P.shape
     for size in range(1, min(n, d + 1) + 1):
-        for block in _subset_blocks(n, size):
+        for block in _subset_blocks(n, size, d):
             centers, radii, ok, _ = circumballs(P[block])
             yield centers[ok], radii[ok]
 
@@ -289,7 +290,8 @@ def small_meb_radii(S) -> np.ndarray:
     points.  That is the enclosing radius exactly: the optimal center is the
     circumcenter of its support, and every other center lies farther from
     some point, so no feasibility test is needed.  The rows go through
-    ``circumballs`` in blocks of at most ``SUBSET_BATCH`` subsets.  Larger
+    ``circumballs`` in blocks of max(1, BLOCK // width) rows, for the width of
+    a row's largest (count, m, d) table of subset-center gaps.  Larger
     rows, whose 2**m subsets are too many, are solved one by one by
     ``exact_meb``.
     """
@@ -302,7 +304,7 @@ def small_meb_radii(S) -> np.ndarray:
     F = S - ((S.max(axis=1) + S.min(axis=1)) / 2.0)[:, None, :]
     subsets = [np.array(list(itertools.combinations(range(m), size)))
                for size in range(1, min(m, d + 1) + 1)]
-    rows = max(1, SUBSET_BATCH // sum(map(len, subsets)))
+    rows = max(1, BLOCK // (max(map(len, subsets)) * m * d))
     far2 = np.full(b, np.inf)
     for lo in range(0, b, rows):
         block = F[lo:lo + rows]

@@ -68,60 +68,6 @@ class KtResiduals:
         return max(vars(self).values())
 
 
-def _nnls(A, b) -> np.ndarray:
-    """argmin |Ax - b| over x >= 0 (Lawson & Hanson, 1974, ch. 23).
-
-    When A has full column rank and its least-squares solution is
-    nonnegative, that solution is the unique optimum.  Otherwise the
-    active-set loop runs: the free column with the largest gradient entry
-    joins the passive set (or is skipped when it depends numerically on it),
-    and a passive solve that leaves the feasible region is cut back along the
-    segment from the current iterate until a passive variable reaches zero
-    and leaves.  Cut steps are capped at 3n, as in scipy's ``nnls``.
-    """
-    m, n = A.shape
-    x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if rank == n and x.min() >= 0.0:
-        return x
-    tol = 10.0 * max(m, n) * np.finfo(float).eps
-
-    def solve(passive):
-        s = np.zeros(n)
-        s[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
-        return s
-
-    def gradient(r):
-        # row by row, so that equal columns get bit-equal entries and the
-        # lowest index wins their tie
-        return (A * r[:, None]).sum(axis=0)
-
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    w = gradient(b)
-    cuts = 0
-    while True:
-        free = np.where(passive, -np.inf, w)
-        k = int(np.argmax(free))
-        if free[k] <= tol:
-            return x
-        passive[k] = True
-        s = solve(passive)
-        if s[k] <= 0.0:  # column k adds nothing the passive columns lack
-            passive[k] = False
-            w[k] = -np.inf
-            continue
-        while (cut := passive & (s <= 0.0)).any():
-            cuts += 1
-            if cuts > 3 * n:
-                raise ConvergenceError(f"NNLS needed more than {3 * n} cut steps")
-            alpha = np.min(x[cut] / (x[cut] - s[cut]))
-            x += alpha * (s - x)
-            passive &= x > tol
-            s = solve(passive)
-        x = s
-        w = gradient(b - A @ x)
-
-
 def _support(indices, lam) -> SupportSet:
     """The entries of ``lam`` above ``_PRUNE`` on their ``indices``,
     renormalised to sum to one and ordered by index."""

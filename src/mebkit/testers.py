@@ -8,15 +8,14 @@ re-checkable witness sample.
 
 A trial draws every round's sample from one stream (seed, tag), round r
 from its r-th block of draws, and tests the rounds in chunks of 1, 2, 4, ...
-up to ``_CHUNK_MAX`` rounds: a chunk's samples come from a few array draws,
-one call of the batched kernel ``geometry.fits_in_translates`` checks them,
-and the first refused sample of the first chunk that has one is the witness.
-The growing chunks keep an early rejection as cheap as a round-by-round loop,
+rounds, at most ``geometry.BLOCK`` values a chunk: one call of the batched
+kernel ``geometry.fits_in_translates`` checks a chunk's samples, and the
+first refused sample of the first chunk that has one is the witness.  The
+growing chunks keep an early rejection as cheap as a round-by-round loop,
 and the verdict, ``rounds_used`` and witness are the ones that loop gives.
-The k-translate tester checks the pairs of each sample of a chunk in the same
-way, at most ``_PAIR_ROWS`` pairs per kernel call: k+1 points split into at
-most k groups that fit iff some pair of them fits (see ``k_g_tester``).
-Both testers price their rounds up front (``one_s_work``, ``k_g_work``).
+The k-translate tester checks the pairs of each sample in the same call:
+k+1 points split into at most k groups that fit iff some pair of them fits
+(see ``k_g_tester``).  Both testers price their rounds up front.
 
 ``promise_label`` and ``scattered_points`` decide promise instances exactly:
 clusterable over the balls of ``geometry.subset_circumballs``, and scattered
@@ -34,9 +33,9 @@ from functools import partial
 
 import numpy as np
 
-from . import errors
+from . import errors, geometry
 from .errors import STEP_OPS, check_work
-from .geometry import (PAIR_BLOCK, SMALL_MEB_MAX, BoxBody, as_points, bbox_frame, distances, fits_in_translates,
+from .geometry import (SMALL_MEB_MAX, BoxBody, as_points, bbox_frame, distances, fits_in_translates,
                        geom_tol, pair_distances, small_meb_radii, subset_circumballs, subset_circumballs_work)
 from .seeding import derive_rng
 
@@ -44,8 +43,6 @@ ACCEPT = "accept"
 REJECT = "reject"
 
 _SCATTER_EXACT_LIMIT = 60   # branch-and-bound ceiling for the public decider
-_CHUNK_MAX = 256            # most rounds a tester checks in one batch
-_PAIR_ROWS = 16_384         # most sample pairs k_g_tester checks in one kernel call
 _LABELS = {(True, True): "BOTH", (True, False): "YES", (False, True): "NO", (False, False): "VIOLATES"}
 
 
@@ -118,17 +115,18 @@ def k_g_work(d: int, k: int, c: float, delta: float):
     return max(_rounds(c, delta), 1) * (STEP_OPS + 40 * d * math.comb(k + 1, 2))
 
 
-def _sampled_test(P, size: int, rounds: int, tag: str, seed: int, fits) -> TestVerdict:
+def _sampled_test(P, size: int, rounds: int, tag: str, seed: int, fits, width: int) -> TestVerdict:
     """Up to ``rounds`` rounds, each drawing ``size`` distinct points.  One
     stream (seed, tag) serves the trial: round r reads its r-th block of
     ``size`` draws, uniform on [0, n - size + 1), ..., [0, n), and keeps them
     by Floyd's algorithm (a draw already taken becomes its bound - 1).
     ``fits`` maps a (b, size, d) batch of samples to a bool per sample; it
-    sees chunks of 1, 2, 4, ... rounds, at most ``_CHUNK_MAX``, and the first
-    sample it refuses is the witness."""
+    sees chunks of 1, 2, 4, ... rounds, at most max(1, BLOCK // width) for
+    the ``width`` values a round gathers, and the first sample it refuses is
+    the witness."""
     rng = derive_rng(seed, tag)
     bounds = np.arange(len(P) - size + 1, len(P) + 1)
-    start, chunk = 0, 1
+    start, chunk, most = 0, 1, max(1, geometry.BLOCK // width)
     while start < rounds:
         stop = min(start + chunk, rounds)
         idx = rng.integers(0, bounds, size=(stop - start, size))
@@ -139,7 +137,7 @@ def _sampled_test(P, size: int, rounds: int, tag: str, seed: int, fits) -> TestV
         if refused.size:
             j = int(refused[0])
             return TestVerdict(REJECT, P[idx[j]], idx[j], start + j + 1, seed)
-        start, chunk = stop, min(2 * chunk, _CHUNK_MAX)
+        start, chunk = stop, min(2 * chunk, most)
     return TestVerdict(ACCEPT, None, None, rounds, seed)
 
 
@@ -161,7 +159,7 @@ def one_s_tester(P, body, eps: float, delta: float, seed: int = 0) -> TestVerdic
         return TestVerdict(REJECT, P.copy(), np.arange(n), 0, seed)
     rounds = _rounds(eps ** (d + 1), delta)
     check_work(ops, f"one_s_tester's {rounds:.3g} sampling rounds", "raise eps or delta")
-    return _sampled_test(P, d + 1, rounds, "one-s-round", seed, partial(fits_in_translates, body))
+    return _sampled_test(P, d + 1, rounds, "one-s-round", seed, partial(fits_in_translates, body), (d + 1) * d)
 
 
 def k_g_tester(P, body, k: int, c: float = 0.01, delta: float = 0.1, seed: int = 0) -> TestVerdict:
@@ -189,12 +187,9 @@ def k_g_tester(P, body, k: int, c: float = 0.01, delta: float = 0.1, seed: int =
     pairs = np.column_stack(np.triu_indices(k + 1, 1))
 
     def fits(samples) -> np.ndarray:
-        step = max(1, _PAIR_ROWS // len(samples))  # pairs per kernel call
-        rows = (samples[:, pairs[lo:lo + step]].reshape(-1, 2, d) for lo in range(0, len(pairs), step))
-        pair_fits = [fits_in_translates(body, r).reshape(len(samples), -1) for r in rows]
-        return np.hstack(pair_fits).any(axis=1)
+        return fits_in_translates(body, samples[:, pairs].reshape(-1, 2, d)).reshape(len(samples), -1).any(axis=1)
 
-    return _sampled_test(P, k + 1, rounds, "k-g-round", seed, fits)
+    return _sampled_test(P, k + 1, rounds, "k-g-round", seed, fits, len(pairs) * 2 * d)
 
 
 def _farthest_first(P):
@@ -214,10 +209,10 @@ def _farthest_first(P):
 def _far_rows(P, delta: float) -> list[int]:
     """Per point, the bitset of the points at least delta - geom_tol(P, delta)
     away from it, one ``pair_distances`` block and one ``np.packbits`` per
-    ``PAIR_BLOCK`` pairs (or one row).  Work estimate (``check_work``): n^2 d."""
+    max(1, BLOCK // n) rows.  Work estimate (``check_work``): n^2 d."""
     n, d = P.shape
     check_work(n * n * d, f"the far rows of {n} points", "use fewer points")
-    cut, step, rows = delta - geom_tol(P, delta), max(1, PAIR_BLOCK // n), []
+    cut, step, rows = delta - geom_tol(P, delta), max(1, geometry.BLOCK // n), []
     C = np.ascontiguousarray(P.T)
     for lo in range(0, n, step):
         far = np.packbits(pair_distances(C, lo, min(lo + step, n), 0) >= cut, axis=1, bitorder="little")

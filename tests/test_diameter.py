@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mebkit import diameter
+from mebkit import diameter, geometry
 from mebkit.diameter import (
     DirectionalSketch,
     TwoApproxSketch,
@@ -64,7 +65,7 @@ def test_bruteforce_blocks_equal_the_row_scan(seed, n, d, shape, log_scale, smal
     P = P * 10.0 ** log_scale
     with pytest.MonkeyPatch.context() as mp:
         if small_blocks:  # several blocks, and one-row blocks, even for small n
-            mp.setattr(diameter, "PAIR_BLOCK", 7)
+            mp.setattr(geometry, "BLOCK", 7)
         res = diameter_bruteforce(P)
     assert (res.value, res.pair, res.pairs_at_max) == diameter_rows_oracle(P)  # to the bit
 
@@ -183,7 +184,7 @@ def test_direction_count_closed_form_equals_the_count():
     for eps in np.logspace(math.log10(7.4e-8), 0.0, 2000):
         assert direction_count(float(eps)) == direction_count_oracle(float(eps))
     # at and beside each step of the count, where rounding decides the test
-    for m in range(2, diameter.STREAM_BLOCK + 1, 7):
+    for m in range(2, diameter.MAX_DIRECTIONS + 1, 7):
         edge = 1.0 / math.cos(math.pi / (2 * m)) - 1.0
         for eps in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)):
             assert direction_count(eps) == direction_count_oracle(eps)
@@ -191,9 +192,9 @@ def test_direction_count_closed_form_equals_the_count():
 
 
 def test_direction_count_refuses_more_than_a_block_of_directions():
-    edge = 1.0 / math.cos(math.pi / (2 * diameter.STREAM_BLOCK)) - 1.0  # about 7.35e-8
-    assert direction_count(edge * (1 + 1e-6)) == direction_count_oracle(edge * (1 + 1e-6)) == diameter.STREAM_BLOCK
-    assert direction_count_oracle(edge * (1 - 1e-6)) == diameter.STREAM_BLOCK + 1
+    edge = 1.0 / math.cos(math.pi / (2 * diameter.MAX_DIRECTIONS)) - 1.0  # about 7.35e-8
+    assert direction_count(edge * (1 + 1e-6)) == direction_count_oracle(edge * (1 + 1e-6)) == diameter.MAX_DIRECTIONS
+    assert direction_count_oracle(edge * (1 - 1e-6)) == diameter.MAX_DIRECTIONS + 1
     for eps in (edge * (1 - 1e-6), 1e-12, 1e-16, 1e-300, 5e-324):
         with pytest.raises(GuardError, match="directions"):
             direction_count(eps)
@@ -312,6 +313,19 @@ def test_stream_helpers_equal_point_feeding():
     for stream in (P, P.tolist(), iter(P)):
         est, sk = stream_eps_2d(stream, 0.01)
         assert est == eps.estimate and sk.count == len(P)
+
+
+def test_a_fine_grid_sketch_holds_one_block_of_projections():
+    # 3,513 directions: a point projects to 3,513 values, so a block may hold only 4 points, not thousands
+    P = np.random.default_rng(0).standard_normal((8_192, 2))
+    tracemalloc.start()
+    try:
+        _, sketch = stream_eps_2d(P, 1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sketch.m == 3_513 and sketch.count == len(P)
+    assert peak < 4 * 2**20
 
 
 def test_directional_merge_of_block_fed_halves():

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mebkit import geometry
 from mebkit.errors import DegenerateInputError
 from mebkit.geometry import (
-    SUBSET_BATCH,
     Ball,
     BallBody,
     BoxBody,
@@ -275,15 +275,17 @@ def test_fits_in_translates_validates_batches():
 
 @pytest.mark.parametrize("n, size", [(1, 1), (5, 2), (40, 3), (120, 2), (30, 4)])
 def test_subset_blocks_equal_the_listed_combinations(n, size):
-    # the blocks the list-built batches gave, to the bit: values, dtype and cut
-    combos = itertools.combinations(range(n), size)
-    want = []
-    while block := list(itertools.islice(combos, SUBSET_BATCH)):
-        want.append(np.array(block))
-    got = list(_subset_blocks(n, size))
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+    # the blocks the list-built batches gave, to the bit: values, dtype and cut, for
+    # d-dimensional points at every cut from one subset a block to all of them in one
+    for d in (1, 2, 3, 4, 140, geometry.BLOCK):
+        combos = itertools.combinations(range(n), size)
+        want = []
+        while block := list(itertools.islice(combos, max(1, geometry.BLOCK // (size * d)))):
+            want.append(np.array(block))
+        got = list(_subset_blocks(n, size, d))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_subset_circumballs_yields_centers_and_radii():

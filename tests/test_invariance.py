@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mebkit.convexity import (barycentric_circumradius, caratheodory_reduce, dist_to_hull, make_combination,
-                              nodim_caratheodory)
-from mebkit.diameter import diameter_bruteforce, stream_eps_2d
+from mebkit.convexity import (AABox, barycentric_circumradius, caratheodory_reduce, dist_to_hull, helly_check_boxes,
+                              jung_bound, make_combination, nodim_caratheodory, radon_partition)
+from mebkit.diameter import (diameter_bruteforce, diameter_calipers_2d, diameter_doublesweep, stream_2approx,
+                             stream_eps_2d)
 from mebkit.geometry import BallBody, BoxBody, bbox_frame, geom_tol
 from mebkit.meb import badoiu_clarkson, elzinga_hearn_dual, exact_meb, hopp_reeve_meb
-from mebkit.mkeb import exact_mkeb
+from mebkit.mkeb import exact_mkeb, outlier_meb_sample
 from mebkit.testers import k_g_tester, one_s_tester, promise_label, scattered_points
 
 REL = 1e-9
@@ -106,6 +107,72 @@ def test_diameter_bruteforce(frame, n, d):
     for moved, reference, _ in pairs:
         got, want = diameter_bruteforce(moved), diameter_bruteforce(reference)
         assert (got.pair, got.pairs_at_max) == (want.pair, want.pairs_at_max)
+
+
+@given(frames, st.integers(2, 30))
+def test_diameter_calipers_2d(frame, n):
+    pairs, _ = moves(frame, n, 2)
+    assert_length_transforms(lambda X: diameter_calipers_2d(X).value, pairs)
+    for moved, reference, _ in pairs:
+        got, want = diameter_calipers_2d(moved), diameter_calipers_2d(reference)
+        assert (got.pair, got.pairs_at_max) == (want.pair, want.pairs_at_max)
+
+
+@given(frames, st.integers(2, 30), st.integers(1, 4), st.integers(0, 3))
+def test_diameter_doublesweep(frame, n, d, seed):
+    pairs, _ = moves(frame, n, d)
+    assert_length_transforms(lambda X: diameter_doublesweep(X, seed).value, pairs)
+    for moved, reference, _ in pairs:
+        assert diameter_doublesweep(moved, seed).pair == diameter_doublesweep(reference, seed).pair
+
+
+@given(frames, st.integers(1, 30), st.integers(1, 4))
+def test_stream_2approx(frame, n, d):
+    pairs, _ = moves(frame, n, d)
+    assert_length_transforms(lambda X: stream_2approx(X)[0], pairs)
+
+
+@given(frames, st.integers(2, 30), st.integers(1, 4))
+def test_jung_bound(frame, n, d):
+    pairs, _ = moves(frame, n, d)
+    assert_length_transforms(lambda X: jung_bound(X)[0], pairs)
+    for moved, reference, _ in pairs:
+        assert jung_bound(moved)[1] == jung_bound(reference)[1]
+
+
+@given(frames, st.integers(1, 4))
+@example((0, -12.0, False, 8.0), 3)
+@example((0, 12.0, True, 8.0), 3)
+def test_radon_partition_sides(frame, d):
+    pairs, _ = moves(frame, d + 2, d)
+    for moved, reference, _ in pairs:
+        got, want = radon_partition(moved), radon_partition(reference)
+        assert (got.left.tolist(), got.right.tolist()) == (want.left.tolist(), want.right.tolist())
+
+
+@given(frames, st.integers(1, 3), st.integers(0, 2))
+@example((0, 12.0, True, 8.0), 2, 1)
+def test_helly_check_boxes(frame, d, extra):
+    # box i spans points 2i and 2i + 1 of the cloud
+    pairs, _ = moves(frame, 2 * (d + 1 + extra), d)
+
+    def report(X):
+        got = helly_check_boxes(AABox(np.minimum(a, b), np.maximum(a, b)) for a, b in zip(X[::2], X[1::2]))
+        return got.subfamilies_intersect, got.family_intersects
+
+    for moved, reference, _ in pairs:
+        assert report(moved) == report(reference)
+
+
+@given(frames, st.integers(2, 40), st.integers(1, 3), st.sampled_from([0.5, 0.9]))
+@example((0, -12.0, False, 8.0), 40, 1, 0.9)
+@example((0, 12.0, True, 8.0), 40, 2, 0.9)
+def test_outlier_meb_sample(frame, n, d, eps):
+    pairs, _ = moves(frame, n, d)
+    assert_length_transforms(lambda X: outlier_meb_sample(X, eps, 0.1, seed=4).ball.radius, pairs)
+    for moved, reference, _ in pairs:
+        got, want = outlier_meb_sample(moved, eps, 0.1, seed=4), outlier_meb_sample(reference, eps, 0.1, seed=4)
+        assert np.array_equal(got.covered, want.covered)
 
 
 @given(frames, st.integers(2, 30), st.sampled_from([0.5, 0.01]))

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.optimize import nnls
 
+from mebkit.convexity import _nnls
 from mebkit.errors import ConvergenceError, IterationLimitError
 from mebkit.generators import gen_instance
 from mebkit.geometry import Ball, geom_tol
 from mebkit.meb import (
     _PRUNE,
-    _nnls,
     badoiu_clarkson,
     elzinga_hearn_dual,
     exact_meb,

@@ -83,3 +83,24 @@ def test_closed_form_and_caratheodory_calls_load_no_solver_module(tmp_path):
     loaded = set(json.loads(proc.stdout))
     assert "mebkit.convexity" in loaded
     assert not loaded & {"mebkit.diameter", "mebkit.meb"}
+
+
+def test_nodim_on_at_most_2048_points_loads_no_meb_module(tmp_path):
+    # the pair scan gives the diameter there; only larger clouds bound it by the enclosing ball
+    path = tmp_path / "cloud.csv"
+    rows = "\n".join(f"{i % 7},{(i * 3) % 11}" for i in range(2048))
+    path.write_text(rows + "\n", encoding="utf-8")
+    script = (
+        "import json, sys\n"
+        "from mebkit import cli\n"
+        "report, code = cli.dispatch(['convexity', 'nodim', '--input', sys.argv[1]])\n"
+        "assert code == 0, report.result\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('mebkit.'))))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mebkit.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert {"mebkit.convexity", "mebkit.diameter"} <= loaded
+    assert "mebkit.meb" not in loaded

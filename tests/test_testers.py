@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from mebkit import errors, meb, testers
+from mebkit import errors, geometry, meb, testers
 from mebkit.errors import STEP_OPS, WORK_BUDGET, GuardError
 from mebkit.geometry import BallBody, BoxBody, bbox_frame, fits_in_translate, geom_tol
 from mebkit.meb import exact_meb
@@ -233,14 +233,15 @@ def test_one_s_batches_match_round_loop(body):
     assert {"round 1", "round 2", "mid chunk", "accept"} <= seen
 
 
-def test_one_s_batches_match_round_loop_past_the_largest_chunk():
+def test_one_s_batches_match_round_loop_past_the_largest_chunk(monkeypatch):
     # 682 rounds: chunks of 1, 2, ..., 256 cover 511, and one more of 171 follows
+    monkeypatch.setattr(geometry, "BLOCK", 256 * 3 * 2)  # 256 rounds of 3 planar points
     P = clusterable_cloud(4)
     eps, delta = 0.15, 0.1
     rounds = math.ceil(eps**-3 * math.log(1 / delta))
     v = one_s_tester(P, BallBody(1.0), eps, delta, seed=4)
     assert_same_verdict(P, v, sampled_tester_oracle(P, 3, rounds, "one-s-round", 4, ball_fits(1.0)))
-    assert rounds > 2 * testers._CHUNK_MAX
+    assert rounds > 2 * 256
 
 
 @pytest.mark.parametrize("mode", ["1s", "kg"])
@@ -252,9 +253,10 @@ def test_verdicts_do_not_depend_on_the_chunk_size(monkeypatch, mode):
             v = k_g_tester(three_groups(seed), BallBody(1.0), 2, c=0.1, delta=0.1, seed=seed)
         return v.outcome, v.rounds_used, None if v.witness_indices is None else v.witness_indices.tolist()
 
+    width = 3 * 2 if mode == "1s" else 3 * 2 * 2  # a round's 3 points, or its 3 pairs, in the plane
     verdicts = {}
     for chunk_max in (1, 3, 256):
-        monkeypatch.setattr(testers, "_CHUNK_MAX", chunk_max)
+        monkeypatch.setattr(geometry, "BLOCK", chunk_max * width)
         verdicts[chunk_max] = [run(seed) for seed in range(24)]
     assert verdicts[1] == verdicts[3] == verdicts[256]
     assert {outcome for outcome, _, _ in verdicts[1]} == {"accept", "reject"}
@@ -269,7 +271,7 @@ def drawn_samples(n, size, rounds, seed=0):
         return np.ones(len(samples), dtype=bool)
 
     P = np.arange(n, dtype=float)[:, None]  # each point's coordinate is its index
-    assert testers._sampled_test(P, size, rounds, "sample-check", seed, fits).accepted
+    assert testers._sampled_test(P, size, rounds, "sample-check", seed, fits, size).accepted
     return rows
 
 
@@ -429,13 +431,14 @@ def test_k_g_guard_and_validation():
 
 
 def test_k_g_pair_blocks_change_nothing(monkeypatch):
-    # kernel calls of a few pairs each give the verdict, rounds and witness of one call per chunk:
-    # 30 far grid points and 12 near the origin reject after a seed-dependent number of rounds
+    # chunks of one round, and kernel blocks of one pair, give the verdict, rounds and witness of
+    # the default blocks: 30 far grid points and 12 near the origin reject after a seed-dependent
+    # number of rounds
     grid = np.array([[10.0 * i, 10.0 * j] for i in range(6) for j in range(5)])
     P = np.vstack([grid, derive_rng(1, "pair-blocks").uniform(-0.05, 0.05, (12, 2))])
     for k, seed in ((3, 2), (9, 0), (9, 5)):
         whole = k_g_tester(P, BallBody(1.0), k, c=0.05, delta=0.1, seed=seed)
-        monkeypatch.setattr(testers, "_PAIR_ROWS", 5)
+        monkeypatch.setattr(geometry, "BLOCK", 5)
         split = k_g_tester(P, BallBody(1.0), k, c=0.05, delta=0.1, seed=seed)
         monkeypatch.undo()
         assert whole.outcome == split.outcome == "reject"
@@ -610,7 +613,7 @@ def test_promise_decides_a_forty_point_cloud_quickly():
 
 @pytest.mark.parametrize("pairs", [1, 7, 64, 1 << 16])  # one point a block, ragged blocks, one block
 def test_far_row_blocks_equal_the_row_by_row_bits(monkeypatch, pairs):
-    monkeypatch.setattr(testers, "PAIR_BLOCK", pairs)
+    monkeypatch.setattr(geometry, "BLOCK", pairs)
     for seed in range(12):
         rng = derive_rng(seed, "far-rows")
         # numpy adds fewer than 8 squares in order, up to 128 in 8 partial sums, and more in two halves

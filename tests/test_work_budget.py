@@ -3,6 +3,7 @@ a priced routine, and it refuses before any work."""
 
 import ast
 import collections
+import importlib
 import math
 import pathlib
 
@@ -12,8 +13,9 @@ import mebkit
 from mebkit.errors import WORK_BUDGET, GuardError, check_work
 
 # (module, function): number of ``raise GuardError`` sites, for the refusals
-# that no up-front estimate replaces: the sketch-block memory cap and a sample
-# size past float range.  Both exact promise searches, the cover search and
+# that no up-front estimate replaces: a sketch grid of more than
+# MAX_DIRECTIONS directions, which eps alone decides and no work count
+# prices, and a sample size past float range.  Both exact promise searches, the cover search and
 # the far-set search, are metered as they run by testers._count_node, which
 # refuses through check_work.
 UNPRICED = {
@@ -81,3 +83,42 @@ def test_check_work_refuses_over_budget_infinite_and_nan(ops):
 def test_check_work_admits_the_budget_itself():
     check_work(WORK_BUDGET, "a test", "lower it")
     check_work(0, "a test", "lower it")
+
+
+# (module, name): value of every module-level integer constant of the package.
+# Batched kernels size their temporaries from geometry.BLOCK alone, so a new
+# block size, limit or count fails test_integer_constants_are_declared until
+# it is declared here.
+INTEGER_CONSTANTS = {
+    ("cli", "EXIT_OK"): 0,
+    ("cli", "EXIT_USAGE"): 1,
+    ("cli", "EXIT_INPUT"): 2,
+    ("cli", "EXIT_COMPUTE"): 3,
+    ("diameter", "MAX_DIRECTIONS"): 4096,      # a refusal: more sketch directions are not built
+    ("diameter", "_SWEEP_RESTARTS"): 3,
+    ("errors", "STEP_OPS"): 4000,
+    ("geometry", "BLOCK"): 1 << 14,            # the one block budget, in float64 values
+    ("geometry", "SMALL_MEB_MAX"): 8,          # switches algorithms, sizes no block
+    ("pointio", "BLOCK_VALUES"): 4096,         # text parsing holds Python objects per value
+    ("seeding", "_MASK"): (1 << 64) - 1,
+    ("testers", "_SCATTER_EXACT_LIMIT"): 60,   # switches to the greedy pass
+}
+
+
+def integer_constants():
+    """(module, name): value of each module-level assignment of the package that binds an int."""
+    found = {}
+    for path in sorted(pathlib.Path(mebkit.__file__).parent.glob("*.py")):
+        module = importlib.import_module("mebkit" if path.stem == "__init__" else f"mebkit.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    value = getattr(module, target.id)
+                    if isinstance(value, int) and not isinstance(value, bool):
+                        found[path.stem, target.id] = value
+    return found
+
+
+def test_integer_constants_are_declared():
+    assert integer_constants() == INTEGER_CONSTANTS
