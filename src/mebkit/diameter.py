@@ -24,7 +24,7 @@ import numpy as np
 
 from . import geometry
 from .errors import GuardError, check_work
-from .geometry import as_point, as_points, distances, geom_tol, pair_distances
+from .geometry import as_point, as_points, distances, geom_tol
 from .seeding import derive_rng
 
 MAX_DIRECTIONS = 4096  # most grid directions direction_count admits: more are refused
@@ -46,7 +46,7 @@ def diameter_bruteforce(P) -> DiameterResult:
     within tolerance of the maximum (in the plane that count never exceeds n,
     the classical bound on how often a maximum distance can repeat).  The
     pairs are scanned in blocks of consecutive rows, each row against every
-    later point (``pair_distances``, with j <= i read as -inf), with
+    later point (``distances`` of the pair form, with j <= i read as -inf), with
     max(1, BLOCK // n) rows of n values per block, so memory stays within a
     block.  Each block counts its pairs near the maximum so far; a block that
     a later one outgrew is scanned again only when its own maximum is near
@@ -63,7 +63,7 @@ def diameter_bruteforce(P) -> DiameterResult:
     C = np.ascontiguousarray(P.T)  # one coordinate per row: each coordinate pass reads memory in order
 
     def later_pairs(lo, hi):
-        D = pair_distances(C, lo, hi, lo + 1)
+        D = distances(C[:, lo + 1:], C[:, lo:hi].T)
         D[np.tril_indices(hi - lo, -1, n - lo - 1)] = -np.inf
         return D
 
@@ -171,12 +171,12 @@ def diameter_doublesweep(P, seed: int = 0) -> DiameterResult:
         raise ValueError("need at least two points")
     value = -1.0
     pair = (0, 1)
-    diff, gaps = np.empty_like(P), np.empty(n)
+    C, gaps = np.ascontiguousarray(P.T), np.empty(n)
     for run in range(_SWEEP_RESTARTS):
         current = int(derive_rng(seed, "doublesweep", run).integers(n))
         reached = -1.0
         while True:
-            distances(P, P[current], diff, gaps)
+            distances(C, C[:, current], gaps)
             far = int(np.argmax(gaps))
             best = float(gaps[far])
             if best > value:
@@ -209,7 +209,7 @@ class TwoApproxSketch:
             self.anchor, self.width = B[0].copy(), B.shape[1]  # width: a point's values in B - anchor
         elif B.shape[1] != self.anchor.size:
             raise ValueError("stream changed dimension")
-        self.max_dist = max(self.max_dist, float(np.linalg.norm(B - self.anchor, axis=1).max()))
+        self.max_dist = max(self.max_dist, float(distances(B.T, self.anchor).max()))
         self.count += len(B)
 
     def update(self, point):

@@ -34,7 +34,7 @@ def regular_simplex(d: int, side: float = 1.0) -> np.ndarray:
 
 def _unit_vectors(rng, n, d):
     v = rng.standard_normal((n, d))
-    norms = distances(v, 0.0, np.empty_like(v), np.empty(n))
+    norms = distances(v.T, np.zeros(d))
     norms[norms == 0.0] = 1.0
     return np.divide(v, norms[:, None], out=v)
 

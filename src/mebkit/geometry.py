@@ -59,52 +59,47 @@ def bbox_frame(P) -> tuple[np.ndarray, np.ndarray, float]:
     return P - mid, mid, TOL_BASE * float(((hi - mid) - (lo - mid)).max())
 
 
-def distances(P, c, diff, out) -> np.ndarray:
-    """The one center-to-point kernel: ``np.linalg.norm(P - c, axis=-1)``, to
-    the bit, worked in the (n, d) buffer ``diff`` and written to the n-vector
-    ``out``, so a loop that measures from many centers can reuse them.  A
-    (b, 1, d) block of centers, such as the ``subset_circumballs`` balls a
-    caller keeps, gives a (b, n) table in (b, n, d) and (b, n) buffers, each
-    row the one its center gives alone; pairs of points go through
-    ``pair_distances``."""
-    np.subtract(P, c, out=diff)
-    np.multiply(diff, diff, out=diff)
-    return np.sqrt(np.add.reduce(diff, axis=-1, out=out), out=out)
+def distances(C, centers, out=None) -> np.ndarray:
+    """The one distance kernel: |p - c| from each center c to the points whose
+    coordinates are the rows of ``C`` (P's (d, n) transpose), to the bit of
+    ``np.linalg.norm(P - c, axis=-1)``.  A (d,) center gives an n-vector and a
+    (b, d) block a (b, n) table; pairs are the block ``C[:, lo:hi].T`` against
+    ``C[:, first:]``.  ``norm`` adds a difference's d squares by numpy's
+    pairwise summation: in order below 8 terms, in 8 interleaved partial sums
+    up to 128, and in two halves (the first a multiple of 8) above.  Summing
+    whole coordinates in that order needs no (n, d) or (b, n, d) difference
+    array; ``out`` takes the result, so a loop can reuse it."""
+    out = np.empty(centers.shape[:-1] + C.shape[1:]) if out is None else out
+    return np.sqrt(_square_sums(C, centers, 0, len(C), out, np.empty_like(out)), out=out)
 
 
-def pair_distances(C, lo: int, hi: int, first: int) -> np.ndarray:
-    """|P[j] - P[i]| for rows i in lo..hi-1 and columns j in first..n-1 of
-    the points P whose coordinates are the rows of ``C`` (P's transpose), as
-    ``np.linalg.norm`` of each difference gives it, to the bit.  ``norm``
-    adds a difference's d squares by numpy's pairwise summation: in order
-    below 8 terms, in 8 interleaved partial sums up to 128, and in two halves
-    (the first a multiple of 8) above.  Summing whole coordinates in that
-    order gives the same sums without a (rows, n, d) array."""
+def _square_sums(C, centers, a, b, into, part):
+    """``distances``' squared differences in coordinates a..b-1, summed into ``into``
+    in numpy's order, ``part`` holding one coordinate's squares.  Not a closure: a
+    recursive closure over the buffers is a cycle that keeps them until a collection."""
 
-    def square(k):
-        diff = C[k, first:] - C[k, lo:hi, None]
-        diff *= diff
-        return diff
+    def square(k, buf):
+        np.subtract(C[k], centers[..., k, None], out=buf)
+        return np.multiply(buf, buf, out=buf)
 
-    def total(a, b):  # the squares of coordinates a..b-1
-        if b - a > 128:
-            half = (b - a) // 2
-            half -= half % 8
-            return total(a, a + half) + total(a + half, b)
-        if b - a < 8:
-            acc, rest = square(a), range(a + 1, b)
-        else:
-            s = [square(k) for k in range(a, a + 8)]  # the 8 interleaved partial sums
-            tail = b - (b - a) % 8
-            for k in range(a + 8, tail):
-                s[(k - a) % 8] += square(k)
-            acc = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
-            rest = range(tail, b)
-        for k in rest:
-            acc += square(k)
-        return acc
-
-    return np.sqrt(total(0, len(C)))
+    if b - a > 128:
+        half = (b - a) // 2
+        half -= half % 8
+        first = _square_sums(C, centers, a, a + half, into, part)
+        return np.add(first, _square_sums(C, centers, a + half, b, np.empty_like(into), part), out=into)
+    if b - a < 8:
+        acc, rest = square(a, into), range(a + 1, b)
+    else:
+        s = [square(a, into)] + [square(k, np.empty_like(into)) for k in range(a + 1, a + 8)]  # the 8 partial sums
+        tail = b - (b - a) % 8
+        for k in range(a + 8, tail):
+            s[(k - a) % 8] += square(k, part)
+        for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            s[i] += s[j]  # ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
+        acc, rest = s[0], range(tail, b)
+    for k in rest:
+        acc += square(k, part)
+    return acc
 
 
 def as_point(p) -> np.ndarray:
@@ -153,7 +148,7 @@ class Ball:
             raise ValueError(f"dimension mismatch: ball is {self.dim}-d, points are {arr.shape[1]}-d")
         if tol is None:
             tol = geom_tol(arr, self.radius)
-        return bool(np.all(np.linalg.norm(arr - self.center, axis=1) <= self.radius + tol))
+        return bool(np.all(distances(arr.T, self.center) <= self.radius + tol))
 
 
 @dataclass(frozen=True)

@@ -263,14 +263,14 @@ def hopp_reeve_meb(P) -> MebSolution:
 
     sq = np.einsum("ij,ij->i", P, P)
     c = P[0].copy()
-    dist = np.linalg.norm(P - c, axis=1)
+    dist = distances(P.T, c)
     far = int(np.argmax(dist))
     Q = [far]
     support = SupportSet([far], [1.0])
     iterations = 0
 
     def finish(center) -> MebSolution:
-        radius = float(np.linalg.norm(P - center, axis=1).max())
+        radius = float(distances(P.T, center).max())
         return MebSolution(Ball(center + mid, radius), support, radius * radius, iterations, "hopp-reeve")
 
     if dist[far] <= tol:  # all points coincide
@@ -317,7 +317,7 @@ def badoiu_clarkson(P, k: int, seed: int | None = None):
     encloses the input by construction) and the visited core indices.  The
     iteration runs in ``bbox_frame``.  Work estimate (``check_work``): k * n * d.
     """
-    P, mid, _ = bbox_frame(as_points(P))
+    P = as_points(P)
     n, d = P.shape
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -326,14 +326,16 @@ def badoiu_clarkson(P, k: int, seed: int | None = None):
         start = 0
     else:
         start = int(np.random.default_rng(seed).integers(n))
-    c = P[start].copy()
+    mid = (P.max(axis=0) + P.min(axis=0)) / 2.0  # bbox_frame's midpoint
+    C = np.subtract(P.T, mid[:, None], order="C")  # framed, coordinate-major for distances
+    c = C[:, start]
     core = [start]
-    diff, dist = np.empty_like(P), np.empty(n)
+    dist = np.empty(n)
     for i in range(2, k + 1):
-        far = int(np.argmax(distances(P, c, diff, dist)))
-        c = c + (P[far] - c) / i
+        far = int(np.argmax(distances(C, c, dist)))
+        c = c + (C[:, far] - c) / i
         core.append(far)
-    distances(P, c, diff, dist)
+    distances(C, c, dist)
     far = int(np.argmax(dist))
     radius = float(dist[far])
     ball = Ball(c + mid, radius)

@@ -72,7 +72,7 @@ def exact_mkeb(P, k: int) -> MkebSolution:
     path = _branch_mkeb if branch_ops < enumerate_ops else _enumerate_mkeb
 
     def solution(radius, center) -> MkebSolution:
-        covered = np.flatnonzero(np.linalg.norm(P - center, axis=1) <= radius + tol)
+        covered = np.flatnonzero(distances(P.T, center) <= radius + tol)
         return MkebSolution(Ball(center + mid, radius), covered, k)
 
     try:
@@ -84,10 +84,10 @@ def exact_mkeb(P, k: int) -> MkebSolution:
 def _enumerate_mkeb(P, k: int, tol: float) -> tuple[float, np.ndarray]:
     """(radius, center) of the least (radius, lexicographic center) circumball
     of a subset of 1..d+1 points of the framed P that covers k points."""
-    n, d = P.shape
-    best = None  # (radius, center-as-tuple)
+    d = P.shape[1]
+    C, best = np.ascontiguousarray(P.T), None  # best: (radius, center-as-tuple)
     for centers, radii in subset_circumballs(P):
-        dist = distances(P, centers[:, None], np.empty((len(centers), n, d)), np.empty((len(centers), n)))
+        dist = distances(C, centers)
         eligible = np.flatnonzero((dist <= radii[:, None] + tol).sum(axis=1) >= k)
         if not len(eligible):
             continue
@@ -212,5 +212,5 @@ def outlier_meb_sample(P, eps: float, delta: float, seed: int | None = None) -> 
         draw = rng.integers(0, n, size=m)
         solution = exact_meb(P[draw])
     c, r = solution.ball.center, solution.ball.radius
-    covered = np.flatnonzero(np.linalg.norm(P - c, axis=1) <= r + tol)
+    covered = np.flatnonzero(distances(P.T, c) <= r + tol)
     return MkebSolution(Ball(c + mid, r), covered, k_target)

@@ -1,14 +1,14 @@
 """Point-set file I/O: CSV (one point per row) and JSON ({"points": [...]}).
 
 Files are parsed and written in blocks of rows, with no Python step per
-point, and a parse holds one window of the text as Python objects, never
-the whole file.  A CSV window's lines have their comma counts checked at
-once and its tokens converted with Python's ``float`` into one
-preallocated array, so every token reads to the same bits as
-``float(token)``.  A canonical JSON document is decoded a window of rows
-at a time; any other document, and any anomaly in a window, is decoded
-whole.  Only a file that fails these checks is walked line by line (row by
-row), and only to name its first bad line in a ``ParseError``.
+point; a parse reads the open file and holds only a non-canonical JSON
+document whole.  CSV goes through numpy's C reader, which converts each
+field as Python's ``float`` does, to the same bits.  A text it refuses is
+read again in windows: their lines' comma counts are checked at once and
+their tokens converted with ``float``.  A canonical JSON document is
+decoded a window of rows at a time; any other document, and any anomaly
+in a window, is decoded whole.  Only a file that fails these checks is
+walked line by line (row by row), to name its first bad line in a ``ParseError``.
 
 Written floats use shortest round-trip repr, so write_points followed by
 read_points reproduces the array bit-for-bit.  The same block formatter
@@ -21,7 +21,10 @@ from __future__ import annotations
 import json
 import os
 import re
-from itertools import repeat
+import warnings
+from contextlib import suppress
+from functools import partial
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -33,6 +36,8 @@ BLOCK_VALUES = 4096  # coordinates per block of rows read or written
 # json_chunks' stand-in for an array; its JSON text is found in the encoder's output
 _ARRAY = "\x00array\x00"
 _ARRAY_TOKEN = json.dumps(_ARRAY)
+# the breaks of str.splitlines but \n and \r: numpy's reader strips them from a field as spaces
+_ODD = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _infer_format(path: str, fmt: str | None) -> str:
@@ -73,11 +78,13 @@ def float_array(values) -> np.ndarray:
         raise ParseError(1, "coordinate out of float range") from None
 
 
-def _csv_error(text: str) -> ParseError:
-    """The ParseError of the first bad line of a CSV text that ``_parse_csv``
-    cannot read in blocks ("no points found" when it has no data line)."""
+def _csv_error(fh) -> ParseError:
+    """The ParseError of the first bad line of a CSV stream that ``_parse_csv``
+    cannot read in blocks ("no points found" when it has no data line).  Its
+    windows end at a newline, so their lines are the whole text's lines."""
+    fh.seek(0)
     width = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(chain.from_iterable(w.splitlines() for w in _windows(fh, "\n")), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -171,39 +178,49 @@ def json_chunks(doc):
     yield parts[-1]
 
 
-def _windows(text: str, end: str, start: int, stop: int):
-    """Yield ``text[start:stop]`` in pieces of about ``16 * BLOCK_VALUES``
-    characters (``BLOCK_VALUES`` coordinates' text), each cut just after an ``end``."""
-    while start < stop:
-        cut = text.find(end, start + 16 * BLOCK_VALUES, stop) + 1 or stop
-        yield text[start:cut]
-        start = cut
+def _windows(fh, end: str):
+    """Yield the text of the stream ``fh`` in pieces of about ``16 * BLOCK_VALUES``
+    characters (``BLOCK_VALUES`` coordinates' text), each cut just after an
+    ``end``; the last piece is the text after the last ``end``, maybe empty."""
+    rest = ""
+    while chunk := fh.read(16 * BLOCK_VALUES):
+        window, cut, rest = (rest + chunk).rpartition(end)
+        if cut:
+            yield window + cut
+    yield rest
 
 
-def _parse_csv(text: str) -> np.ndarray:
-    flat, filled = None, 0
-    for window in _windows(text, "\n", 0, len(text)):
-        lines = [s for s in map(str.strip, window.splitlines()) if s and s[0] != "#"]
+def _parse_csv(fh) -> np.ndarray:
+    """The points of a CSV stream: numpy's reader's, unless the text holds an
+    ``_ODD`` break or numpy refuses it, finds no data or reads a non-finite
+    value; then the windows' below, under the rules of ``_csv_error``."""
+    plain = not any(any(map(w.__contains__, _ODD)) for w in iter(partial(fh.read, 16 * BLOCK_VALUES), ""))
+    fh.seek(0)
+    if plain:
+        with warnings.catch_warnings(), suppress(ValueError):
+            warnings.simplefilter("ignore")  # a text with no data reads as an empty array
+            arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            if arr.size and np.isfinite(arr).all():
+                return arr
+        fh.seek(0)
+    blocks = []
+    for window in _windows(fh, "\n"):
+        # str.strip takes \x1f for a space, and float does not
+        lines = [s for s in map(str.strip, window.replace("\x1f", " ").splitlines()) if s and s[0] != "#"]
         if not lines:
             continue
-        if flat is None:
+        if not blocks:
             commas = lines[0].count(",")
-            flat = np.empty((text.count("\n") + 1) * (commas + 1))
         if list(map(str.count, lines, repeat(",", len(lines)))).count(commas) != len(lines):
-            raise _csv_error(text)
+            raise _csv_error(fh)
         tokens = ",".join(lines).split(",")
-        if filled + len(tokens) > len(flat):  # lines broken at \r or another break than \n
-            flat = np.concatenate((flat, np.empty(len(flat) + len(tokens))))
         try:  # fromiter frees each Python float as soon as it is stored
-            flat[filled:filled + len(tokens)] = np.fromiter(map(float, tokens), float, len(tokens))
+            blocks.append(np.fromiter(map(float, tokens), float, len(tokens)))
         except ValueError:
-            raise _csv_error(text) from None
-        filled += len(tokens)
-    if flat is None:
-        raise _csv_error(text)
-    arr = flat[:filled].reshape(-1, commas + 1)
-    if not np.isfinite(arr).all():
-        raise _csv_error(text)
+            raise _csv_error(fh) from None
+    arr = np.concatenate(blocks).reshape(-1, commas + 1) if blocks else None
+    if arr is None or not np.isfinite(arr).all():
+        raise _csv_error(fh)
     return arr
 
 
@@ -220,36 +237,43 @@ def _number_rows(pts: list) -> np.ndarray | None:
     return arr.astype(float, copy=False)
 
 
-def _json_windows(text: str) -> np.ndarray | None:
+def _json_windows(fh) -> np.ndarray | None:
     """The points of a canonical ``{"points": [rows]}`` document (no ``"``,
-    ``{``, ``true`` or ``false`` in the array), decoded a window of rows at a
-    time; None for any other document and at any anomaly."""
-    head = re.match(r'[ \t\n\r]*\{[ \t\n\r]*"points"[ \t\n\r]*:[ \t\n\r]*\[', text)
-    stop = text.rfind("]", 0, text.rfind("]")) + 1  # just after the last row
-    tail = re.fullmatch(r"[ \t\n\r]*\][ \t\n\r]*\}[ \t\n\r]*", text[stop:])
-    if head is None or tail is None or stop <= head.end() or any(
-            text.find(s, head.end(), stop) >= 0 for s in ('"', "{", "true", "false")):
+    ``{``, ``t`` or ``f`` in the array), decoded a window of rows at a time as
+    the stream is read; None for any other document and at any anomaly."""
+    windows = _windows(fh, "]")
+    window = next(windows)
+    head = re.match(r'[ \t\n\r]*\{[ \t\n\r]*"points"[ \t\n\r]*:[ \t\n\r]*\[', window)
+    if head is None or not window.endswith("]"):
         return None
-    arr, filled = None, 0
-    for window in _windows(text, "]", head.end(), stop):
+    window, blocks = window[head.end():], []
+    for later in windows:  # window ends with a "]"; the last piece is the text after the last one
+        if not later.endswith("]"):  # so window ends with the array's own "]"
+            if re.fullmatch(r"[ \t\n\r]*\}[ \t\n\r]*", later) is None:
+                return None
+            window = window[:-1].rstrip(" \t\n\r")
+            if not window and blocks:
+                break
+        if not window.endswith("]") or any(map(window.__contains__, '"{tf')):  # no string, object, true or false
+            return None
         try:  # a later window starts at the comma after a row: an empty row stands in before it
-            rows = _number_rows(json.loads(("[[]" if filled else "[") + window + "]")[1 if filled else 0:])
+            rows = _number_rows(json.loads(("[[]" if blocks else "[") + window + "]")[1 if blocks else 0:])
         except (ValueError, RecursionError):
             return None
-        if rows is None or (arr is not None and rows.shape[1] != arr.shape[1]):
+        if rows is None or (blocks and rows.shape[1] != blocks[0].shape[1]):
             return None
-        if arr is None:  # every row holds one "]"
-            arr = np.empty((text.count("]", head.end(), stop), rows.shape[1]))
-        arr[filled:filled + len(rows)] = rows
-        filled += len(rows)
-    arr = arr[:filled]
+        blocks.append(rows)
+        window = later
+    arr = np.concatenate(blocks)
     return arr if np.isfinite(arr).all() else None
 
 
-def _parse_json(text: str) -> np.ndarray:
-    arr = _json_windows(text)
+def _parse_json(fh) -> np.ndarray:
+    arr = _json_windows(fh)
     if arr is not None:
         return arr
+    fh.seek(0)
+    text = fh.read()
     doc = load_json(text)
     if not isinstance(doc, dict) or "points" not in doc:
         raise ParseError(1, 'expected an object with a "points" key')
@@ -277,8 +301,7 @@ def read_points(path: str, fmt: str | None = None) -> np.ndarray:
     """Load an (n, d) float array from a CSV or JSON file."""
     fmt = _infer_format(path, fmt)
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    arr = _parse_csv(text) if fmt == "csv" else _parse_json(text)
+        arr = _parse_csv(fh) if fmt == "csv" else _parse_json(fh)
     return as_points(arr)
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from . import errors, geometry
 from .errors import STEP_OPS, check_work
 from .geometry import (SMALL_MEB_MAX, BoxBody, as_points, bbox_frame, distances, fits_in_translates,
-                       geom_tol, pair_distances, small_meb_radii, subset_circumballs, subset_circumballs_work)
+                       geom_tol, small_meb_radii, subset_circumballs, subset_circumballs_work)
 from .seeding import derive_rng
 
 ACCEPT = "accept"
@@ -196,11 +196,11 @@ def _farthest_first(P):
     """Farthest-first traversal (Gonzalez): yields (index, distance to the
     points before it) from P[0], ties to the lowest index.  Visited points are
     marked -inf, so each point comes once and repeated points come last."""
-    dist = np.full(len(P), np.inf)
+    C, dist = np.ascontiguousarray(P.T), np.full(len(P), np.inf)
     i, gap = 0, math.inf
     for _ in range(len(P)):
         yield i, gap
-        np.minimum(dist, np.linalg.norm(P - P[i], axis=1), out=dist)
+        np.minimum(dist, distances(C, C[:, i]), out=dist)
         dist[i] = -np.inf
         i = int(np.argmax(dist))
         gap = float(dist[i])
@@ -208,14 +208,14 @@ def _farthest_first(P):
 
 def _far_rows(P, delta: float) -> list[int]:
     """Per point, the bitset of the points at least delta - geom_tol(P, delta)
-    away from it, one ``pair_distances`` block and one ``np.packbits`` per
+    away from it, one ``distances`` pair block and one ``np.packbits`` per
     max(1, BLOCK // n) rows.  Work estimate (``check_work``): n^2 d."""
     n, d = P.shape
     check_work(n * n * d, f"the far rows of {n} points", "use fewer points")
     cut, step, rows = delta - geom_tol(P, delta), max(1, geometry.BLOCK // n), []
     C = np.ascontiguousarray(P.T)
     for lo in range(0, n, step):
-        far = np.packbits(pair_distances(C, lo, min(lo + step, n), 0) >= cut, axis=1, bitorder="little")
+        far = np.packbits(distances(C, C[:, lo:lo + step].T) >= cut, axis=1, bitorder="little")
         rows += [int.from_bytes(row.tobytes(), "little") for row in far]
     return rows
 
@@ -291,8 +291,8 @@ def _coverable(P, k1: int, eps: float, tol: float, meter) -> bool:
     n, d = P.shape
     what = f"exact {k1}-clustering of {n} points"
     check_work(subset_circumballs_work(n, d), what, "use fewer points")
-    kept = (centers[radii <= eps + tol, None] for centers, radii in subset_circumballs(P))
-    near = (distances(P, c, np.empty((len(c), n, d)), np.empty((len(c), n))) <= eps + tol for c in kept)
+    C = np.ascontiguousarray(P.T)
+    near = (distances(C, centers[radii <= eps + tol]) <= eps + tol for centers, radii in subset_circumballs(P))
     packed = np.unique(np.vstack([np.packbits(r, axis=1, bitorder="little") for r in near]), axis=0)
     members = np.unpackbits(packed, axis=1, count=n, bitorder="little")
     check_work(8 * len(packed) * (int(members.sum(axis=0).max()) + n), what, "lower eps or use fewer points")

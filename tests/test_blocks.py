@@ -1,8 +1,12 @@
 """Every batched kernel sizes its blocks from ``geometry.BLOCK``: one item a
 block gives the bits of the default blocks."""
 
+import ast
+import pathlib
+
 import numpy as np
 
+import mebkit
 from mebkit import geometry
 from mebkit.convexity import barycentric_circumradius
 from mebkit.diameter import diameter_bruteforce, stream_2approx, stream_eps_2d
@@ -47,3 +51,34 @@ def test_one_item_a_block_gives_the_default_bits(monkeypatch):
     assert [r[0] for r in default[-5:]] == ["reject", "reject", "accept", "reject", "accept"]
     monkeypatch.setattr(geometry, "BLOCK", 1)
     assert blocked_results() == default
+
+
+# Norms along an axis that measure each subset's own points from that subset's
+# center: a (b, m) gap table, not a point set measured from centers.
+SUBSET_NORMS = {("geometry", "circumballs"), ("convexity", "barycentric_circumradius")}
+
+
+def row_scans():
+    """(module, enclosing function) of every ``np.linalg.norm(..., axis=...)`` and
+    every ``np.add.reduce(..., axis=-1)`` in the package."""
+    sites = set()
+
+    def visit(node, module, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = ast.unparse(node.func)
+            axes = [ast.unparse(k.value) for k in node.keywords if k.arg == "axis"] + [ast.unparse(a) for a in node.args[1:2]]
+            if (name == "np.linalg.norm" and axes) or (name == "np.add.reduce" and "-1" in axes):
+                sites.add((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(pathlib.Path(mebkit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return sites
+
+
+def test_points_are_measured_only_by_the_distance_kernel():
+    # a scan of (n, d) rows reduces over an axis d wide: geometry.distances sums whole coordinates
+    assert row_scans() == SUBSET_NORMS

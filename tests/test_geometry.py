@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +290,41 @@ def test_subset_blocks_equal_the_listed_combinations(n, size):
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("dims", [(1, 9), (9, 129), (129, 300)], ids=["in-order", "8-sums", "halves"])
+def test_distances_equal_the_row_norms_to_the_bit(dims):
+    # numpy adds fewer than 8 squares in order, up to 128 in 8 partial sums, and more in two halves
+    rng = np.random.default_rng(dims[0])
+    for _ in range(40):
+        n, d, b = int(rng.integers(1, 300)), int(rng.integers(*dims)), int(rng.integers(1, 6))
+        P = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4) + rng.uniform(-1, 1, d) * 10.0 ** rng.integers(0, 9)
+        C, c, B = np.ascontiguousarray(P.T), rng.standard_normal(d), rng.standard_normal((b, d))
+        lo, first = int(rng.integers(n)), int(rng.integers(n))
+        hi = int(rng.integers(lo, n + 1))
+        out = np.empty(n)
+        assert distances(C, c, out) is out
+        for got, want in [(out, np.linalg.norm(P - c, axis=1)),
+                          (distances(P.T, c), np.linalg.norm(P - c, axis=1)),
+                          (distances(C, B), np.linalg.norm(P[None] - B[:, None], axis=2)),
+                          (distances(C[:, first:], C[:, lo:hi].T), np.linalg.norm(P[None, first:] - P[lo:hi, None], axis=2))]:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_distances_hold_no_buffer_past_the_call():
+    # a recursive closure over the scratch buffers is a reference cycle: they would wait for the collector
+    rng = np.random.default_rng(5)
+    P = rng.standard_normal((2000, 300))
+    C = np.ascontiguousarray(P.T)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            distances(C, rng.standard_normal(300))
+        assert tracemalloc.get_traced_memory()[0] < 2000 * 8
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
 def test_subset_circumballs_yields_centers_and_radii():
     P = np.random.default_rng(4).standard_normal((9, 2))
     subsets = iter([s for size in (1, 2, 3) for s in itertools.combinations(range(9), size)])
@@ -295,7 +332,7 @@ def test_subset_circumballs_yields_centers_and_radii():
     for centers, radii in subset_circumballs(P):
         for center, radius in zip(centers, radii):  # random points: every subset is independent
             assert np.allclose(np.linalg.norm(P[list(next(subsets))] - center, axis=1), radius)
-        rows = distances(P, centers[:, None], np.empty((len(centers), 9, 2)), np.empty((len(centers), 9)))
+        rows = distances(P.T, centers)
         assert np.array_equal(rows, np.linalg.norm(P[None] - centers[:, None], axis=2))  # a caller's rows
         count += len(radii)
     assert count == 9 + 36 + math.comb(9, 3) and next(subsets, None) is None

@@ -2,6 +2,8 @@
 versions they replace: the same array bytes, or the same ParseError line
 and message, and byte-identical files and JSON text."""
 
+import io
+import itertools
 import json
 import tracemalloc
 
@@ -16,6 +18,14 @@ from mebkit.pointio import (
     BLOCK_VALUES, _json_default, _parse_csv, _parse_json, _windows, json_chunks, read_points, write_points,
 )
 from oracles import csv_parse_oracle, json_parse_oracle
+
+
+def parse_csv(text):
+    return _parse_csv(io.StringIO(text))
+
+
+def parse_json(text):
+    return _parse_json(io.StringIO(text))
 
 
 def outcome(parse, text):
@@ -82,8 +92,21 @@ def csv_texts(draw):
 @example("1,2\n3,4,5,6\n7,8,9\n")   # 9 tokens, width 2 then 4: ragged
 @example("1,2,3\n4,5\n6\n")          # 6 tokens over width 3
 @example(" 1 , 2 \n\t3,4\t\n")
-def test_csv_parse_matches_line_oracle(text):
-    assert outcome(_parse_csv, text) == outcome(csv_parse_oracle, text)
+@example("1,2\n1e500,1\n")
+@example("1,2\n\x0c\n3,4\n")
+@example("1\x0c2\n")             # a break inside a line: two rows of one coordinate
+@example("1\x0c,2\n")            # numpy would strip the break: a line-by-line parse finds 1, then ,2
+@example("1\x1f,2\n")            # str.strip takes \x1f for a space, float does not
+@example("# c\n1\x1f,2\n")
+@example("1,2\r3,4\n")
+@example("1, \u20282\n3,4\n")
+@example("1,2")
+@example("1\xa0,2\r\n3,4\r\n")
+def test_csv_parse_matches_line_oracle(tmp_path_factory, text):
+    assert outcome(parse_csv, text) == outcome(csv_parse_oracle, text)
+    path = tmp_path_factory.getbasetemp() / "oracle-points.csv"
+    path.write_bytes(text.encode("utf-8"))  # read_points translates \r\n and \r, which splitlines breaks at too
+    assert outcome(read_points, str(path)) == outcome(csv_parse_oracle, text)
 
 
 def test_csv_parse_spans_blocks():
@@ -92,12 +115,12 @@ def test_csv_parse_spans_blocks():
     P = rng.standard_normal((2 * BLOCK_VALUES // 3 + 17, 3))
     lines = [",".join(map(repr, row)) for row in P.tolist()]
     text = "\n".join(lines) + "\n"
-    assert outcome(_parse_csv, text) == outcome(csv_parse_oracle, text)
-    assert np.array_equal(_parse_csv(text), P)
+    assert outcome(parse_csv, text) == outcome(csv_parse_oracle, text)
+    assert np.array_equal(parse_csv(text), P)
     lines[-3] = "1,x,2"
     bad = "\n".join(lines)
-    assert outcome(_parse_csv, bad) == outcome(csv_parse_oracle, bad)
-    assert outcome(_parse_csv, bad)[1] == len(lines) - 2
+    assert outcome(parse_csv, bad) == outcome(csv_parse_oracle, bad)
+    assert outcome(parse_csv, bad)[1] == len(lines) - 2
 
 
 def same(parse, oracle, text):
@@ -116,11 +139,8 @@ def same(parse, oracle, text):
 
 def cut_lines(text, end):
     """The line numbers (from 0) that open the second and later parse windows."""
-    starts, start = [], 0
-    for window in _windows(text, end, 0, len(text)):
-        start += len(window)
-        starts.append(text.count("\n", 0, start))
-    return starts[:-1]
+    ends = itertools.accumulate(map(len, _windows(io.StringIO(text), end)))
+    return [text.count("\n", 0, at) for at in ends if at < len(text)]
 
 
 def cloud_lines(rows=4000):
@@ -145,7 +165,7 @@ def test_csv_windows_cut_at_comments_blanks_and_crlf(newline, around):
         for cut in cuts:
             lines[cut - 3:cut + 3] = (around * 6)[:6]
     assert len(cuts) >= 3 and all(lines[cut] in around and lines[cut - 1] in around for cut in cuts)
-    same(_parse_csv, csv_parse_oracle, text)
+    same(parse_csv, csv_parse_oracle, text)
 
 
 @pytest.mark.parametrize("bad", ["1,x,2", "1,2", "1,2,3,4", "1,nan,2", "1,2,1e500", "1,,2"])
@@ -154,14 +174,14 @@ def test_csv_bad_row_in_the_last_window(bad):
     lines[-5] = bad
     text = "\n".join(lines) + "\n"
     assert len(cut_lines(text, "\n")) >= 3
-    same(_parse_csv, csv_parse_oracle, text)
+    same(parse_csv, csv_parse_oracle, text)
 
 
 def test_csv_lines_broken_at_other_than_newline():
     # splitlines breaks at \r alone: more rows than newlines to size the array from
     lines = cloud_lines(6000)
     text = "\r".join(lines[:3000]) + "\n" + "\n".join(lines[3000:]) + "\n"
-    same(_parse_csv, csv_parse_oracle, text)
+    same(parse_csv, csv_parse_oracle, text)
 
 
 # --- JSON -----------------------------------------------------------------
@@ -203,14 +223,14 @@ JSON_DOCS = [
 
 @pytest.mark.parametrize("text", JSON_DOCS)
 def test_json_parse_matches_row_walk(text):
-    assert outcome(_parse_json, text) == outcome(json_parse_oracle, text)
+    assert outcome(parse_json, text) == outcome(json_parse_oracle, text)
 
 
 def test_json_parse_large_document():
     P = np.random.default_rng(4).standard_normal((3000, 3))
     text = json.dumps({"points": P.tolist()})
-    assert outcome(_parse_json, text) == outcome(json_parse_oracle, text)
-    assert np.array_equal(_parse_json(text), P)
+    assert outcome(parse_json, text) == outcome(json_parse_oracle, text)
+    assert np.array_equal(parse_json(text), P)
 
 
 CLOUD = np.random.default_rng(12).standard_normal((4000, 3))
@@ -260,9 +280,9 @@ def test_json_windows_match_the_row_walk(name, monkeypatch):
     monkeypatch.setattr(pointio, "load_json", lambda t: whole.append(t) or load(t))
     if name == "int-beyond-float":  # the oracle's own float conversion overflows here
         with pytest.raises(ParseError, match="out of float range"):
-            _parse_json(text)
+            parse_json(text)
     else:
-        same(_parse_json, json_parse_oracle, text)
+        same(parse_json, json_parse_oracle, text)
     # only a canonical document is decoded a window at a time
     assert bool(whole) == (name in FALLBACK_DOCS)
 
@@ -285,10 +305,11 @@ def test_parse_memory_is_bounded_by_the_array(tmp_path, fmt):
     P = np.random.default_rng(13).standard_normal((50_000, 3))
     path = tmp_path / f"cloud.{fmt}"
     write_points(str(path), P)
-    text = path.read_text(encoding="utf-8")
-    peak, arr = traced_peak(_parse_csv if fmt == "csv" else _parse_json, text)
-    assert np.array_equal(arr.view(np.int64), P.view(np.int64))
-    assert peak < 4 * P.nbytes
+    stream = io.StringIO(path.read_text(encoding="utf-8"))
+    for parse, source in ((_parse_csv if fmt == "csv" else _parse_json, stream), (read_points, str(path))):
+        peak, arr = traced_peak(parse, source)
+        assert np.array_equal(arr.view(np.int64), P.view(np.int64))
+        assert peak < 4 * P.nbytes
 
 
 # --- writing --------------------------------------------------------------

@@ -629,7 +629,7 @@ def test_promise_far_rows_are_priced_before_any_distance_row(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a distance row was computed")
 
-    monkeypatch.setattr(testers, "pair_distances", forbidden)
+    monkeypatch.setattr(testers, "distances", forbidden)
     monkeypatch.setattr(errors, "WORK_BUDGET", 6 * 6 * 2 - 1)  # one under n^2 d
     P = derive_rng(0, "scatter-guard").standard_normal((6, 2))
     with pytest.raises(GuardError, match="far rows of 6 points: .* over the budget"):
