@@ -14,6 +14,11 @@ Written floats use shortest round-trip repr, so write_points followed by
 read_points reproduces the array bit-for-bit.  The same block formatter
 renders the numeric arrays of any JSON document (``json_chunks``): JSON
 point files and the CLI's reports, which the CLI writes chunk by chunk.
+An array of at least ``16 * BLOCK_VALUES`` values is formatted on two CPUs
+where ``os.fork`` exists and the process may run on two or more: a forked
+child formats the second half of its rows while this process formats the
+first, so a large write or report briefly runs a second process.  The text
+is byte-identical to the one-process text.
 """
 
 from __future__ import annotations
@@ -102,7 +107,7 @@ def _csv_error(fh) -> ParseError:
     return ParseError(1, "no points found")
 
 
-def _format_rows(rows: np.ndarray, line: str):
+def _rows_text(rows: np.ndarray, line: str):
     """Yield the text of a 2-d int or float array, ``line`` (one ``%r``
     field per column) once per row, a block of rows per ``%`` operation.
     ``%r`` of a Python int or float is its shortest round-trip repr, the
@@ -111,6 +116,66 @@ def _format_rows(rows: np.ndarray, line: str):
     for start in range(0, len(rows), per):
         block = rows[start:start + per]
         yield line * len(block) % tuple(block.ravel().tolist())
+
+
+def _format_rows(rows: np.ndarray, line: str):
+    """The pieces of ``_rows_text(rows, line)``, formatted on two CPUs by
+    ``_split_rows`` when the array holds at least ``16 * BLOCK_VALUES``
+    values (about 35 ms of repr against about 2.5 ms to fork and reap a
+    child), ``os.fork`` exists and this process may run on two CPUs."""
+    if (rows.size < 16 * BLOCK_VALUES or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2):
+        return _rows_text(rows, line)
+    return _split_rows(rows, line)
+
+
+def _split_rows(rows: np.ndarray, line: str):
+    """Yield the text of ``_rows_text(rows, line)``: one forked child formats
+    the rows from a block-aligned midpoint on while this process formats and
+    yields those before it, then the child's text follows in 64 KiB pieces.
+
+    The child sends its text's length only once the text is whole, and leaves
+    only through ``os._exit``, so it runs none of this process's exit handlers
+    or buffer flushes.  If it ends before the length, this process formats
+    its rows.  The pipe is closed and the child reaped however the consumer
+    leaves.
+    """
+    per = max(1, BLOCK_VALUES // rows.shape[1])
+    cut = per * -(-len(rows) // (2 * per))  # this process takes the larger half of the blocks
+    r, w = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on a fork while threads run, as numpy's BLAS
+        # threads do; the child only formats and writes, taking none of their locks
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            text = "".join(_rows_text(rows[cut:], line)).encode("ascii")
+            with open(w, "wb") as out:
+                out.write(len(text).to_bytes(8, "little"))
+                out.write(text)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            yield from _rows_text(rows[:cut], line)
+            header = pipe.read(8)
+            if len(header) < 8:  # the child failed before its text was whole
+                yield from _rows_text(rows[cut:], line)
+                return
+            left = int.from_bytes(header, "little")
+            while left:
+                piece = pipe.read(min(left, 1 << 16))
+                if not piece:
+                    raise OSError("the formatting child ended mid-text")
+                left -= len(piece)
+                yield piece.decode("ascii")
+    finally:
+        os.waitpid(pid, 0)
 
 
 def _json_default(value):

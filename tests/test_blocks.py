@@ -58,27 +58,41 @@ def test_one_item_a_block_gives_the_default_bits(monkeypatch):
 SUBSET_NORMS = {("geometry", "circumballs"), ("convexity", "barycentric_circumradius")}
 
 
-def row_scans():
-    """(module, enclosing function) of every ``np.linalg.norm(..., axis=...)`` and
-    every ``np.add.reduce(..., axis=-1)`` in the package."""
-    sites = set()
+def sites(matches):
+    """(module, enclosing function) of every node of the package that ``matches``."""
+    found = set()
 
     def visit(node, module, where):
         if isinstance(node, ast.FunctionDef):
             where = node.name
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            name = ast.unparse(node.func)
-            axes = [ast.unparse(k.value) for k in node.keywords if k.arg == "axis"] + [ast.unparse(a) for a in node.args[1:2]]
-            if (name == "np.linalg.norm" and axes) or (name == "np.add.reduce" and "-1" in axes):
-                sites.add((module, where))
+        if matches(node):
+            found.add((module, where))
         for child in ast.iter_child_nodes(node):
             visit(child, module, where)
 
     for path in sorted(pathlib.Path(mebkit.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
-    return sites
+    return found
+
+
+def row_scan(node) -> bool:
+    """An ``np.linalg.norm(..., axis=...)`` or an ``np.add.reduce(..., axis=-1)``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    name = ast.unparse(node.func)
+    axes = [ast.unparse(k.value) for k in node.keywords if k.arg == "axis"] + [ast.unparse(a) for a in node.args[1:2]]
+    return (name == "np.linalg.norm" and bool(axes)) or (name == "np.add.reduce" and "-1" in axes)
 
 
 def test_points_are_measured_only_by_the_distance_kernel():
     # a scan of (n, d) rows reduces over an axis d wide: geometry.distances sums whole coordinates
-    assert row_scans() == SUBSET_NORMS
+    assert sites(row_scan) == SUBSET_NORMS
+
+
+def test_processes_are_forked_only_by_the_split_formatter():
+    # a forked child must leave through os._exit and be reaped, whatever its consumer does:
+    # one helper owns that
+    def process_call(node):
+        return isinstance(node, ast.Attribute) and ast.unparse(node) in {"os.fork", "os.waitpid", "os._exit"}
+
+    assert sites(process_call) == {("pointio", "_split_rows")}

@@ -5,6 +5,10 @@ and message, and byte-identical files and JSON text."""
 import io
 import itertools
 import json
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mebkit import pointio
+from mebkit.cli import main
 from mebkit.errors import ParseError
 from mebkit.pointio import (
     BLOCK_VALUES, _json_default, _parse_csv, _parse_json, _windows, json_chunks, read_points, write_points,
@@ -409,3 +414,130 @@ DOCS = st.recursive(
 @example(["\x00array\x00", np.array([1.0, 2.0])])  # a string equal to the stand-in
 def test_json_chunks_match_the_encoder(doc):
     assert "".join(json_chunks(doc)) == dumps_oracle(doc)
+
+
+# --- formatting on two CPUs -----------------------------------------------
+
+SMALL_BLOCK = 4  # values per block in the split tests: arrays of 64 values and more split
+CLOUD = np.random.default_rng(14).standard_normal((50_000, 3))
+CSV_LINE = "%r,%r,%r\n"
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def record_splits(monkeypatch):
+    """The row counts ``_split_rows`` is handed from now on, in order."""
+    split, handed = pointio._split_rows, []
+    monkeypatch.setattr(pointio, "_split_rows", lambda rows, line: handed.append(len(rows)) or split(rows, line))
+    return handed
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return record_splits(monkeypatch)
+
+
+@pytest.fixture(params=["split", "one-cpu", "no-fork"])
+def splitting(request, monkeypatch):
+    """Blocks of SMALL_BLOCK values, the split allowed or not; the mode and
+    the row counts ``_split_rows`` is handed."""
+    monkeypatch.setattr(pointio, "BLOCK_VALUES", SMALL_BLOCK)
+    if request.param == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        cpus = {0, 1} if request.param == "split" else {0}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    yield request.param, record_splits(monkeypatch)
+    assert_no_child()
+
+
+@pytest.mark.parametrize("dtype", ["float64", "int64"])
+@pytest.mark.parametrize("shape", [(), (1,), (3,)])  # (): 1-d arrays; (d,): rows d wide
+def test_split_text_equals_the_serial_text(splitting, tmp_path, dtype, shape):
+    mode, handed = splitting
+    width = shape[0] if shape else 1
+    per = max(1, SMALL_BLOCK // width)
+    first = -(-16 * SMALL_BLOCK // width)  # the fewest rows that split
+    rng = np.random.default_rng(width)
+    splits = []
+    # row counts below, at and above the cut, with even and odd block counts
+    for n in range(first - 1, first + 2 * per + 3):
+        arr = (rng.standard_normal((n,) + shape) * 1e3).astype(dtype)
+        assert "".join(json_chunks({"a": arr})) == dumps_oracle({"a": arr})
+        P = arr.reshape(n, width)
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"pts.{fmt}"
+            write_points(str(path), P)
+            assert path.read_bytes() == written_oracle(P, fmt).encode("utf-8")
+        # json_chunks formats all rows but the last; write_points' CSV formats every row
+        splits += [rows for rows in (n - 1, n, n - 1) if rows * width >= 16 * SMALL_BLOCK]
+    assert splits[0] == first and splits[-1] > first  # row counts below the cut ran serially
+    assert handed == (splits if mode == "split" else [])
+
+
+def test_split_write_of_a_real_size_cloud(tmp_path):
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"cloud.{fmt}"
+        write_points(str(path), CLOUD)
+        assert read_points(str(path)).tobytes() == CLOUD.tobytes()
+    assert path.read_bytes() == written_oracle(CLOUD, "json").encode("utf-8")
+    assert_no_child()
+
+
+def test_split_reaps_its_child_when_closed_after_the_first_piece(two_cpus):
+    pieces = pointio._format_rows(CLOUD, CSV_LINE)
+    assert next(pieces) == next(pointio._rows_text(CLOUD, CSV_LINE))
+    pieces.close()  # the child is still formatting, or blocked writing to a full pipe
+    assert two_cpus == [len(CLOUD)]
+    assert_no_child()
+
+
+@pytest.mark.parametrize("stop", [3, 30])  # in this process's rows; in the child's text
+def test_split_reaps_its_child_when_the_consumer_fails(two_cpus, stop):
+    def consume(piece, count=itertools.count()):
+        if next(count) == stop:
+            raise RuntimeError("consumer failed")
+        return piece
+
+    with pytest.raises(RuntimeError, match="consumer failed"):
+        "".join(map(consume, json_chunks({"points": CLOUD})))
+    assert two_cpus == [len(CLOUD) - 1]
+    assert_no_child()
+
+
+def test_split_formats_the_half_of_a_failed_child(two_cpus, monkeypatch):
+    parent, rows_text, formatted = os.getpid(), pointio._rows_text, []
+
+    def rows_text_but_in_the_child(rows, line):
+        if os.getpid() != parent:
+            raise MemoryError  # before the child sends its length
+        formatted.append(len(rows))
+        return rows_text(rows, line)
+
+    monkeypatch.setattr(pointio, "_rows_text", rows_text_but_in_the_child)
+    assert "".join(pointio._format_rows(CLOUD, CSV_LINE)) == "".join(rows_text(CLOUD, CSV_LINE))
+    assert two_cpus == [len(CLOUD)]
+    assert len(formatted) == 2 and sum(formatted) == len(CLOUD)  # both halves, here
+    assert_no_child()
+
+
+def test_gen_report_of_a_large_cloud_equals_the_serial_report(monkeypatch, capsys):
+    argv = ["gen", "--kind", "uniform-ball", "--n", "50000", "--d", "3"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pointio.__file__)))
+    # run returns once every holder of the pipe has closed it: a child left running would hold it
+    proc = subprocess.run([sys.executable, "-m", "mebkit.cli", *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+
+    def zero_timing(text):
+        return re.sub(r'"timing_ms": [^,]+,', '"timing_ms": 0.0,', text)
+
+    assert zero_timing(proc.stdout) == zero_timing(serial)
+    assert len(serial) > 50_000 * 3 * 15
