@@ -21,8 +21,7 @@ import numpy as np
 # imports the solver modules it runs (convexity, diameter, meb, mkeb, testers)
 # in its own body, so a call loads no other solver module.
 from . import __version__
-from .errors import (ConvergenceError, DegenerateInputError, GuardError, IterationLimitError, ParseError,
-                     check_work)
+from .errors import ConvergenceError, DegenerateInputError, GuardError, ParseError, check_work
 from .generators import KINDS, gen_instance
 from .geometry import BallBody, BoxBody, barycenter, geom_tol
 from .pointio import float_array, is_number_list, json_chunks, load_json, read_points, write_points
@@ -408,7 +407,7 @@ def _run(argv) -> tuple[RunReport, int, str | None]:
     except (ParseError, DegenerateInputError, FileNotFoundError, OSError, ValueError) as exc:
         result = {"error": {"kind": "input", "message": str(exc)}}
         code = EXIT_INPUT
-    except (GuardError, ConvergenceError, IterationLimitError) as exc:
+    except (GuardError, ConvergenceError) as exc:
         result = {"error": {"kind": "computation", "message": str(exc)}}
         code = EXIT_COMPUTE
     timing_ms = 1000.0 * (time.perf_counter() - started)

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and its one work budget."""
+"""Exception types shared across the toolkit, its one work budget and its one work meter."""
 
 import math
 
@@ -29,6 +29,21 @@ def check_work(ops, what: str, hint: str) -> None:
                          f"budget of {WORK_BUDGET:.3g}; {hint}")
 
 
+def meter():
+    """One call's work meter: ``charge(ops, what, hint)`` adds ``ops`` to the
+    call's running total and refuses through ``check_work`` once the total
+    passes ``WORK_BUDGET``, for work that no usable bound prices up front."""
+    total = 0
+
+    def charge(ops, what: str, hint: str) -> None:
+        nonlocal total
+        total += ops
+        if total > WORK_BUDGET:
+            check_work(total, what, hint)
+
+    return charge
+
+
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its tolerance within its budget."""
 
@@ -38,11 +53,7 @@ class ConvergenceError(RuntimeError):
 
 
 class IterationLimitError(RuntimeError):
-    """An iteration cap was hit.  ``best`` holds the best solution found."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """An iteration cap was hit.  No routine of the package raises it; callers may still catch it."""
 
 
 class ParseError(ValueError):

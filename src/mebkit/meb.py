@@ -11,6 +11,7 @@ Four routes to the same ball:
 * ``elzinga_hearn_dual``: simplex-constrained concave QP solved by
   away-step Frank-Wolfe, with primal recovery from the multipliers.
 
+Each exact route charges its walks to one meter a call (``errors.meter``).
 ``kt_residuals`` scores any (ball, multipliers) pair against the
 Kuhn-Tucker optimality system.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, IterationLimitError, check_work
+from .errors import STEP_OPS, ConvergenceError, check_work, meter
 from .geometry import Ball, as_points, bbox_frame, circumballs, distances, geom_tol
 
 _PRUNE = 1e-10         # multipliers below this are treated as inactive
@@ -110,7 +111,7 @@ def _hits(X, sq, T, c, t, rt, tol):
     return np.divide(-gap, rate, out=np.full(len(X), np.inf), where=blocks), rate
 
 
-def _walk(X, tol, cap, start=None):
+def _walk(X, tol, charge, start=None):
     """Exact minimum enclosing ball of X by the walk of Fischer, Gärtner and
     Kutz (ESA 2003).  Returns ``(center, T, coords, solves)``.
 
@@ -133,24 +134,23 @@ def _walk(X, tol, cap, start=None):
     (c, T): a center whose ball encloses X with the rows T on its boundary,
     affinely independent, such as a parent ball's center and support less a
     removed point.  An empty T starts cold.  ``t`` and its coordinates come
-    from ``circumballs``; ``solves`` counts its calls, and the call that
-    exceeds ``cap`` raises ``IterationLimitError`` whose ``best`` is the
-    walk's state ``(c, T, coords, solves)``.
+    from ``circumballs``; ``solves`` counts its calls, each charged STEP_OPS
+    + X.size beforehand on the caller's meter ``charge`` (``errors.meter``).
     """
     sq = np.einsum("ij,ij->i", X, X)
     solves = 0
     late = False  # the last point to join reached the boundary after a tied one
+    what = f"the walk's circumball solves over {len(X)} points"
 
     def solve(S):
         nonlocal solves
-        centers, radii, ok, coords = circumballs(X[S][None])
+        charge(STEP_OPS + X.size, what, "rounding may stall the walk; badoiu_clarkson approximates the ball")
         solves += 1
-        if solves > cap:
-            raise IterationLimitError(f"no convergence within the {cap}-solve cap", best=(c, T, lam, solves))
+        centers, radii, ok, coords = circumballs(X[S][None])
         return centers[0], float(radii[0]), bool(ok[0]), coords[0]
 
     if start is not None and len(start[1]):
-        c, T, lam = start[0], [int(i) for i in start[1]], None  # lam comes with the first solve
+        c, T = start[0], [int(i) for i in start[1]]
         t, rt, _, lam = solve(T)
     else:
         c = X[0]
@@ -217,49 +217,37 @@ def exact_meb(P) -> MebSolution:
     Runs ``_walk`` in ``bbox_frame``: its support and affine coordinates
     are the certificate, and ``iterations`` counts its circumball solves.
     The walk starts at the first point and breaks ties by the lowest index
-    or the steepest approach, so the output is deterministic.  Solves are
-    capped at ``_hard_cap(n, d)``; past the cap, ``IterationLimitError``
-    carries the enclosing ball of the current center.
+    or the steepest approach, so the output is deterministic.  The walk's
+    solves are metered (``errors.meter``) and refused past the budget.
     """
     P, mid, tol = bbox_frame(as_points(P))
-    n, d = P.shape
-
-    def solution(c, T, lam, solves) -> MebSolution:
-        diff = P - c
-        r = math.sqrt(float(np.einsum("ij,ij->i", diff, diff).max()))
-        return MebSolution(Ball(c + mid, r), _support(T, lam), r * r, solves, "fgk-walk")
-
-    try:
-        return solution(*_walk(P, tol, _hard_cap(n, d)))
-    except IterationLimitError as err:
-        raise IterationLimitError(str(err), best=solution(*err.best)) from None
-
-
-def _hard_cap(n: int, d: int) -> int:
-    # a finite-precision safety cap, polynomial in n and d
-    return 10 * n * (d + 1)
+    c, T, lam, solves = _walk(P, tol, meter())
+    diff = P - c
+    r = math.sqrt(float(np.einsum("ij,ij->i", diff, diff).max()))
+    return MebSolution(Ball(c + mid, r), _support(T, lam), r * r, solves, "fgk-walk")
 
 
 def hopp_reeve_meb(P) -> MebSolution:
     """Minimum enclosing ball by the two-step shrinking construction.
 
     Keeps an enclosing ball centered at ``c`` with a surface set ``Q``.
-    Step 1 walks to the center ``t`` of the exact enclosing ball of ``Q``
-    and drops members whose multiplier vanishes; the rest, with their
-    multipliers, are the support.  Step 2 moves ``c`` toward ``t``, which
-    keeps all of ``Q`` on the shrinking surface; the first interior points
-    to touch the surface join ``Q``, by the blocking rule of ``_walk``.
-    Stops when the center arrives at ``t`` untouched.
+    Step 1 walks to the center ``t`` of the exact enclosing ball of ``Q``,
+    starting warm from ``c`` and the previous support, and drops members
+    whose multiplier vanishes; the rest, with their multipliers, are the
+    support.  Step 2 moves ``c`` toward ``t``, which keeps all of ``Q`` on
+    the shrinking surface; the first interior points to touch the surface
+    join ``Q``, by the blocking rule of ``_walk``.  Stops when the center
+    arrives at ``t`` untouched.
 
-    Rounding can stall the construction, so iterations are capped; exceeding
-    the cap raises ``IterationLimitError`` carrying the best ball found.  It
-    runs in ``bbox_frame``.
+    Each pass is charged STEP_OPS + n d for its scan of P on one meter
+    (``errors.meter``) that its walks share, so a construction stalled by
+    rounding is refused past the budget.  It runs in ``bbox_frame``.
     """
     P, mid, tol = bbox_frame(as_points(P))
     n, d = P.shape
     if n < 2:
         raise ValueError("need at least two points")
-    cap = _hard_cap(n, d)
+    charge = meter()
 
     sq = np.einsum("ij,ij->i", P, P)
     c = P[0].copy()
@@ -278,17 +266,11 @@ def hopp_reeve_meb(P) -> MebSolution:
 
     while True:
         iterations += 1
-        if iterations > cap + 1:  # + 1: the terminal pass moves nothing
-            raise IterationLimitError(
-                f"no convergence within the {cap}-iteration cap", best=finish(c)
-            )
+        charge(STEP_OPS + n * d, f"hopp_reeve_meb's passes over {n} points", "use exact_meb")
 
-        # Step 1: walk to the center t of the exact ball of Q; members whose
-        # multiplier is numerically zero do not constrain it and leave.
-        try:
-            t, T, lam, _ = _walk(P[Q], tol, _hard_cap(len(Q), d))
-        except IterationLimitError as err:
-            raise IterationLimitError(str(err), best=finish(c)) from None
+        # Step 1: walk from c and the previous support, the head of Q, to the center t of the exact
+        # ball of Q; members whose multiplier is numerically zero do not constrain t and leave.
+        t, T, lam, _ = _walk(P[Q], tol, charge, (c, range(len(support.indices))))
         support = _support(np.asarray(Q)[T], lam)
         Q = support.indices.tolist()
 
@@ -351,8 +333,9 @@ def elzinga_hearn_dual(P, tol: float = 1e-6, max_iter: int = 100_000):
     Maximizes ``f(l) = sum(l_i |p_i|^2) - |sum(l_i p_i)|^2`` over the unit
     simplex by away-step Frank-Wolfe with exact line search.  The pairwise
     gap bounds both the duality gap and the worst Kuhn-Tucker residual, and
-    once it is small a polish walks the active set (``_walk``) to its exact
-    ball and keeps those multipliers when they close the gap.  The center is
+    once it is small, and at every power-of-two iteration, a polish walks the
+    active set (``_walk``, its walks on one meter) to its exact ball and
+    keeps those multipliers when they close the gap.  The center is
     ``sum(l_i p_i)`` and the squared radius is ``sum(l_i |p_i - c|^2)``;
     points strictly inside the optimal ball end with multiplier zero.
 
@@ -361,7 +344,7 @@ def elzinga_hearn_dual(P, tol: float = 1e-6, max_iter: int = 100_000):
     without reaching ``tol``.
     """
     P = as_points(P)
-    n, d = P.shape
+    n = len(P)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
@@ -379,6 +362,7 @@ def elzinga_hearn_dual(P, tol: float = 1e-6, max_iter: int = 100_000):
     polished = None
     gap = np.inf
     iterations = 0
+    charge = meter()
 
     for iterations in range(1, max_iter + 1):
         c = lam @ Pc
@@ -390,24 +374,21 @@ def elzinga_hearn_dual(P, tol: float = 1e-6, max_iter: int = 100_000):
         aw_gap = float(grad @ lam - grad[j_aw])
         gap = max(fw_gap, aw_gap)
 
-        if gap <= target:
+        if gap <= target or iterations & (iterations - 1) == 0:
             S = active[lam[active] > _PRUNE]
-            try:
-                _, T, w, _ = _walk(Pc[S], slack, _hard_cap(len(S), d))
-            except IterationLimitError:
-                pass  # a stalled polish does not improve
-            else:
-                S = S[T]
-                trial = np.zeros(n)
-                trial[S] = w
-                grad_t = sq - 2.0 * (Pc @ (trial @ Pc))
-                if grad_t.max() - grad_t[S].min() <= 1e-12 * scale:
-                    lam = trial
-                    polished = True
-                    break
-            if target <= floor:
-                break  # tolerance met; polish did not improve further
-            target = max(target / 1000.0, floor)
+            _, T, w, _ = _walk(Pc[S], slack, charge)
+            S = S[T]
+            trial = np.zeros(n)
+            trial[S] = w
+            grad_t = sq - 2.0 * (Pc @ (trial @ Pc))
+            if grad_t.max() - grad_t[S].min() <= 1e-12 * scale:
+                lam = trial
+                polished = True
+                break
+            if gap <= target:
+                if target <= floor:
+                    break  # tolerance met; polish did not improve further
+                target = max(target / 1000.0, floor)
 
         if fw_gap >= aw_gap:
             direction = -lam.copy()

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import STEP_OPS, GuardError, IterationLimitError, check_work
+from .errors import STEP_OPS, GuardError, check_work, meter
 from .geometry import Ball, as_points, bbox_frame, distances, subset_circumballs, subset_circumballs_work
-from .meb import _hard_cap, _walk, exact_meb
+from .meb import _walk, exact_meb
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,9 @@ def exact_mkeb(P, k: int) -> MkebSolution:
     of 30..200,000 points in 2..10 dimensions, against 3.2..37 cold, and
     branching visits 17..327 sets where the formula counts 21..1,365.  Work estimate (``check_work``): its cost;
     larger instances should use ``outlier_meb_sample``.  Both paths work in
-    ``bbox_frame`` and count a point as covered within its tolerance.  A
-    walk of the branching path past its solve cap raises
-    ``IterationLimitError`` carrying the least ball visited so far, else the
-    capped walk's current enclosing ball, with the points it covers.
+    ``bbox_frame`` and count a point as covered within its tolerance.  The
+    branching path's walks share one meter (``errors.meter``), which refuses
+    a walk that rounding stalls past the budget.
     """
     P, mid, tol = bbox_frame(as_points(P))
     n, d = P.shape
@@ -70,15 +69,9 @@ def exact_mkeb(P, k: int) -> MkebSolution:
     check_work(min(enumerate_ops, branch_ops), f"the exact {k}-enclosing ball of {n} points",
                "use outlier_meb_sample for large instances")
     path = _branch_mkeb if branch_ops < enumerate_ops else _enumerate_mkeb
-
-    def solution(radius, center) -> MkebSolution:
-        covered = np.flatnonzero(distances(P.T, center) <= radius + tol)
-        return MkebSolution(Ball(center + mid, radius), covered, k)
-
-    try:
-        return solution(*path(P, k, tol))
-    except IterationLimitError as err:
-        raise IterationLimitError(str(err), best=solution(*err.best)) from None
+    radius, center = path(P, k, tol)
+    covered = np.flatnonzero(distances(P.T, center) <= radius + tol)
+    return MkebSolution(Ball(center + mid, radius), covered, k)
 
 
 def _enumerate_mkeb(P, k: int, tol: float) -> tuple[float, np.ndarray]:
@@ -109,9 +102,9 @@ def _branch_mkeb(P, k: int, tol: float) -> tuple[float, np.ndarray]:
 
     The sets are visited breadth first from R = {}, each level in sorted
     order.  Each is solved once by ``_walk`` (with the full set's tolerance
-    ``tol``), and its children are R + {s} for each point s of the walk's
-    support T, at most d+1 of them, so at most sum_{j <= z} (d+1)^j sets are
-    solved.  Each ball covers n - |R| >= k points.  A child's walk starts
+    ``tol``, every walk on one meter), and its children are R + {s} for each
+    point s of the walk's support T, at most d+1 of them, so at most
+    sum_{j <= z} (d+1)^j sets are solved.  Each ball covers n - |R| >= k points.  A child's walk starts
     warm from its first parent's center and T less s: the parent's ball
     encloses the child's points and T less s lies on its boundary.  When T
     less s is empty the walk starts cold.
@@ -130,9 +123,9 @@ def _branch_mkeb(P, k: int, tol: float) -> tuple[float, np.ndarray]:
     center) over the visited sets is the least over the optimal balls, the
     enumeration's answer.
     """
-    n, d = P.shape
+    n = len(P)
     z = n - k
-    best = None  # (radius, center-as-tuple)
+    charge, best = meter(), None  # best: (radius, center-as-tuple)
     level = {(): None}  # removed set -> its first parent's (center, support less the removed point)
     for size in range(z + 1):
         children = {}
@@ -144,13 +137,7 @@ def _branch_mkeb(P, k: int, tol: float) -> tuple[float, np.ndarray]:
             start = level[removed]
             if start is not None:
                 start = (start[0], np.searchsorted(rows, start[1]))
-            try:
-                center, T, _, _ = _walk(X, tol, _hard_cap(len(X), d), start)
-            except IterationLimitError as err:
-                if best is None:  # the capped walk's ball, enclosing P \ R
-                    diff = X - err.best[0]
-                    best = (math.sqrt(float(np.einsum("ij,ij->i", diff, diff).max())), tuple(err.best[0]))
-                raise IterationLimitError(str(err), best=(best[0], np.array(best[1]))) from None
+            center, T, _, _ = _walk(X, tol, charge, start)
             diff = X[T] - center
             cand = (math.sqrt(float(np.einsum("ij,ij->i", diff, diff).max())), tuple(center))
             if best is None or cand < best:

@@ -137,8 +137,8 @@ def _split_rows(rows: np.ndarray, line: str):
     The child sends its text's length only once the text is whole, and leaves
     only through ``os._exit``, so it runs none of this process's exit handlers
     or buffer flushes.  If it ends before the length, this process formats
-    its rows.  The pipe is closed and the child reaped however the consumer
-    leaves.
+    its rows.  A consumer that leaves before the length is read kills the
+    child; the pipe is closed and the child reaped however the consumer leaves.
     """
     per = max(1, BLOCK_VALUES // rows.shape[1])
     cut = per * -(-len(rows) // (2 * per))  # this process takes the larger half of the blocks
@@ -160,6 +160,7 @@ def _split_rows(rows: np.ndarray, line: str):
         finally:
             os._exit(code)
     os.close(w)
+    header = None
     try:
         with open(r, "rb") as pipe:
             yield from _rows_text(rows[:cut], line)
@@ -175,6 +176,9 @@ def _split_rows(rows: np.ndarray, line: str):
                 left -= len(piece)
                 yield piece.decode("ascii")
     finally:
+        if header is None:  # the child may still be formatting rows no one reads
+            import signal  # here: start-up would pay 0.7 ms to import it for every call
+            os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
 
 

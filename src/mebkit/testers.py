@@ -20,21 +20,20 @@ k+1 points split into at most k groups that fit iff some pair of them fits
 ``promise_label`` and ``scattered_points`` decide promise instances exactly:
 clusterable over the balls of ``geometry.subset_circumballs``, and scattered
 by one bitset search for mutually far points (``_far_set``).  Both exact
-searches keep their sets as bitsets and count their nodes on one meter a
-call (``_count_node``), which refuses through ``check_work``.
+searches keep their sets as bitsets and charge STEP_OPS / 40 a node on one
+meter a call (``errors.meter``), which refuses through ``check_work``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from . import errors, geometry
-from .errors import STEP_OPS, check_work
+from . import geometry
+from .errors import STEP_OPS, check_work, meter
 from .geometry import (SMALL_MEB_MAX, BoxBody, as_points, bbox_frame, distances, fits_in_translates,
                        geom_tol, small_meb_radii, subset_circumballs, subset_circumballs_work)
 from .seeding import derive_rng
@@ -220,17 +219,11 @@ def _far_rows(P, delta: float) -> list[int]:
     return rows
 
 
-def _count_node(meter, what: str, hint: str) -> None:
-    """Count a node at STEP_OPS / 40 on ``meter``, the ``itertools.count(1)`` of a call's searches, and past
-    ``WORK_BUDGET`` refuse through ``check_work``: no usable bound on the nodes is known up front."""
-    if (nodes := next(meter)) * (STEP_OPS // 40) > errors.WORK_BUDGET:
-        check_work(nodes * (STEP_OPS // 40), what, hint)
-
-
-def _far_set(far: list[int], need: int, meter) -> list[int] | None:
+def _far_set(far: list[int], need: int, charge) -> list[int] | None:
     """The first ``need`` mutually far points in depth-first index order, or
     None: a branch stops once its candidates are fewer than it still needs.
-    Each point chosen is a node (``_count_node``) on the caller's ``meter``."""
+    Each point chosen is a node, charged STEP_OPS / 40 on the caller's meter
+    ``charge`` (``errors.meter``): no usable bound on the nodes is known up front."""
     what = f"the search for {need} mutually far points of {len(far)}"
     stack, chosen, left = [(1 << len(far)) - 1], [], need  # the untried candidates of each depth, deepest last
     while left:
@@ -241,7 +234,7 @@ def _far_set(far: list[int], need: int, meter) -> list[int] | None:
             chosen.pop()
             left += 1
             continue
-        _count_node(meter, what, "raise delta or use fewer points")
+        charge(STEP_OPS // 40, what, "raise delta or use fewer points")
         low = cand & -cand
         cand ^= low
         chosen.append(low.bit_length() - 1)
@@ -263,8 +256,8 @@ def scattered_points(P, delta: float) -> ScatteredSet:
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     if n <= _SCATTER_EXACT_LIMIT:
-        far, meter, chosen = _far_rows(P, delta), itertools.count(1), []
-        while (found := _far_set(far, len(chosen) + 1, meter)) is not None:
+        far, charge, chosen = _far_rows(P, delta), meter(), []
+        while (found := _far_set(far, len(chosen) + 1, charge)) is not None:
             chosen = found
         return ScatteredSet(len(chosen), chosen, True)
     tol = geom_tol(P, delta)
@@ -276,7 +269,7 @@ def scattered_points(P, delta: float) -> ScatteredSet:
     return ScatteredSet(len(chosen), sorted(chosen), False)
 
 
-def _coverable(P, k1: int, eps: float, tol: float, meter) -> bool:
+def _coverable(P, k1: int, eps: float, tol: float, charge) -> bool:
     """Whether the n > k1 points of P split into k1 groups of enclosing radius <= eps + tol.
 
     A group fits iff it lies within eps + tol of its enclosing ball's center,
@@ -286,7 +279,8 @@ def _coverable(P, k1: int, eps: float, tol: float, meter) -> bool:
     branches over the kept covers of the first point not yet covered, to
     depth k1.  Work estimates (``check_work``), each before its phase:
     ``subset_circumballs_work``; 8 u (c_u + n) for u distinct covers, up to
-    c_u on a point.  Each state it pops is a node on ``meter``.
+    c_u on a point.  Each state it pops is a node, charged STEP_OPS / 40 on
+    ``charge`` (``errors.meter``).
     """
     n, d = P.shape
     what = f"exact {k1}-clustering of {n} points"
@@ -305,7 +299,7 @@ def _coverable(P, k1: int, eps: float, tol: float, meter) -> bool:
     stack = [((1 << n) - 1, k1)]  # (points not yet covered, covers left)
     while stack:
         free, left = stack.pop()
-        _count_node(meter, what, "lower k1 or use fewer points")
+        charge(STEP_OPS // 40, what, "lower k1 or use fewer points")
         if not free:
             return True
         if left:
@@ -331,12 +325,12 @@ def promise_label(P, k1: int, eps: float, k2: int, delta: float) -> PromiseLabel
         raise ValueError("k1 and k2 must be at least 1")
     if not (0.0 < eps < math.inf and 0.0 < delta < math.inf):
         raise ValueError(f"eps and delta must be positive and finite, got {eps} and {delta}")
-    far, meter = _far_rows(P, delta) if 2 <= k2 <= n else None, itertools.count(1)
+    far, charge = _far_rows(P, delta) if 2 <= k2 <= n else None, meter()
     tol = geom_tol(P, eps)
     if k1 == 1:
         yes = bool(small_meb_radii(P[None])[0] <= eps + tol)
     else:  # singletons always fit when k1 >= n
-        yes = k1 >= n or _coverable(bbox_frame(P)[0], k1, eps, tol, meter)
+        yes = k1 >= n or _coverable(bbox_frame(P)[0], k1, eps, tol, charge)
     # a single point is vacuously scattered, and more than n points are not
-    no = k2 == 1 if far is None else _far_set(far, k2, meter) is not None
+    no = k2 == 1 if far is None else _far_set(far, k2, charge) is not None
     return PromiseLabel(yes, no, _LABELS[yes, no])

@@ -93,6 +93,6 @@ def test_processes_are_forked_only_by_the_split_formatter():
     # a forked child must leave through os._exit and be reaped, whatever its consumer does:
     # one helper owns that
     def process_call(node):
-        return isinstance(node, ast.Attribute) and ast.unparse(node) in {"os.fork", "os.waitpid", "os._exit"}
+        return isinstance(node, ast.Attribute) and ast.unparse(node) in {"os.fork", "os.kill", "os.waitpid", "os._exit"}
 
     assert sites(process_call) == {("pointio", "_split_rows")}

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.optimize import nnls
 
+from mebkit import errors, meb
 from mebkit.convexity import _nnls
-from mebkit.errors import ConvergenceError, IterationLimitError
+from mebkit.errors import STEP_OPS, ConvergenceError, GuardError
 from mebkit.generators import gen_instance
 from mebkit.geometry import Ball, geom_tol
 from mebkit.meb import (
@@ -167,7 +168,7 @@ def test_exact_meb_work_tripwire():
 
 def test_exact_meb_pivot_loop_is_capped(monkeypatch):
     P = derive_rng(3, "cap").standard_normal((12, 3))
-    cap = 5  # below the 11 blockers of the first leg
+    price = STEP_OPS + P.size  # each solve is charged before it runs
     calls = []
 
     def dependent(S):  # every blocker fails the independence test, so c never moves
@@ -176,14 +177,10 @@ def test_exact_meb_pivot_loop_is_capped(monkeypatch):
         return S[:, 0, :].copy(), np.zeros(b), np.zeros(b, dtype=bool), np.full((b, m), 1.0 / m)
 
     monkeypatch.setattr("mebkit.meb.circumballs", dependent)
-    monkeypatch.setattr("mebkit.meb._hard_cap", lambda n, d: cap)
-    with pytest.raises(IterationLimitError) as err:
+    monkeypatch.setattr(errors, "WORK_BUDGET", 6 * price - 1)  # 5 solves, below the 11 blockers of the first leg
+    with pytest.raises(GuardError, match="walk's circumball solves over 12 points: .* over the budget"):
         exact_meb(P)
-    assert len(calls) == cap + 1  # every solve counts, failed independence tests too
-    best = err.value.best
-    assert np.allclose(best.ball.center, P[0], atol=1e-12)
-    assert best.ball.radius == pytest.approx(np.linalg.norm(P - P[0], axis=1).max(), rel=1e-12)
-    assert best.iterations == cap + 1
+    assert len(calls) == errors.WORK_BUDGET // price  # every solve counts, failed independence tests too
 
 
 def kt_worst(P, sol):
@@ -377,6 +374,16 @@ def test_hopp_reeve_matches_exact():
     assert np.linalg.norm(a.ball.center - b.ball.center) <= 1e-7 * (1 + b.ball.radius)
 
 
+def test_hopp_reeve_step_one_starts_warm(monkeypatch):
+    # sphere-surface 2,000x30: 387 walk solves from the previous support, 2,558 from cold starts
+    P, _ = gen_instance("sphere-surface", 2_000, 30, seed=1)
+    kernel, solves = meb.circumballs, []
+    monkeypatch.setattr(meb, "circumballs", lambda S: solves.append(len(S)) or kernel(S))
+    sol = hopp_reeve_meb(P)
+    assert len(solves) <= 500
+    assert sol.ball.radius == pytest.approx(exact_meb(P).ball.radius, rel=1e-12)
+
+
 def test_hopp_reeve_degenerate_fixtures():
     for P in (
         SQUARE,
@@ -451,6 +458,15 @@ def test_elzinga_hearn_interior_multiplier_zero():
     assert lam[4] == 0.0
 
 
+def test_elzinga_hearn_decides_a_uniform_cloud_within_the_default_max_iter():
+    # the gap falls as about 1/k there: a polish at a power-of-two iteration closes it
+    P, _ = gen_instance("uniform-ball", 20_000, 3, seed=1)
+    sol, lam = elzinga_hearn_dual(P)
+    assert sol.iterations <= 1_000
+    assert sol.ball.radius == pytest.approx(exact_meb(P).ball.radius, rel=1e-12)
+    assert kt_residuals(P, sol.ball, lam).worst <= 1e-12 * sol.s
+
+
 def test_elzinga_hearn_matches_exact_center():
     for trial in range(10):
         rng = derive_rng(trial, "eh")
@@ -469,14 +485,18 @@ def test_elzinga_hearn_convergence_error_carries_gap():
 
 
 def test_elzinga_hearn_stalled_polish_keeps_iterating(monkeypatch):
-    def stalled(X, tol, cap):
-        raise IterationLimitError("stalled")
+    tried = []
+
+    def stalled(X, tol, charge, start=None):  # the first active point alone fails the gradient test
+        tried.append(len(X))
+        return X[0], [0], np.ones(1), 1
 
     P = uniform_d3_fixture()
     monkeypatch.setattr("mebkit.meb._walk", stalled)
     sol, lam = elzinga_hearn_dual(P, tol=1e-6, max_iter=2000)
     assert sol.ball.radius == pytest.approx(FROZEN_D3_RADIUS, rel=1e-5)
     assert lam.sum() == pytest.approx(1.0)
+    assert len(tried) > 1 and np.count_nonzero(lam) > 1  # FW went on past rejected polishes
 
 
 def test_elzinga_hearn_rejects_bad_parameters():

@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -493,6 +494,22 @@ def test_split_reaps_its_child_when_closed_after_the_first_piece(two_cpus):
     assert next(pieces) == next(pointio._rows_text(CLOUD, CSV_LINE))
     pieces.close()  # the child is still formatting, or blocked writing to a full pipe
     assert two_cpus == [len(CLOUD)]
+    assert_no_child()
+
+
+def test_split_kills_its_child_when_closed_before_the_childs_length(two_cpus, monkeypatch):
+    waitpid, statuses = os.waitpid, []
+
+    def reap(pid, options):
+        pid, status = waitpid(pid, options)
+        statuses.append(status)
+        return pid, status
+
+    monkeypatch.setattr(os, "waitpid", reap)
+    pieces = pointio._format_rows(CLOUD, CSV_LINE)
+    next(pieces)
+    pieces.close()  # the child is still formatting its 25,000 rows
+    assert len(statuses) == 1 and os.WIFSIGNALED(statuses[0]) and os.WTERMSIG(statuses[0]) == signal.SIGKILL
     assert_no_child()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mebkit import errors, geometry, meb, testers
-from mebkit.errors import STEP_OPS, WORK_BUDGET, GuardError
+from mebkit.errors import STEP_OPS, WORK_BUDGET, GuardError, meter
 from mebkit.geometry import BallBody, BoxBody, bbox_frame, fits_in_translate, geom_tol
 from mebkit.meb import exact_meb
 from mebkit.seeding import derive_rng
@@ -582,12 +582,18 @@ def test_promise_cover_search_is_metered(monkeypatch):
 def test_promise_cover_search_meters_the_states_each_node_pushes():
     # up to 46 kept covers on one point: the states a node pushes are counted
     # as they are popped, so the work a node stays the same as c grows.  The
-    # meter starts so that the search's 3,951st node is the budget's last.
+    # meter is pre-charged so that the search's 3,951st node is the budget's last.
     P = np.random.default_rng(2).uniform(-1.0, 1.0, (40, 2))
     frame, tol, last = bbox_frame(P)[0], geom_tol(P, 0.7), int(WORK_BUDGET) // (STEP_OPS // 40)
-    assert not testers._coverable(frame, 3, 0.7, tol, itertools.count(last - 3_950))
+
+    def charged(nodes):
+        charge = meter()
+        charge(nodes * (STEP_OPS // 40), "earlier nodes", "none")
+        return charge
+
+    assert not testers._coverable(frame, 3, 0.7, tol, charged(last - 3_951))
     with pytest.raises(GuardError, match="exact 3-clustering of 40 points: .* over the budget"):
-        testers._coverable(frame, 3, 0.7, tol, itertools.count(last - 3_949))
+        testers._coverable(frame, 3, 0.7, tol, charged(last - 3_950))
 
 
 def test_promise_sides_share_one_meter(monkeypatch):

@@ -15,8 +15,8 @@ from mebkit.errors import WORK_BUDGET, GuardError, check_work
 # (module, function): number of ``raise GuardError`` sites, for the refusals
 # that no up-front estimate replaces: a sketch grid of more than
 # MAX_DIRECTIONS directions, which eps alone decides and no work count
-# prices, and a sample size past float range.  Both exact promise searches, the cover search and
-# the far-set search, are metered as they run by testers._count_node, which
+# prices, and a sample size past float range.  The promise searches and the
+# walks of the exact solvers are metered as they run by errors.meter, which
 # refuses through check_work.
 UNPRICED = {
     ("errors", "check_work"): 1,
@@ -25,8 +25,8 @@ UNPRICED = {
 }
 
 
-def guard_sites():
-    """Number of ``raise GuardError`` sites per (module, enclosing function) of the package."""
+def guard_sites(error="GuardError"):
+    """Number of ``raise error`` sites per (module, enclosing function) of the package."""
     sites = collections.Counter()
     for path in sorted(pathlib.Path(mebkit.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -36,13 +36,21 @@ def guard_sites():
             for node in ast.walk(func):
                 if isinstance(node, ast.Raise) and node.exc is not None:
                     call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                    if isinstance(call, ast.Name) and call.id == "GuardError":
+                    if isinstance(call, ast.Name) and call.id == error:
                         sites[path.stem, func.name] += 1
     return sites
 
 
 def test_guard_errors_are_raised_only_through_check_work():
     assert guard_sites() == UNPRICED
+
+
+def test_exact_searches_keep_no_cap_of_their_own():
+    # the one meter bounds every walk: no solve cap, and no cap's IterationLimitError
+    defs = {node.name for path in pathlib.Path(mebkit.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.FunctionDef)}
+    assert "_hard_cap" not in defs
+    assert not guard_sites("IterationLimitError")
 
 
 def budget_reads():
@@ -71,7 +79,7 @@ def budget_reads():
 
 def test_work_budget_is_read_only_by_check_work_and_the_node_meter():
     # a search that grows its own limit would read the budget itself
-    assert budget_reads() == {("errors", "check_work"), ("testers", "_count_node")}
+    assert budget_reads() == {("errors", "check_work"), ("errors", "charge")}
 
 
 @pytest.mark.parametrize("ops", [WORK_BUDGET + 1, 10**400, math.inf, math.nan])
