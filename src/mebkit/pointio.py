@@ -3,12 +3,11 @@
 Files are parsed and written in blocks of rows, with no Python step per
 point; a parse reads the open file and holds only a non-canonical JSON
 document whole.  CSV goes through numpy's C reader, which converts each
-field as Python's ``float`` does, to the same bits.  A text it refuses is
-read again in windows: their lines' comma counts are checked at once and
-their tokens converted with ``float``.  A canonical JSON document is
-decoded a window of rows at a time; any other document, and any anomaly
-in a window, is decoded whole.  Only a file that fails these checks is
-walked line by line (row by row), to name its first bad line in a ``ParseError``.
+field as Python's ``float`` does, to the same bits, and skips ``#``
+comment lines; any other text is walked line by line, which names its first
+bad line in a ``ParseError``.  A canonical JSON document is decoded a window
+of rows at a time; any other document, and any anomaly in a window, is
+decoded whole, and a bad one is walked row by row to name its first bad row.
 
 Written floats use shortest round-trip repr, so write_points followed by
 read_points reproduces the array bit-for-bit.  The same block formatter
@@ -24,12 +23,12 @@ is byte-identical to the one-process text.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import warnings
 from contextlib import suppress
-from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -43,6 +42,9 @@ _ARRAY = "\x00array\x00"
 _ARRAY_TOKEN = json.dumps(_ARRAY)
 # the breaks of str.splitlines but \n and \r: numpy's reader strips them from a field as spaces
 _ODD = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# where numpy's comments differ from whole-line ones: a # that opens no line, which
+# numpy takes for a comment's start, and a \r outside \r\n, which numpy takes into one
+_COMMENT_MISREAD = re.compile(r"[^\n]#|\r(?!\n)")
 
 
 def _infer_format(path: str, fmt: str | None) -> str:
@@ -81,30 +83,6 @@ def float_array(values) -> np.ndarray:
         return np.array(values, dtype=float)
     except OverflowError:
         raise ParseError(1, "coordinate out of float range") from None
-
-
-def _csv_error(fh) -> ParseError:
-    """The ParseError of the first bad line of a CSV stream that ``_parse_csv``
-    cannot read in blocks ("no points found" when it has no data line).  Its
-    windows end at a newline, so their lines are the whole text's lines."""
-    fh.seek(0)
-    width = None
-    for lineno, raw in enumerate(chain.from_iterable(w.splitlines() for w in _windows(fh, "\n")), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        try:
-            row = [float(f) for f in fields]
-        except ValueError:
-            return ParseError(lineno, f"not a number in {line!r}")
-        if any(not np.isfinite(v) for v in row):
-            return ParseError(lineno, "non-finite coordinate")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            return ParseError(lineno, f"expected {width} coordinates, got {len(row)}")
-    return ParseError(1, "no points found")
 
 
 def _rows_text(rows: np.ndarray, line: str):
@@ -261,36 +239,46 @@ def _windows(fh, end: str):
 
 def _parse_csv(fh) -> np.ndarray:
     """The points of a CSV stream: numpy's reader's, unless the text holds an
-    ``_ODD`` break or numpy refuses it, finds no data or reads a non-finite
-    value; then the windows' below, under the rules of ``_csv_error``."""
-    plain = not any(any(map(w.__contains__, _ODD)) for w in iter(partial(fh.read, 16 * BLOCK_VALUES), ""))
+    ``_ODD`` break or a ``_COMMENT_MISREAD`` (each window starts a line), or
+    numpy refuses it, finds no data or reads a non-finite value; then
+    ``_csv_walk``'s."""
+    plain = not any(any(map(w.__contains__, _ODD)) or ("#" in w and _COMMENT_MISREAD.search(w))
+                    for w in _windows(fh, "\n"))
     fh.seek(0)
     if plain:
         with warnings.catch_warnings(), suppress(ValueError):
             warnings.simplefilter("ignore")  # a text with no data reads as an empty array
-            arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            arr = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
             if arr.size and np.isfinite(arr).all():
                 return arr
-        fh.seek(0)
-    blocks = []
-    for window in _windows(fh, "\n"):
-        # str.strip takes \x1f for a space, and float does not
-        lines = [s for s in map(str.strip, window.replace("\x1f", " ").splitlines()) if s and s[0] != "#"]
-        if not lines:
+    return _csv_walk(fh)
+
+
+def _csv_walk(fh) -> np.ndarray:
+    """The points of a CSV stream, read a line at a time (windows end at newlines):
+    blank and ``#`` lines are skipped, and the first line that is not numbers, not
+    finite or of another width, or a text with none, is a ``ParseError``."""
+    from array import array  # here: start-up would map its extension module for every call
+    fh.seek(0)
+    values, width = array("d"), None
+    for lineno, raw in enumerate(chain.from_iterable(w.splitlines() for w in _windows(fh, "\n")), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
-        if not blocks:
-            commas = lines[0].count(",")
-        if list(map(str.count, lines, repeat(",", len(lines)))).count(commas) != len(lines):
-            raise _csv_error(fh)
-        tokens = ",".join(lines).split(",")
-        try:  # fromiter frees each Python float as soon as it is stored
-            blocks.append(np.fromiter(map(float, tokens), float, len(tokens)))
+        try:  # str.strip takes \x1f for a space, and float does not
+            row = [float(f.strip()) for f in line.split(",")]
         except ValueError:
-            raise _csv_error(fh) from None
-    arr = np.concatenate(blocks).reshape(-1, commas + 1) if blocks else None
-    if arr is None or not np.isfinite(arr).all():
-        raise _csv_error(fh)
-    return arr
+            raise ParseError(lineno, f"not a number in {line!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError(lineno, "non-finite coordinate")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(lineno, f"expected {width} coordinates, got {len(row)}")
+        values.extend(row)
+    if width is None:
+        raise ParseError(1, "no points found")
+    return np.frombuffer(values).reshape(-1, width)
 
 
 def _number_rows(pts: list) -> np.ndarray | None:

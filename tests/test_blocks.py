@@ -96,3 +96,18 @@ def test_processes_are_forked_only_by_the_split_formatter():
         return isinstance(node, ast.Attribute) and ast.unparse(node) in {"os.fork", "os.kill", "os.waitpid", "os._exit"}
 
     assert sites(process_call) == {("pointio", "_split_rows")}
+
+
+def test_csv_tokens_are_converted_by_numpy_and_by_the_line_walk_only():
+    # one fast path and one fallback that names bad lines: a third parser would add a site
+    def conversion(node):
+        if not isinstance(node, ast.Call):
+            return False
+        name = ast.unparse(node.func)
+        return (name in {"float", "np.loadtxt", "np.genfromtxt", "np.fromiter", "np.fromstring"}
+                or (name == "map" and ast.unparse(node.args[0]) == "float"))
+
+    assert {site for site in sites(conversion) if site[0] == "pointio"} == {
+        ("pointio", "_parse_csv"), ("pointio", "_csv_walk")}
+    fromiter = sites(lambda node: isinstance(node, ast.Attribute) and ast.unparse(node) == "np.fromiter")
+    assert not {site for site in fromiter if site[0] == "pointio"}

@@ -382,6 +382,22 @@ def test_convexity_nodim(square_csv, capsys):
     assert result["hull_distance"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_convexity_nodim_bound_above_2048_points_is_the_ball_diameter(tmp_path, capsys):
+    # above 2,048 points the enclosing ball's diameter stands in for the point
+    # set's: a weaker bound than diam / sqrt(2r), never a smaller one
+    from mebkit.diameter import diameter_bruteforce
+    from mebkit.meb import exact_meb
+
+    P, _ = gen_instance("uniform-ball", 2049, 3, seed=5)
+    path = tmp_path / "cloud.csv"
+    write_points(str(path), P)
+    report, code = run_cli(["convexity", "nodim", "--r", "4", "--input", str(path)], capsys)
+    assert code == 0
+    bound = report["result"]["bound"]
+    assert bound == 2.0 * exact_meb(P).ball.radius / np.sqrt(8.0)
+    assert bound >= diameter_bruteforce(P).value / np.sqrt(8.0)
+
+
 def test_convexity_nodim_face_budget_is_a_compute_error(cloud_csv, capsys, monkeypatch):
     # 30 points, r = 3 in 3-d: 30 * (3 + 3 + 1) faces, priced at
     # sum_s C(3, s) * (STEP_OPS + 30 * s * (3 + 40)) scalar operations

@@ -340,6 +340,29 @@ def test_nnls_nearly_dependent_columns_terminate():
         assert np.linalg.norm(A @ x - b) <= np.linalg.norm(A @ nnls(A, b)[0] - b) + 1e-12 * 1e3
 
 
+def test_nnls_solves_are_metered(monkeypatch):
+    # each active-set solve after the first least-squares one charges
+    # STEP_OPS + A.size on one meter per call: k solves fit in k such charges.
+    # This is the cut-back system of nnls_cases, whose first passive solve goes negative.
+    A = np.array([[3.0, 1.0, -3.0, 0.0], [1.0, 0.0, -2.0, -2.0], [-2.0, 0.0, 2.0, 2.0]])
+    b = np.array([2.0, 0.0, 2.0])
+    lstsq, calls = np.linalg.lstsq, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    x = _nnls(A, b)
+    solves = len(calls) - 1
+    assert solves >= 3
+    monkeypatch.setattr(errors, "WORK_BUDGET", solves * (STEP_OPS + A.size))
+    assert np.array_equal(_nnls(A, b), x)
+    monkeypatch.setattr(errors, "WORK_BUDGET", solves * (STEP_OPS + A.size) - 1)
+    with pytest.raises(GuardError, match="NNLS"):
+        _nnls(A, b)
+
+
 def test_exact_meb_certificate_on_repeated_and_cospherical_points():
     rng = derive_rng(5, "cospherical")
     sphere = rng.standard_normal((40, 3))

@@ -108,6 +108,11 @@ def csv_texts(draw):
 @example("1, \u20282\n3,4\n")
 @example("1,2")
 @example("1\xa0,2\r\n3,4\r\n")
+@example("1,2 # c\n")          # numpy would cut the line at the #
+@example("1,2#3\n")
+@example("# h\n1,2\n \n3,4\n")
+@example("  # h\n1,2\n")
+@example("# c\r1,2\n3,4\n")     # numpy would take the line after a lone \r into the comment
 def test_csv_parse_matches_line_oracle(tmp_path_factory, text):
     assert outcome(parse_csv, text) == outcome(csv_parse_oracle, text)
     path = tmp_path_factory.getbasetemp() / "oracle-points.csv"
@@ -127,6 +132,17 @@ def test_csv_parse_spans_blocks():
     bad = "\n".join(lines)
     assert outcome(parse_csv, bad) == outcome(csv_parse_oracle, bad)
     assert outcome(parse_csv, bad)[1] == len(lines) - 2
+
+
+def test_csv_comment_lines_are_numpy_s_and_inline_comments_are_walked(monkeypatch):
+    def walked(fh):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(pointio, "_csv_walk", walked)
+    assert parse_csv("# x,y\n1,2\n#\r\n3,4\n").tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    for text in ("1,2 # c\n", "1,2\n \n3,4\n"):
+        with pytest.raises(AssertionError, match="walked"):
+            parse_csv(text)
 
 
 def same(parse, oracle, text):
@@ -304,13 +320,17 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_parse_memory_is_bounded_by_the_array(tmp_path, fmt):
+@pytest.mark.parametrize("fmt, walked", [("csv", False), ("csv", True), ("json", False)],
+                         ids=["csv", "csv-walk", "json"])
+def test_parse_memory_is_bounded_by_the_array(tmp_path, fmt, walked):
     # at 50,000 x 3 the whole-text parsers peaked at 7.8 MB (CSV) and 11.2 MB
     # (JSON) above the text, about 6.5x and 9.4x the array
     P = np.random.default_rng(13).standard_normal((50_000, 3))
     path = tmp_path / f"cloud.{fmt}"
     write_points(str(path), P)
+    if walked:  # a whitespace-only line: numpy refuses the text, and the line walk reads it
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:25_000] + [" \n"] + lines[25_000:]), encoding="utf-8")
     stream = io.StringIO(path.read_text(encoding="utf-8"))
     for parse, source in ((_parse_csv if fmt == "csv" else _parse_json, stream), (read_points, str(path))):
         peak, arr = traced_peak(parse, source)
